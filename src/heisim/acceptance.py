@@ -62,7 +62,8 @@ def criterion_1(seed: int) -> dict:
         state = init_network(n)
         for _ in range(depth):
             state = apply_gate(state, _random_gate(rng, n))
-        worst = max(worst, network.algebra_residual(state))
+        residual = network.algebra_residual(state.descriptors)
+        worst = linalg.worst((worst, residual))
     return {"name": "algebra-conservation", "passed": worst <= 1e-8,
             "detail": f"max residual {worst:.3e} (bound 1e-08)"}
 
@@ -77,10 +78,10 @@ def criterion_2(seed: int) -> dict:
     worst = 0.0
     for got, want in zip((final.descriptor(1).x, final.descriptor(1).y,
                           final.descriptor(1).z), expected_s):
-        worst = max(worst, max_abs(got - want))
+        worst = linalg.worst((worst, max_abs(got - want)))
     for got, want in zip((final.descriptor(2).x, final.descriptor(2).y,
                           final.descriptor(2).z), expected_m):
-        worst = max(worst, max_abs(got - want))
+        worst = linalg.worst((worst, max_abs(got - want)))
 
     run = oracle.evolve(init_network(2).psi, [Gate.h(1), Gate.cnot(1, 2)], 2)
     bell = np.zeros(4, dtype=complex)
@@ -88,7 +89,7 @@ def criterion_2(seed: int) -> dict:
     overlap = np.vdot(bell, run.states[-1])
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
     state_err = max_abs(run.states[-1] / phase - bell)
-    worst_all = max(worst, state_err)
+    worst_all = linalg.worst((worst, state_err))
     return {"name": "measurement-fixture-exactness", "passed": worst_all <= 1e-10,
             "detail": f"descriptor err {worst:.3e}, state err {state_err:.3e} "
                       f"(bound 1e-10)"}
@@ -105,7 +106,7 @@ def criterion_3(seed: int) -> dict:
             abs(relative.relative_expectation(final, mz, plus) - 1.0),
             abs(relative.relative_expectation(final, mz, minus) + 1.0),
             abs(plus.weight - 0.5), abs(minus.weight - 0.5)]
-    worst = max(errs)
+    worst = linalg.worst(errs)
     return {"name": "relative-state-values", "passed": worst <= 1e-10,
             "detail": f"max deviation {worst:.3e} (bound 1e-10)"}
 
@@ -121,11 +122,12 @@ def criterion_4(seed: int) -> dict:
                                    f"q_{record_qubit}z at t=2")
         rds = [relative.relative_descriptor(final, holder, f) for f in frames]
         for rd in rds:
-            worst_alg = max(worst_alg, relative.relative_algebra_residual(rd))
+            residual = network.algebra_residual([rd], unit=rd.unit)
+            worst_alg = linalg.worst((worst_alg, residual))
         for c in COMPONENTS:
             total = sum(rd.component(c) for rd in rds)
             absolute = final.descriptor(holder).component(c)
-            worst_sum = max(worst_sum, max_abs(total - absolute))
+            worst_sum = linalg.worst((worst_sum, max_abs(total - absolute)))
     passed = worst_alg <= 1e-9 and worst_sum <= 1e-10
     return {"name": "relative-pauli-algebra", "passed": passed,
             "detail": f"algebra residual {worst_alg:.3e} (bound 1e-09), "
@@ -149,15 +151,15 @@ def criterion_5(seed: int) -> dict:
             for c in COMPONENTS:
                 value = network.expectation(final,
                                             final.descriptor(q).component(c))
-                worst_abs = max(worst_abs, abs(np.real(value)))
+                worst_abs = linalg.worst((worst_abs, abs(np.real(value))))
         snapshot = final.get_record(1, "z", 2)
         plus, minus = relative.make_pvm(final, snapshot, "q_1z at t=2")
         for frame, target_z in ((plus, 1.0), (minus, -1.0)):
             values = [np.real(relative.relative_expectation(
                 final, final.descriptor(2).component(c), frame))
                 for c in COMPONENTS]
-            worst_rel = max(worst_rel, abs(values[0]), abs(values[1]),
-                            abs(values[2] - target_z))
+            worst_rel = linalg.worst((worst_rel, abs(values[0]),
+                                      abs(values[1]), abs(values[2] - target_z)))
         if theta in (thetas[0], thetas[4]):  # 0 and pi/2
             matrices[theta] = [final.descriptor(2).component(c)
                                for c in COMPONENTS]
@@ -200,7 +202,8 @@ def criterion_6(seed: int) -> dict:
             for c in COMPONENTS:
                 path_a = evolved.descriptor(1).component(c) @ frame.projector
                 path_b = factor.conj().T @ rd.component(c) @ factor
-                worst_path = max(worst_path, max_abs(path_a - path_b))
+                worst_path = linalg.worst((worst_path,
+                                           max_abs(path_a - path_b)))
     second_cnot = relative.autonomy_check(final, Gate.cnot(1, 2), snapshots)
     ok = ok and not second_cnot.preserving
     for _ in range(10):
@@ -224,7 +227,8 @@ def criterion_7(seed: int) -> dict:
         gates = [_random_gate(rng, n) for _ in range(depth)]
         timeline = network.run_gates(init_network(n), gates)
         run = oracle.evolve(timeline[0].psi, gates, n)
-        worst = max(worst, oracle.cross_validate(run, timeline).max_residual)
+        cross = oracle.cross_validate(run, timeline)
+        worst = linalg.worst((worst, cross.max_residual))
         final = timeline[-1]
         psi_t = run.states[-1]
         for a in range(1, n + 1):
@@ -233,8 +237,8 @@ def criterion_7(seed: int) -> dict:
             for frame in frames:
                 fixed_proj = linalg.pauli_projector(fixed_z, int(frame.label))
                 schr_weight = float(np.linalg.norm(fixed_proj @ psi_t) ** 2)
-                worst_weight = max(worst_weight,
-                                   abs(schr_weight - frame.weight))
+                worst_weight = linalg.worst((worst_weight,
+                                             abs(schr_weight - frame.weight)))
     passed = worst <= 1e-9 and worst_weight <= 1e-9
     return {"name": "picture-equivalence", "passed": passed,
             "detail": f"expectation residual {worst:.3e}, "

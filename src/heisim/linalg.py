@@ -6,11 +6,12 @@ of two. Residuals are measured with the max-abs entrywise norm throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import NonUnitary, NotHermitian, NotInvolution
+from .errors import NonUnitary, NotHermitian, NotInvolution, ValidationError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -41,17 +42,18 @@ class Tolerances:
     weight: float = 1e-12
     oracle: float = 1e-9
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(
+                    f"tolerance {f.name} must be finite and >= 0, got {value!r}")
+
     def override(self, **kwargs: float) -> "Tolerances":
         return replace(self, **kwargs)
 
     def as_dict(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in (
-                "hermitian", "unitary", "general", "norm", "eigengap",
-                "sharp", "entangle", "commute", "weight", "oracle",
-            )
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT_TOL = Tolerances()
@@ -61,6 +63,21 @@ def max_abs(a: np.ndarray) -> float:
     """Max-abs entrywise norm (0.0 for empty input)."""
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def exceeds(value: float, bound: float) -> bool:
+    """value > bound, where NaN exceeds every bound."""
+    return not value <= bound
+
+
+def worst(values) -> float:
+    """Largest of the values (0.0 for none); NaN as soon as one is NaN.
+
+    The builtin ``max`` keeps its first argument when the second is NaN, which
+    would let a NaN residual pass its bound.
+    """
+    values = np.asarray(list(values), dtype=float)
+    return float(np.max(values)) if values.size else 0.0
 
 
 def identity(dim: int) -> np.ndarray:
@@ -98,7 +115,7 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 def check_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL.hermitian) -> None:
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if exceeds(defect, tol):
         raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol:.3e}")
 
 
@@ -108,7 +125,7 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 def check_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary) -> None:
     defect = unitarity_defect(u)
-    if defect > tol:
+    if exceeds(defect, tol):
         raise NonUnitary(f"unitarity defect {defect:.3e} > {tol:.3e}")
 
 
@@ -133,7 +150,7 @@ def pauli_projector(q: np.ndarray, sign: int,
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     defect = involution_defect(q)
-    if defect > tol:
+    if exceeds(defect, tol):
         raise NotInvolution(f"involution defect {defect:.3e} > {tol:.3e}")
     return 0.5 * (identity(q.shape[0]) + sign * q)
 

@@ -5,10 +5,18 @@ a fixed state vector (the first standard basis vector, i.e. every z-observable
 initially sharp at +1). Gates are characteristic functions of the *current*
 descriptors; applying a gate conjugates every descriptor with the resulting
 unitary and advances time by one step.
+
+The state holds that evolution as one accumulated unitary U_t, with
+q_ac(t) = U_t† sigma_ac U_t (the Deutsch-Hayden construction,
+quant-ph/9906007). A built-in gate evaluated on the current descriptors is
+U_{t-1}† g U_{t-1}, where g is the same function of fresh generators, so
+U_t = g U_{t-1}; a CUSTOM gate u gives U_t = U_{t-1} u. Descriptors are
+computed from U when something reads them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -70,9 +78,12 @@ class Gate:
         for q in self.operands:
             if not 1 <= q <= n:
                 raise ValidationError(f"operand {q} out of range 1..{n}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValidationError(
+                f"{self.kind} parameters must be finite, got {self.params}")
         if self.kind == "F":
             defect = f_unitarity_defect(self.params)
-            if defect > tol.unitary:
+            if linalg.exceeds(defect, tol.unitary):
                 raise ValidationError(
                     f"F coefficients not unitary: defect {defect:.3e}")
 
@@ -113,56 +124,95 @@ class Gate:
         return cls("CUSTOM", tuple(operands), (), builder)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Descriptor:
-    """The (x, y, z) observable triple of one qubit at one time step."""
+    """The (x, y, z) observable triple of one qubit at one time step.
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    A view on the network state: each component is computed from the state's
+    accumulated unitary when first read.
+    """
+
+    state: "NetworkState"
     qubit: int
-    time: int
+
+    @property
+    def time(self) -> int:
+        return self.state.t
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.state.component(self.qubit, "x")
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.state.component(self.qubit, "y")
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.state.component(self.qubit, "z")
 
     def component(self, name: str) -> np.ndarray:
-        return getattr(self, name)
+        return self.state.component(self.qubit, name)
 
     def components(self):
-        return tuple((c, getattr(self, c)) for c in COMPONENTS)
+        return tuple((c, self.component(c)) for c in COMPONENTS)
 
 
 @dataclass(frozen=True, eq=False)
 class NetworkState:
-    """Immutable network snapshot: descriptors, fixed state, record snapshots.
+    """Immutable network snapshot: accumulated unitary, fixed state, records.
 
-    ``records`` maps (qubit, component, step) to the descriptor-component
-    matrix captured at that step; later relative-state constructions project
-    current descriptors with these fixed snapshots.
+    ``u`` is U_t, the product of every gate so far; the descriptors are
+    q_ac(t) = U_t† sigma_ac U_t. ``records`` maps (qubit, component, step) to
+    the descriptor-component matrix captured at that step; later
+    relative-state constructions project current descriptors with these
+    fixed snapshots.
     """
 
     n: int
     t: int
-    descriptors: tuple[Descriptor, ...]
+    u: np.ndarray
     psi: np.ndarray
     tol: Tolerances = DEFAULT_TOL
     records: dict = field(default_factory=dict)
+    # Descriptor components computed so far, keyed by (qubit, component).
+    _components: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
         return 2 ** self.n
 
+    @property
+    def descriptors(self) -> tuple[Descriptor, ...]:
+        return tuple(Descriptor(self, a) for a in range(1, self.n + 1))
+
     def descriptor(self, qubit: int) -> Descriptor:
         if not 1 <= qubit <= self.n:
             raise ValidationError(f"qubit {qubit} out of range 1..{self.n}")
-        return self.descriptors[qubit - 1]
+        return Descriptor(self, qubit)
+
+    def component(self, qubit: int, name: str) -> np.ndarray:
+        """q_{qubit,name} = U† sigma U: sigma acts on the rows of U, then one
+        matmul. Computed on first read and cached on the state."""
+        key = (qubit, name)
+        mat = self._components.get(key)
+        if mat is None:
+            if not 1 <= qubit <= self.n:
+                raise ValidationError(f"qubit {qubit} out of range 1..{self.n}")
+            if name not in COMPONENTS:
+                raise ValidationError(f"bad component {name!r}")
+            mat = self.u.conj().T @ _apply_local(linalg.PAULIS[name], (qubit,),
+                                                 self.u)
+            mat.flags.writeable = False
+            self._components[key] = mat
+        return mat
 
     def record(self, qubit: int, component: str) -> "NetworkState":
         """Snapshot one descriptor component at the current step."""
-        if component not in COMPONENTS:
-            raise ValidationError(f"bad component {component!r}")
         snapshot = dict(self.records)
-        snapshot[(qubit, component, self.t)] = self.descriptor(qubit).component(component)
-        return NetworkState(self.n, self.t, self.descriptors, self.psi,
-                            self.tol, snapshot)
+        snapshot[(qubit, component, self.t)] = self.component(qubit, component)
+        return NetworkState(self.n, self.t, self.u, self.psi, self.tol,
+                            snapshot, self._components)
 
     def get_record(self, qubit: int, component: str, step: int) -> np.ndarray:
         try:
@@ -177,76 +227,105 @@ def init_network(n: int, tol: Tolerances = DEFAULT_TOL) -> NetworkState:
     """Fresh n-qubit network at t=0: generator descriptors, all z sharp at +1."""
     if not 1 <= n <= linalg.MAX_QUBITS:
         raise SizeLimit(f"n must be in 1..{linalg.MAX_QUBITS}, got {n}")
-    descriptors = tuple(
-        Descriptor(*linalg.embed_pauli(a, n), qubit=a, time=0)
-        for a in range(1, n + 1)
-    )
     psi = np.zeros(2 ** n, dtype=complex)
     psi[0] = 1.0
-    return NetworkState(n, 0, descriptors, psi, tol)
+    return NetworkState(n, 0, linalg.identity(2 ** n), psi, tol)
+
+
+def _apply_local(g: np.ndarray, operands: tuple[int, ...],
+                 m: np.ndarray) -> np.ndarray:
+    """g m for a gate g on the listed qubits of m's row index.
+
+    The first operand is g's most significant factor. Only the operand axes
+    are contracted: O(2^k 4^n) for a k-qubit g on a 2^n x 2^n m.
+    """
+    if len(operands) == 1:
+        (q,) = operands
+        return (g @ m.reshape(2 ** (q - 1), 2, -1)).reshape(m.shape)
+    k = len(operands)
+    n = m.shape[0].bit_length() - 1
+    axes = [q - 1 for q in operands]
+    out = np.tensordot(g.reshape((2,) * 2 * k), m.reshape((2,) * n + (-1,)),
+                       axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes).reshape(m.shape)
+
+
+def _characteristic(kind: str, params: tuple[float, ...], x, z, one):
+    """A built-in gate as a function of the generators of its operands.
+
+    ``x[i]``/``z[i]`` belong to the i-th operand; a control triggers on
+    z-value -1.
+    """
+    if kind == "NOT":
+        return x[0]
+    if kind == "H":
+        return (x[0] + z[0]) / np.sqrt(2)
+    if kind == "RZ":
+        (theta,) = params
+        return np.cos(theta / 2) * one - 1j * np.sin(theta / 2) * z[0]
+    if kind == "CNOT":
+        down = 0.5 * (one - z[0])
+        return one - down + x[1] @ down
+    if kind == "F":
+        alpha, beta, gamma, delta = params
+        return alpha * one + beta * z[0] + gamma * z[1] + delta * (z[0] @ z[1])
+    # CCNOT
+    both = 0.25 * (one - z[0]) @ (one - z[1])
+    return one - both + x[2] @ both
+
+
+# Fresh (x, z, identity) generators of a k-qubit operand space.
+_GENERATORS = {
+    k: ([linalg.embed(linalg.SIGMA_X, a, k) for a in range(1, k + 1)],
+        [linalg.embed(linalg.SIGMA_Z, a, k) for a in range(1, k + 1)],
+        linalg.identity(2 ** k))
+    for k in (1, 2, 3)
+}
+# Kinds without parameters have one fixed matrix.
+_FIXED = {kind: _characteristic(kind, (), *_GENERATORS[_ARITY[kind]])
+          for kind in ("NOT", "H", "CNOT", "CCNOT")}
+
+
+def _local_matrix(gate: Gate) -> np.ndarray:
+    """A built-in gate's 2^k x 2^k matrix on fresh generators of its operands."""
+    fixed = _FIXED.get(gate.kind)
+    if fixed is not None:
+        return fixed
+    return _characteristic(gate.kind, gate.params,
+                           *_GENERATORS[_ARITY[gate.kind]])
 
 
 def build_gate_unitary(state: NetworkState, gate: Gate) -> np.ndarray:
-    """Evaluate the gate's characteristic function on the current descriptors."""
+    """Evaluate the gate's characteristic function on the current descriptors.
+
+    For a built-in gate with matrix g on fresh generators that is U† g U; a
+    CUSTOM gate's builder reads the current descriptors itself.
+    """
     gate.validate(state.n, state.tol)
-    dim = state.dim
-    one = linalg.identity(dim)
     if gate.kind == "I":
-        return one
-    if gate.kind == "NOT":
-        return state.descriptor(gate.operands[0]).x
-    if gate.kind == "H":
-        d = state.descriptor(gate.operands[0])
-        return (d.x + d.z) / np.sqrt(2)
-    if gate.kind == "RZ":
-        (theta,) = gate.params
-        qz = state.descriptor(gate.operands[0]).z
-        return np.cos(theta / 2) * one - 1j * np.sin(theta / 2) * qz
-    if gate.kind == "CNOT":
-        control, target = gate.operands
-        cz = state.descriptor(control).z
-        tx = state.descriptor(target).x
-        p_plus = linalg.pauli_projector(cz, +1, 100 * state.tol.general)
-        p_minus = linalg.pauli_projector(cz, -1, 100 * state.tol.general)
-        return p_plus + tx @ p_minus
-    if gate.kind == "F":
-        a, b = gate.operands
-        alpha, beta, gamma, delta = gate.params
-        qa = state.descriptor(a).z
-        qb = state.descriptor(b).z
-        return alpha * one + beta * qa + gamma * qb + delta * (qa @ qb)
-    if gate.kind == "CCNOT":
-        c1, c2, target = gate.operands
-        p1 = linalg.pauli_projector(state.descriptor(c1).z, -1, 100 * state.tol.general)
-        p2 = linalg.pauli_projector(state.descriptor(c2).z, -1, 100 * state.tol.general)
-        tx = state.descriptor(target).x
-        both = p1 @ p2
-        return one - both + tx @ both
-    # CUSTOM
-    u = gate.builder(state)
-    linalg.check_unitary(u, state.tol.unitary)
-    return u
+        return linalg.identity(state.dim)
+    if gate.kind == "CUSTOM":
+        u = gate.builder(state)
+        linalg.check_unitary(u, state.tol.unitary)
+        return u
+    return state.u.conj().T @ _apply_local(_local_matrix(gate), gate.operands,
+                                           state.u)
 
 
 def apply_gate(state: NetworkState, gate: Gate) -> NetworkState:
-    """Conjugate every descriptor by the gate unitary; advance one time step."""
-    u = build_gate_unitary(state, gate)
-    # Same 100x budget as the algebra-conservation bound: deep conjugation
-    # chains drift the descriptors the unitary is built from.
-    linalg.check_unitary(u, 100 * state.tol.unitary)
-    # Polish to the nearest exact unitary; without this, roundoff in the
-    # descriptors feeds back through the gate construction and compounds
-    # exponentially with depth.
-    w, _, vh = np.linalg.svd(u)
-    u = w @ vh
-    udag = u.conj().T
-    new_descriptors = tuple(
-        Descriptor(udag @ d.x @ u, udag @ d.y @ u, udag @ d.z @ u,
-                   qubit=d.qubit, time=state.t + 1)
-        for d in state.descriptors
-    )
-    return NetworkState(state.n, state.t + 1, new_descriptors, state.psi,
-                        state.tol, dict(state.records))
+    """Conjugate every descriptor by the gate unitary; advance one time step.
+
+    With u = U† g U, conjugating U† sigma U by u gives (gU)† sigma (gU), so a
+    built-in gate left-multiplies U by g. A CUSTOM unitary u right-multiplies.
+    """
+    if gate.kind == "CUSTOM":
+        u = state.u @ build_gate_unitary(state, gate)
+    else:
+        gate.validate(state.n, state.tol)
+        u = state.u if gate.kind == "I" else _apply_local(
+            _local_matrix(gate), gate.operands, state.u)
+    return NetworkState(state.n, state.t + 1, u, state.psi, state.tol,
+                        state.records)
 
 
 def expectation(state: NetworkState, observable: np.ndarray):
@@ -268,7 +347,7 @@ def is_sharp(state: NetworkState, observable: np.ndarray) -> Optional[float]:
     eigenstate of A.
     """
     defect = linalg.hermiticity_defect(observable)
-    if defect > state.tol.hermitian:
+    if linalg.exceeds(defect, state.tol.hermitian):
         raise NotHermitian(f"hermiticity defect {defect:.3e}")
     mean = expectation(state, observable)
     second = expectation(state, observable @ observable)
@@ -287,23 +366,25 @@ class EntanglementWitness:
 def are_entangled(state: NetworkState, a: int, b: int) -> EntanglementWitness:
     """Correlation test: some component pair with <q_ai q_bj> != <q_ai><q_bj>.
 
-    Returns the maximal witnessing pair and its discrepancy.
+    The discrepancy is the maximum over the nine pairs. The witness is the
+    first pair in x, y, z order within tol.entangle of it, so roundoff does
+    not pick among tied pairs.
     """
     if a == b:
         raise ValidationError("entanglement test needs two distinct qubits")
     da, db = state.descriptor(a), state.descriptor(b)
-    best = ("", "", 0.0)
+    means_b = [(cj, mj, expectation(state, mj)) for cj, mj in db.components()]
+    pairs = []
     for ci, mi in da.components():
         ei = expectation(state, mi)
-        for cj, mj in db.components():
-            ej = expectation(state, mj)
-            joint = expectation(state, mi @ mj)
-            disc = abs(joint - ei * ej)
-            if disc > best[2]:
-                best = (ci, cj, disc)
-    if best[2] > state.tol.entangle:
-        return EntanglementWitness(True, (best[0], best[1]), best[2])
-    return EntanglementWitness(False, None, best[2])
+        for cj, mj, ej in means_b:
+            pairs.append(((ci, cj), abs(expectation(state, mi @ mj) - ei * ej)))
+    best = linalg.worst(disc for _, disc in pairs)
+    if best > state.tol.entangle:
+        witness = next(p for p, disc in pairs
+                       if disc >= best - state.tol.entangle)
+        return EntanglementWitness(True, witness, best)
+    return EntanglementWitness(False, None, best)
 
 
 _EPS = {("x", "y"): ("z", 1), ("y", "x"): ("z", -1),
@@ -311,32 +392,42 @@ _EPS = {("x", "y"): ("z", 1), ("y", "x"): ("z", -1),
         ("z", "x"): ("y", 1), ("x", "z"): ("y", -1)}
 
 
-def algebra_residual(state: NetworkState, cross_qubit: bool = True) -> float:
-    """Max residual of the Pauli relations over all qubits.
+def algebra_residual(descriptors, unit: Optional[np.ndarray] = None,
+                     cross_qubit: bool = True) -> float:
+    """Max residual of the Pauli relations over (x, y, z) triples.
 
-    Checks q_i q_j = delta_ij 1 + i eps_ijk q_k per qubit and, optionally,
-    commutation of descriptors of distinct qubits.
+    Checks q_i q_j = delta_ij unit + i eps_ijk q_k per triple; ``descriptors``
+    are a network's descriptors or relative descriptors. ``unit`` defaults to
+    the identity; any other unit (a branch projector) must also absorb into
+    each component from either side. With ``cross_qubit``, components of
+    distinct triples must commute. NaN anywhere gives NaN.
     """
-    one = linalg.identity(state.dim)
-    worst = 0.0
-    for d in state.descriptors:
-        mats = {c: d.component(c) for c in COMPONENTS}
+    mats = [{c: d.component(c) for c in COMPONENTS} for d in descriptors]
+    if not mats:
+        return 0.0
+    one = linalg.identity(mats[0]["x"].shape[0]) if unit is None else unit
+    residuals = []
+    for m in mats:
         for i in COMPONENTS:
             for j in COMPONENTS:
-                product = mats[i] @ mats[j]
+                product = m[i] @ m[j]
                 if i == j:
                     expected = one
                 else:
                     k, sign = _EPS[(i, j)]
-                    expected = 1j * sign * mats[k]
-                worst = max(worst, max_abs(product - expected))
+                    expected = 1j * sign * m[k]
+                residuals.append(max_abs(product - expected))
+        if unit is not None:
+            for c in COMPONENTS:
+                residuals.append(max_abs(unit @ m[c] - m[c]))
+                residuals.append(max_abs(m[c] @ unit - m[c]))
     if cross_qubit:
-        for ai in range(state.n):
-            for bi in range(ai + 1, state.n):
-                for _, ma in state.descriptors[ai].components():
-                    for _, mb in state.descriptors[bi].components():
-                        worst = max(worst, linalg.commutator_norm(ma, mb))
-    return worst
+        for ai, ma in enumerate(mats):
+            for mb in mats[ai + 1:]:
+                for a_mat in ma.values():
+                    for b_mat in mb.values():
+                        residuals.append(linalg.commutator_norm(a_mat, b_mat))
+    return linalg.worst(residuals)
 
 
 def run_gates(state: NetworkState, gates, record_plan=None) -> list[NetworkState]:

@@ -177,8 +177,8 @@ def autonomy_check(state: NetworkState, gate: Gate,
     worst = 0.0
     for idx, snap in enumerate(snapshots):
         cnorm = linalg.commutator_norm(u, snap)
-        worst = max(worst, cnorm)
-        if cnorm > state.tol.commute:
+        worst = linalg.worst((worst, cnorm))
+        if linalg.exceeds(cnorm, state.tol.commute):
             return AutonomyResult(False, idx, cnorm)
     return AutonomyResult(True, None, worst)
 
@@ -201,26 +201,6 @@ def branch_evolution_factor(state: NetworkState, gate: Gate,
     return (alpha + s * beta) * proj + (gamma + s * delta) * (qbz @ proj)
 
 
-def relative_algebra_residual(rd: RelativeDescriptor) -> float:
-    """Residual of the Pauli relations with the frame projector as unit."""
-    mats = {c: rd.component(c) for c in COMPONENTS}
-    worst = 0.0
-    for i in COMPONENTS:
-        for j in COMPONENTS:
-            product = mats[i] @ mats[j]
-            if i == j:
-                expected = rd.unit
-            else:
-                k, sign = network._EPS[(i, j)]
-                expected = 1j * sign * mats[k]
-            worst = max(worst, max_abs(product - expected))
-    # The unit absorbs into each component from either side.
-    for c in COMPONENTS:
-        worst = max(worst, max_abs(rd.unit @ mats[c] - mats[c]))
-        worst = max(worst, max_abs(mats[c] @ rd.unit - mats[c]))
-    return worst
-
-
 def foliate(state: NetworkState, recorded: np.ndarray, qubits: Sequence[int],
             source: str = "") -> FoliationReport:
     """Decompose the listed qubits into relative states of a two-frame PVM."""
@@ -236,8 +216,8 @@ def foliate(state: NetworkState, recorded: np.ndarray, qubits: Sequence[int],
             rd = relative_descriptor(state, q, f)
             for name, _ in rd.components():
                 absolute = state.descriptor(q).component(name)
-                max_comm = max(max_comm,
-                               linalg.commutator_norm(f.projector, absolute))
+                max_comm = linalg.worst((
+                    max_comm, linalg.commutator_norm(f.projector, absolute)))
             branch.append(rd)
         relative[q] = tuple(branch)
     return FoliationReport(frames, relative, completeness, max_comm, valid)

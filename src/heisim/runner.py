@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from . import network, oracle, registers, relative
+from . import linalg, network, oracle, registers, relative
 from .circuit import CircuitFile
 from .errors import ToleranceViolation
 from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances
@@ -139,7 +139,7 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
 
     run = oracle.evolve(state0.psi, circuit.gates, circuit.qubits, tol)
     cross = oracle.cross_validate(run, timeline)
-    algebra = network.algebra_residual(final)
+    algebra = network.algebra_residual(final.descriptors)
 
     results = [_answer_query(final, q) for q in circuit.queries]
 
@@ -157,10 +157,10 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
         },
     }
     algebra_bound = 100 * tol.general
-    if algebra > algebra_bound:
+    if linalg.exceeds(algebra, algebra_bound):
         raise ToleranceViolation(
             f"algebra residual {algebra:.3e} > {algebra_bound:.3e}")
-    if cross.max_residual > tol.oracle:
+    if linalg.exceeds(cross.max_residual, tol.oracle):
         raise ToleranceViolation(
             f"oracle residual {cross.max_residual:.3e} > {tol.oracle:.3e}")
     return _clean(report)

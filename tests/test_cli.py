@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from heisim import linalg, network, oracle
 from heisim.cli import main
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -25,6 +26,13 @@ gates:
   - {step: 0, kind: H, operands: [1]}
   - {step: 1, kind: CNOT, operands: [1, 2]}
 """
+
+
+NON_FINITE_GATES = {
+    "rz-nan": "{step: 0, kind: RZ, operands: [1], params: [.nan]}",
+    "rz-inf": "{step: 0, kind: RZ, operands: [1], params: [.inf]}",
+    "f-nan": "{step: 0, kind: F, operands: [1, 2], params: [.nan, 0, 0, 0]}",
+}
 
 
 def run_cli(capsys, *argv):
@@ -121,12 +129,42 @@ class TestRunRegisters:
 
 
 class TestExitStatuses:
-    def test_tolerance_violation_is_2(self, capsys):
+    def test_tolerance_violation_is_2(self, capsys, monkeypatch):
+        # An oracle that ignores every gate disagrees with the network by
+        # 1.0 after the Hadamard, whatever the roundoff.
+        monkeypatch.setattr(oracle, "gate_matrix",
+                            lambda gate, n: linalg.identity(2 ** n))
         status, _, err = run_cli(capsys, "run",
-                                 str(CIRCUITS / "measurement.yaml"),
-                                 "--tol", "oracle=1e-30")
+                                 str(CIRCUITS / "measurement.yaml"))
         assert status == 2
         assert "error:" in err
+
+    def test_nan_residual_fails_its_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(network, "algebra_residual",
+                            lambda *args, **kwargs: float("nan"))
+        status, _, err = run_cli(capsys, "run",
+                                 str(CIRCUITS / "measurement.yaml"))
+        assert status == 2
+        assert "algebra residual nan" in err
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_GATES))
+    def test_non_finite_gate_params_are_1(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text("format_version: 1\nqubits: 2\ngates:\n  - "
+                        + NON_FINITE_GATES[name] + "\n", encoding="utf-8")
+        for command in ("validate", "run"):
+            status, out, err = run_cli(capsys, command, str(path))
+            assert status == 1, (command, out, err)
+            assert "finite" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+    def test_bad_tol_value_is_1(self, capsys, value):
+        status, out, err = run_cli(capsys, "run",
+                                   str(CIRCUITS / "measurement.yaml"),
+                                   "--tol", f"sharp={value}")
+        assert status == 1
+        assert out == ""
+        assert "sharp" in err
 
     def test_physics_error_is_3(self, capsys, tmp_path):
         path = tmp_path / "unentangled.yaml"

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from heisim.errors import NonUnitary, NotHermitian, NotInvolution
-from heisim.linalg import (SIGMA_X, SIGMA_Y, SIGMA_Z, conjugate, embed_pauli,
+from heisim.errors import (NonUnitary, NotHermitian, NotInvolution,
+                           ValidationError)
+from heisim.linalg import (DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                           check_unitary, conjugate, embed_pauli, exceeds,
                            identity, max_abs, pauli_projector, spectral,
-                           tensor)
+                           tensor, worst)
 
 
 def random_hermitian(rng, dim):
@@ -164,3 +166,29 @@ class TestPauliProjector:
     def test_rejects_non_involution(self):
         with pytest.raises(NotInvolution):
             pauli_projector(0.5 * SIGMA_Z, +1)
+
+
+class TestNanSafety:
+    def test_worst_propagates_nan(self):
+        # max(0.0, nan) is 0.0; a NaN residual must not vanish that way.
+        assert np.isnan(worst([0.0, float("nan"), 1.0]))
+        assert np.isnan(worst([float("nan"), 1.0]))
+        assert worst([0.5, 2.0]) == 2.0
+        assert worst([]) == 0.0
+
+    def test_nan_exceeds_every_bound(self):
+        assert exceeds(float("nan"), 1e300)
+        assert not exceeds(1.0, 1.0)
+        assert exceeds(1.0 + 1e-12, 1.0)
+
+    def test_nan_matrix_is_not_unitary(self):
+        with pytest.raises(NonUnitary):
+            check_unitary(np.full((2, 2), np.nan, dtype=complex))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-12])
+    def test_tolerances_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValidationError):
+            DEFAULT_TOL.override(sharp=value)
+
+    def test_zero_tolerance_allowed(self):
+        assert DEFAULT_TOL.override(oracle=0.0).oracle == 0.0

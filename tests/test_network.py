@@ -85,6 +85,15 @@ class TestGateValidation:
         assert f_unitarity_defect((1.0, 0.0, 0.0, 0.0)) == 0.0
         Gate.f(1, 2, 1.0, 0.0, 0.0, 0.0).validate(2)
 
+    @pytest.mark.parametrize("gate", [
+        Gate("RZ", (1,), (float("nan"),)), Gate("RZ", (1,), (float("inf"),)),
+        Gate("F", (1, 2), (float("nan"), 0.0, 0.0, 0.0))])
+    def test_non_finite_params_rejected(self, gate):
+        with pytest.raises(ValidationError):
+            gate.validate(2)
+        with pytest.raises(ValidationError):
+            apply_gate(init_network(2), gate)
+
     def test_custom_requires_builder(self):
         with pytest.raises(ValidationError):
             Gate("CUSTOM", (1,)).validate(2)
@@ -203,7 +212,7 @@ class TestApplyGate:
                         Gate.rz(qubits[0], float(rng.uniform(0, 2 * np.pi)))
                         )[kind]
                 state = apply_gate(state, gate)
-            assert network.algebra_residual(state) <= 1e-8
+            assert network.algebra_residual(state.descriptors) <= 1e-8
 
 
 class TestExpectation:
@@ -262,6 +271,11 @@ class TestEntanglement:
         z2 = expectation(final, final.descriptor(2).z)
         assert abs(zz - z1 * z2) == pytest.approx(1.0)
 
+    def test_tied_witness_is_first_in_xyz_order(self):
+        # xx, yy and zz all have discrepancy 1 on the measurement fixture.
+        witness = are_entangled(measurement_timeline()[-1], 1, 2)
+        assert witness.components == ("x", "x")
+
     def test_second_cnot_disentangles(self):
         final = measurement_timeline()[-1]
         undone = apply_gate(final, Gate.cnot(1, 2))
@@ -270,6 +284,22 @@ class TestEntanglement:
     def test_same_qubit_rejected(self):
         with pytest.raises(ValidationError):
             are_entangled(init_network(2), 1, 1)
+
+
+class TestAlgebraResidual:
+    def test_nan_descriptor_gives_nan(self):
+        state = init_network(2)
+        broken = network.NetworkState(2, 1, np.full((4, 4), np.nan, complex),
+                                      state.psi)
+        assert np.isnan(network.algebra_residual(broken.descriptors))
+
+    def test_unit_replaces_identity(self):
+        # q_2x q_2x = 1, which differs from a projector unit by 1.
+        state = init_network(2)
+        unit = linalg.pauli_projector(state.descriptor(1).z, +1)
+        assert network.algebra_residual(state.descriptors) == 0.0
+        assert network.algebra_residual(state.descriptors[1:],
+                                        unit=unit) == pytest.approx(1.0)
 
 
 class TestRecordsAndTimeline:

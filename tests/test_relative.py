@@ -9,7 +9,7 @@ from heisim.linalg import COMPONENTS, SIGMA_Z, max_abs
 from heisim.network import Gate, apply_gate, init_network, run_gates
 from heisim.relative import (autonomy_check, branch_evolution_factor, foliate,
                              identity_frame, make_pvm, make_pvm_spectral,
-                             record_check, relative_algebra_residual,
+                             record_check,
                              relative_descriptor, relative_expectation,
                              relative_heisenberg_state)
 
@@ -58,7 +58,7 @@ class TestRelativeDescriptor:
                 for _, mat in rd.components():
                     assert linalg.hermiticity_defect(mat) <= 1e-10
                     assert max_abs(mat @ mat - rd.unit) <= 1e-9
-                assert relative_algebra_residual(rd) <= 1e-9
+                assert network.algebra_residual([rd], unit=rd.unit) <= 1e-9
 
     def test_identity_frame_gives_absolute(self, measured):
         rd = relative_descriptor(measured, 2, identity_frame(measured))
