@@ -45,11 +45,10 @@ def _random_f_params(rng) -> tuple[float, float, float, float]:
 def section3_timeline():
     """The two-qubit measurement fixture: H on qubit 1, then CNOT 1 -> 2.
 
-    z-records of both qubits are taken at the final step.
+    The z-records of both qubits are taken at the final step, so they are
+    the final state's z descriptors.
     """
-    plan = {2: [(1, "z"), (2, "z")]}
-    return network.run_gates(init_network(2),
-                             [Gate.h(1), Gate.cnot(1, 2)], plan)
+    return network.run_gates(init_network(2), [Gate.h(1), Gate.cnot(1, 2)])
 
 
 def criterion_1(seed: int) -> dict:
@@ -100,8 +99,7 @@ def criterion_3(seed: int) -> dict:
     final = section3_timeline()[-1]
     mz = final.descriptor(2).z
     absolute = network.expectation(final, mz)
-    snapshot = final.get_record(1, "z", 2)
-    plus, minus = relative.make_pvm(final, snapshot, "q_1z at t=2")
+    plus, minus = relative.make_pvm(final, final.descriptor(1).z, "q_1z at t=2")
     errs = [abs(absolute),
             abs(relative.relative_expectation(final, mz, plus) - 1.0),
             abs(relative.relative_expectation(final, mz, minus) + 1.0),
@@ -117,8 +115,7 @@ def criterion_4(seed: int) -> dict:
     worst_alg = 0.0
     worst_sum = 0.0
     for holder, record_qubit in ((2, 1), (1, 2)):
-        snapshot = final.get_record(record_qubit, "z", 2)
-        frames = relative.make_pvm(final, snapshot,
+        frames = relative.make_pvm(final, final.descriptor(record_qubit).z,
                                    f"q_{record_qubit}z at t=2")
         rds = [relative.relative_descriptor(final, holder, f) for f in frames]
         for rd in rds:
@@ -142,18 +139,17 @@ def criterion_5(seed: int) -> dict:
     matrices = {}
     recovered = []
     for theta in thetas:
-        plan = {2: [(1, "z"), (2, "z")]}
         timeline = network.run_gates(
-            init_network(2),
-            [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta)], plan)
+            init_network(2), [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta)])
         final = timeline[-1]
         for q in (1, 2):
             for c in COMPONENTS:
                 value = network.expectation(final,
                                             final.descriptor(q).component(c))
                 worst_abs = linalg.worst((worst_abs, abs(np.real(value))))
-        snapshot = final.get_record(1, "z", 2)
-        plus, minus = relative.make_pvm(final, snapshot, "q_1z at t=2")
+        # The q_1z record is taken at step 2, before the rotation.
+        plus, minus = relative.make_pvm(final, timeline[2].descriptor(1).z,
+                                        "q_1z at t=2")
         for frame, target_z in ((plus, 1.0), (minus, -1.0)):
             values = [np.real(relative.relative_expectation(
                 final, final.descriptor(2).component(c), frame))
@@ -184,7 +180,7 @@ def criterion_6(seed: int) -> dict:
     """Autonomy classification and branch-factor evolution equality."""
     rng = np.random.default_rng(seed + 6)
     final = section3_timeline()[-1]
-    snapshots = [final.get_record(1, "z", 2), final.get_record(2, "z", 2)]
+    snapshots = [final.descriptor(1).z, final.descriptor(2).z]
     worst_path = 0.0
     ok = True
     for _ in range(20):
@@ -193,8 +189,7 @@ def criterion_6(seed: int) -> dict:
         ok = ok and result.preserving
         # Two evaluation routes per branch: evolve absolutely then project,
         # or conjugate the relative copy with the branch factor.
-        frames = relative.make_pvm(final, final.get_record(2, "z", 2),
-                                   "q_2z at t=2")
+        frames = relative.make_pvm(final, final.descriptor(2).z, "q_2z at t=2")
         evolved = apply_gate(final, gate)
         for frame in frames:
             factor = relative.branch_evolution_factor(final, gate, frame)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import yaml
 
 from .errors import ParseError, ValidationError
-from .linalg import COMPONENTS
+from .linalg import COMPONENTS, MAX_QUBITS
 from .network import Gate
 
 FORMAT_VERSION = 1
@@ -136,8 +136,10 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
             raise ValidationError(f"{context}: bad qubits list")
         check_ref(_require(query, "record", context), "record")
     elif kind == "autonomy":
-        step, _gate = _parse_gate({"step": 0, **_require(query, "gate", context)},
-                                  index, n)
+        gate = _require(query, "gate", context)
+        if not isinstance(gate, dict):
+            raise ValidationError(f"{context}: gate must be a mapping")
+        _parse_gate({"step": 0, **gate}, index, n)
         refs = _require(query, "records", context)
         if not isinstance(refs, list) or not refs:
             raise ValidationError(f"{context}: records must be a nonempty list")
@@ -149,6 +151,9 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
             if not isinstance(qubits, list) or not qubits or not all(
                     isinstance(q, int) and 1 <= q <= n for q in qubits):
                 raise ValidationError(f"{context}: bad {key} qubit list")
+            if len(set(qubits)) != len(qubits):
+                raise ValidationError(
+                    f"{context}: {key} qubits must be distinct: {qubits}")
     return query
 
 
@@ -166,8 +171,8 @@ def parse_circuit(text: str) -> CircuitFile:
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported format_version {version}")
     n = _int_field(doc, "qubits", "document")
-    if n < 1:
-        raise ValidationError("qubits must be >= 1")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValidationError(f"qubits must be in 1..{MAX_QUBITS}, got {n}")
 
     raw_gates = doc.get("gates", [])
     if not isinstance(raw_gates, list):

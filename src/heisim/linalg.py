@@ -133,13 +133,6 @@ def involution_defect(q: np.ndarray) -> float:
     return max_abs(q @ q - identity(q.shape[0]))
 
 
-def conjugate(u: np.ndarray, a: np.ndarray,
-              tol: float = DEFAULT_TOL.unitary) -> np.ndarray:
-    """u† a u for unitary u."""
-    check_unitary(u, tol)
-    return u.conj().T @ a @ u
-
-
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return max_abs(a @ b - b @ a)
 
@@ -161,12 +154,6 @@ class SpectralDecomposition:
 
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out = out + lam * proj
-        return out
 
 
 def spectral(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:

@@ -136,10 +136,6 @@ class Descriptor:
     qubit: int
 
     @property
-    def time(self) -> int:
-        return self.state.t
-
-    @property
     def x(self) -> np.ndarray:
         return self.state.component(self.qubit, "x")
 
@@ -160,13 +156,10 @@ class Descriptor:
 
 @dataclass(frozen=True, eq=False)
 class NetworkState:
-    """Immutable network snapshot: accumulated unitary, fixed state, records.
+    """Immutable network snapshot: accumulated unitary and fixed state.
 
     ``u`` is U_t, the product of every gate so far; the descriptors are
-    q_ac(t) = U_t† sigma_ac U_t. ``records`` maps (qubit, component, step) to
-    the descriptor-component matrix captured at that step; later
-    relative-state constructions project current descriptors with these
-    fixed snapshots.
+    q_ac(t) = U_t† sigma_ac U_t.
     """
 
     n: int
@@ -174,7 +167,6 @@ class NetworkState:
     u: np.ndarray
     psi: np.ndarray
     tol: Tolerances = DEFAULT_TOL
-    records: dict = field(default_factory=dict)
     # Descriptor components computed so far, keyed by (qubit, component).
     _components: dict = field(default_factory=dict, repr=False)
 
@@ -206,21 +198,6 @@ class NetworkState:
             mat.flags.writeable = False
             self._components[key] = mat
         return mat
-
-    def record(self, qubit: int, component: str) -> "NetworkState":
-        """Snapshot one descriptor component at the current step."""
-        snapshot = dict(self.records)
-        snapshot[(qubit, component, self.t)] = self.component(qubit, component)
-        return NetworkState(self.n, self.t, self.u, self.psi, self.tol,
-                            snapshot, self._components)
-
-    def get_record(self, qubit: int, component: str, step: int) -> np.ndarray:
-        try:
-            return self.records[(qubit, component, step)]
-        except KeyError:
-            raise ValidationError(
-                f"no record for qubit {qubit} component {component} at step {step}"
-            ) from None
 
 
 def init_network(n: int, tol: Tolerances = DEFAULT_TOL) -> NetworkState:
@@ -324,8 +301,7 @@ def apply_gate(state: NetworkState, gate: Gate) -> NetworkState:
         gate.validate(state.n, state.tol)
         u = state.u if gate.kind == "I" else _apply_local(
             _local_matrix(gate), gate.operands, state.u)
-    return NetworkState(state.n, state.t + 1, u, state.psi, state.tol,
-                        state.records)
+    return NetworkState(state.n, state.t + 1, u, state.psi, state.tol)
 
 
 def expectation(state: NetworkState, observable: np.ndarray):
@@ -430,19 +406,14 @@ def algebra_residual(descriptors, unit: Optional[np.ndarray] = None,
     return linalg.worst(residuals)
 
 
-def run_gates(state: NetworkState, gates, record_plan=None) -> list[NetworkState]:
+def run_gates(state: NetworkState, gates) -> list[NetworkState]:
     """Apply a gate sequence, returning the full timeline (t=0 state included).
 
-    ``record_plan`` maps a step index to a list of (qubit, component) pairs to
-    snapshot when the network reaches that step.
+    ``timeline[s]`` holds the descriptors at step s, so a record of q_ac
+    taken at step s is ``timeline[s].component(a, c)``.
     """
-    record_plan = record_plan or {}
-    for qc in record_plan.get(state.t, ()):
-        state = state.record(*qc)
     timeline = [state]
     for gate in gates:
         state = apply_gate(state, gate)
-        for qc in record_plan.get(state.t, ()):
-            state = state.record(*qc)
         timeline.append(state)
     return timeline

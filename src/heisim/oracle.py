@@ -9,12 +9,12 @@ strongest correctness check the suite has.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import CircuitMismatch, NonUnitary, ZeroWeightBranch
+from .errors import CircuitMismatch, NonUnitary
 from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances
 from .network import Gate, NetworkState
 
@@ -81,33 +81,19 @@ def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
     return SchrodingerRun(n, tuple(states), tuple(gates))
 
 
-def schrodinger_relative_state(psi: np.ndarray, projector: np.ndarray,
-                               tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Normalized component P|psi>/||P|psi>||."""
-    projected = projector @ psi
-    norm = float(np.linalg.norm(projected))
-    if norm * norm <= tol.weight:
-        raise ZeroWeightBranch(f"projection squared norm {norm * norm:.3e}")
-    return projected / norm
-
-
 @dataclass(frozen=True)
 class CrossValidationReport:
     max_residual: float
     per_step: tuple[float, ...]
 
 
-def cross_validate(run: SchrodingerRun, timeline: Sequence[NetworkState],
-                   observables: Optional[Sequence] = None
+def cross_validate(run: SchrodingerRun, timeline: Sequence[NetworkState]
                    ) -> CrossValidationReport:
     """Compare both pictures step by step.
 
     For every step t and every descriptor component, the Heisenberg
     expectation <Psi|U_t† sigma U_t|Psi> of the evolved operator must equal
     the Schrodinger expectation of the fixed operator in the evolved state.
-    Extra ``observables`` are callables mapping a network state to the
-    evolved matrix; their fixed representation is the callable applied to the
-    t=0 state.
     """
     if len(run.states) != len(timeline):
         raise CircuitMismatch(
@@ -117,8 +103,6 @@ def cross_validate(run: SchrodingerRun, timeline: Sequence[NetworkState],
     n = run.n
     fixed = {(a, c): linalg.embed(linalg.PAULIS[c], a, n)
              for a in range(1, n + 1) for c in COMPONENTS}
-    builders = list(observables or [])
-    fixed_extra = [build(timeline[0]) for build in builders]
     per_step = []
     for psi, state in zip(run.states, timeline):
         residuals = []
@@ -134,9 +118,5 @@ def cross_validate(run: SchrodingerRun, timeline: Sequence[NetworkState],
             for c in COMPONENTS:
                 schr = np.vdot(psi, fixed[(a, c)] @ psi)
                 residuals.append(abs(heis[c] - schr))
-        for build, obs0 in zip(builders, fixed_extra):
-            heis = np.vdot(state.psi, build(state) @ state.psi)
-            schr = np.vdot(psi, obs0 @ psi)
-            residuals.append(abs(heis - schr))
         per_step.append(linalg.worst(residuals))
     return CrossValidationReport(linalg.worst(per_step), tuple(per_step))

@@ -190,11 +190,20 @@ class ClassicalStepReport:
 
 def _branch_value(state: NetworkState, reg_matrix: np.ndarray,
                   frame: RelativeFrame) -> tuple[int, float, float]:
-    """Sharp register value in a branch, judged against the relative state."""
+    """Sharp register value in a branch, judged against the relative state.
+
+    Raises BranchNotSharp when the variance, or the distance of the mean from
+    the nearest integer, exceeds tol.sharp (NaN exceeds it).
+    """
     psi_rel = relative.relative_heisenberg_state(state, frame)
     mean = float(np.real(np.vdot(psi_rel, reg_matrix @ psi_rel)))
     second = float(np.real(np.vdot(psi_rel, reg_matrix @ reg_matrix @ psi_rel)))
     variance = second - mean * mean
+    defect = linalg.worst((abs(variance), abs(mean - np.round(mean))))
+    if linalg.exceeds(defect, state.tol.sharp):
+        raise BranchNotSharp(
+            f"branch {frame.label:g}: register value {mean:.6g} "
+            f"(variance {variance:.3e}) is not sharp")
     return int(round(mean)), mean, variance
 
 
@@ -219,10 +228,6 @@ def classical_branches(state: NetworkState, bm: RegisterDescriptor,
         if frame.weight <= state.tol.weight:
             continue
         value, raw, variance = _branch_value(state, bm.matrix, frame)
-        if abs(variance) > state.tol.sharp or abs(raw - value) > state.tol.sharp:
-            raise BranchNotSharp(
-                f"branch {frame.label:g}: register M value {raw:.6g} with "
-                f"variance {variance:.3e} is not sharp")
         branches.append(BranchRegister(frame, value, raw, variance))
     return branches
 
@@ -252,13 +257,8 @@ def verify_classical_step(before: NetworkState, after: NetworkState,
     for frame in frames:
         if frame.weight <= before.tol.weight:
             continue
-        vb, raw_b, var_b = _branch_value(before, reg_before.matrix, frame)
-        va, raw_a, var_a = _branch_value(after, reg_after.matrix, frame)
-        for raw, value, var in ((raw_b, vb, var_b), (raw_a, va, var_a)):
-            if abs(var) > before.tol.sharp or abs(raw - value) > before.tol.sharp:
-                raise BranchNotSharp(
-                    f"branch {frame.label:g}: register value {raw:.6g} "
-                    f"(variance {var:.3e}) is not sharp")
+        vb, _, _ = _branch_value(before, reg_before.matrix, frame)
+        va, _, _ = _branch_value(after, reg_after.matrix, frame)
         expected = func(vb)
         ok = va == expected
         all_ok = all_ok and ok

@@ -27,16 +27,6 @@ class RelativeFrame:
     source: str
     weight: float
 
-    def compose(self, other: "RelativeFrame") -> "RelativeFrame":
-        """Nested branch: projector product for sequential records.
-
-        The projectors must commute for the product to be a projector; the
-        composed weight is recomputed by the caller against the network state.
-        """
-        proj = self.projector @ other.projector
-        return RelativeFrame(proj, self.label,
-                             f"{self.source} & {other.source}", float("nan"))
-
 
 @dataclass(frozen=True)
 class RelativeDescriptor:
@@ -76,11 +66,6 @@ class AutonomyResult:
         return "PRESERVING" if self.preserving else "DESTROYING"
 
 
-def identity_frame(state: NetworkState) -> RelativeFrame:
-    """The whole-multiverse frame (projector = 1)."""
-    return RelativeFrame(linalg.identity(state.dim), 1.0, "multiverse", 1.0)
-
-
 def make_pvm(state: NetworkState, recorded: np.ndarray,
              source: str = "") -> tuple[RelativeFrame, RelativeFrame]:
     """Two-frame PVM of an involution record: projectors 1/2(1 +- recorded)."""
@@ -103,24 +88,33 @@ def make_pvm_spectral(state: NetworkState, observable: np.ndarray,
     return tuple(frames)
 
 
+def _branch_copy(state: NetworkState, qubit: int, frame: RelativeFrame
+                 ) -> tuple[RelativeDescriptor, float]:
+    """The relative descriptor and the largest ||[P, q_ac]|| over its components."""
+    d = state.descriptor(qubit)
+    proj = frame.projector
+    norms = []
+    for name, mat in d.components():
+        cnorm = linalg.commutator_norm(proj, mat)
+        if linalg.exceeds(cnorm, state.tol.commute):
+            raise NonCommuting(
+                f"frame projector does not commute with q_{qubit}{name}: "
+                f"commutator norm {cnorm:.3e} (invalid foliation; "
+                f"unentangled systems cannot be foliated)")
+        norms.append(cnorm)
+    return (RelativeDescriptor(d.x @ proj, d.y @ proj, d.z @ proj,
+                               frame, proj, qubit), linalg.worst(norms))
+
+
 def relative_descriptor(state: NetworkState, qubit: int,
                         frame: RelativeFrame) -> RelativeDescriptor:
     """Branch copy of one qubit: descriptor components times the frame projector.
 
     The projector must commute with every component, otherwise the products
     are not Hermitian and the foliation attempt is physically meaningless.
+    A NaN commutator norm counts as not commuting.
     """
-    d = state.descriptor(qubit)
-    proj = frame.projector
-    for name, mat in d.components():
-        cnorm = linalg.commutator_norm(proj, mat)
-        if cnorm > state.tol.commute:
-            raise NonCommuting(
-                f"frame projector does not commute with q_{qubit}{name}: "
-                f"commutator norm {cnorm:.3e} (invalid foliation; "
-                f"unentangled systems cannot be foliated)")
-    return RelativeDescriptor(d.x @ proj, d.y @ proj, d.z @ proj,
-                              frame, proj, qubit)
+    return _branch_copy(state, qubit, frame)[0]
 
 
 def relative_expectation(state: NetworkState, observable: np.ndarray,
@@ -213,11 +207,8 @@ def foliate(state: NetworkState, recorded: np.ndarray, qubits: Sequence[int],
     for q in qubits:
         branch = []
         for f in frames:
-            rd = relative_descriptor(state, q, f)
-            for name, _ in rd.components():
-                absolute = state.descriptor(q).component(name)
-                max_comm = linalg.worst((
-                    max_comm, linalg.commutator_norm(f.projector, absolute)))
+            rd, cnorm = _branch_copy(state, q, f)
+            max_comm = linalg.worst((max_comm, cnorm))
             branch.append(rd)
         relative[q] = tuple(branch)
     return FoliationReport(frames, relative, completeness, max_comm, valid)

@@ -44,19 +44,23 @@ def _clean(obj):
     return obj
 
 
-def _frame_from_ref(state: NetworkState, ref: dict) -> relative.RelativeFrame:
-    snapshot = state.get_record(ref["qubit"], ref["component"], ref["step"])
-    source = f"q_{ref['qubit']}{ref['component']} at t={ref['step']}"
-    plus, minus = relative.make_pvm(state, snapshot, source)
-    return plus if ref["label"] == 1 else minus
+def _record(timeline: list[NetworkState], ref: dict) -> tuple[np.ndarray, str]:
+    """The record marker (qubit a, component c, step s), read from the run's
+    timeline as q_ac at step s, with its source label."""
+    a, c, s = ref["qubit"], ref["component"], ref["step"]
+    return timeline[s].component(a, c), f"q_{a}{c} at t={s}"
 
 
-def _answer_query(state: NetworkState, query: dict) -> dict:
+def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
+    """One query's answer against the final state of the timeline."""
+    state = timeline[-1]
     kind = query["kind"]
     if kind == "expectation":
         obs = state.descriptor(query["qubit"]).component(query["component"])
         if "frame" in query:
-            frame = _frame_from_ref(state, query["frame"])
+            plus, minus = relative.make_pvm(state,
+                                            *_record(timeline, query["frame"]))
+            frame = plus if query["frame"]["label"] == 1 else minus
             value = relative.relative_expectation(state, obs, frame)
             return {"kind": kind, "value": np.real(value),
                     "frame_label": query["frame"]["label"],
@@ -73,9 +77,7 @@ def _answer_query(state: NetworkState, query: dict) -> dict:
                 "witness": list(witness.components) if witness.components else None,
                 "discrepancy": witness.discrepancy}
     if kind == "foliate":
-        ref = query["record"]
-        snapshot = state.get_record(ref["qubit"], ref["component"], ref["step"])
-        source = f"q_{ref['qubit']}{ref['component']} at t={ref['step']}"
+        snapshot, source = _record(timeline, query["record"])
         report = relative.foliate(state, snapshot, query["qubits"], source)
         rel_exp = {}
         for q, branch in report.relative.items():
@@ -101,8 +103,7 @@ def _answer_query(state: NetworkState, query: dict) -> dict:
         gate = Gate(str(gate_spec["kind"]).upper(),
                     tuple(gate_spec.get("operands", [])),
                     tuple(float(p) for p in gate_spec.get("params", [])))
-        snapshots = [state.get_record(r["qubit"], r["component"], r["step"])
-                     for r in query["records"]]
+        snapshots = [_record(timeline, r)[0] for r in query["records"]]
         result = relative.autonomy_check(state, gate, snapshots)
         return {"kind": kind, "classification": result.classification,
                 "violated_index": result.violated_index,
@@ -131,17 +132,13 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
     physics errors from individual queries propagate unchanged.
     """
     state0 = network.init_network(circuit.qubits, tol)
-    record_plan: dict[int, list] = {}
-    for ref in circuit.records:
-        record_plan.setdefault(ref.step, []).append((ref.qubit, ref.component))
-    timeline = network.run_gates(state0, circuit.gates, record_plan)
-    final = timeline[-1]
+    timeline = network.run_gates(state0, circuit.gates)
 
     run = oracle.evolve(state0.psi, circuit.gates, circuit.qubits, tol)
     cross = oracle.cross_validate(run, timeline)
-    algebra = network.algebra_residual(final.descriptors)
+    algebra = network.algebra_residual(timeline[-1].descriptors)
 
-    results = [_answer_query(final, q) for q in circuit.queries]
+    results = [_answer_query(timeline, q) for q in circuit.queries]
 
     report = {
         "report_format_version": REPORT_FORMAT_VERSION,

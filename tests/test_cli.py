@@ -9,6 +9,8 @@ from heisim import linalg, network, oracle
 from heisim.cli import main
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
+# Reference reports of circuits/*.yaml, one <stem>.json each.
+REFERENCE_REPORTS = Path(__file__).resolve().parent / "data"
 
 UNENTANGLED_FOLIATION = """
 format_version: 1
@@ -17,6 +19,28 @@ records:
   - {step: 0, qubit: 1, component: z}
 queries:
   - {kind: foliate, qubits: [1], record: {qubit: 1, component: z, step: 0}}
+"""
+
+# q_1z is recorded at step 2, after the measurement; the H at step 2 then
+# swaps q_1x and q_1z. Queries must read the record, not the final q_1z.
+EARLY_RECORD = """
+format_version: 1
+qubits: 2
+gates:
+  - {step: 0, kind: H, operands: [1]}
+  - {step: 1, kind: CNOT, operands: [1, 2]}
+  - {step: 2, kind: H, operands: [1]}
+records:
+  - {step: 2, qubit: 1, component: z}
+  - {step: 3, qubit: 1, component: z}
+queries:
+  - {kind: expectation, qubit: 2, component: z,
+     frame: {qubit: 1, component: z, step: 2, label: -1}}
+  - {kind: foliate, qubits: [2], record: {qubit: 1, component: z, step: 2}}
+  - {kind: autonomy, gate: {kind: CNOT, operands: [1, 2]},
+     records: [{qubit: 1, component: z, step: 2}]}
+  - {kind: autonomy, gate: {kind: CNOT, operands: [1, 2]},
+     records: [{qubit: 1, component: z, step: 3}]}
 """
 
 NO_QUERIES = """
@@ -34,11 +58,50 @@ NON_FINITE_GATES = {
     "f-nan": "{step: 0, kind: F, operands: [1, 2], params: [.nan, 0, 0, 0]}",
 }
 
+# Documents that both validate and run must reject with exit status 1.
+INVALID_DOCUMENTS = {
+    "too-many-qubits": "qubits: 40\n",
+    "repeated-register-qubit": """qubits: 2
+queries:
+  - {kind: classical, register: [1, 1], reference: [2]}
+""",
+    "repeated-reference-qubit": """qubits: 3
+queries:
+  - {kind: classical, register: [1], reference: [2, 3, 2]}
+""",
+    "autonomy-gate-not-a-mapping": """qubits: 2
+records:
+  - {step: 0, qubit: 1, component: z}
+queries:
+  - {kind: autonomy, gate: 5, records: [{qubit: 1, component: z, step: 0}]}
+""",
+}
+
 
 def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def report_mismatches(want, got, where="report") -> list[str]:
+    """Where ``got`` differs from ``want``: floats may differ by 1e-12
+    absolute, everything else (keys, lengths, types, values) must be equal."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or sorted(got) != sorted(want):
+            return [f"{where}: {got!r} != {want!r}"]
+        return [m for key in want
+                for m in report_mismatches(want[key], got[key], f"{where}.{key}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{where}: {got!r} != {want!r}"]
+        return [m for i, (w, g) in enumerate(zip(want, got))
+                for m in report_mismatches(w, g, f"{where}[{i}]")]
+    if isinstance(want, float):
+        ok = isinstance(got, float) and (got == want or abs(got - want) <= 1e-12)
+    else:
+        ok = type(got) is type(want) and got == want
+    return [] if ok else [f"{where}: {got!r} != {want!r}"]
 
 
 class TestValidate:
@@ -128,6 +191,47 @@ class TestRunRegisters:
         assert report["queries"][1]["entangled"] is True
 
 
+class TestRecords:
+    def test_record_is_read_at_its_step(self, capsys, tmp_path):
+        path = tmp_path / "early.yaml"
+        path.write_text(EARLY_RECORD, encoding="utf-8")
+        status, out, err = run_cli(capsys, "run", str(path))
+        assert status == 0, err
+        expectation, foliation, at_2, at_3 = json.loads(out)["queries"]
+        assert expectation["value"] == pytest.approx(-1.0, abs=1e-10)
+        assert expectation["frame_weight"] == pytest.approx(0.5, abs=1e-10)
+        assert foliation["relative_expectations"]["2"]["-1"] == pytest.approx(
+            [0.0, 0.0, -1.0], abs=1e-10)
+        # The CNOT is controlled by the final q_1z, which commutes with it;
+        # the step-2 record of q_1z is now q_1x, which the CNOT flips.
+        assert at_2["classification"] == "DESTROYING"
+        assert at_3["classification"] == "PRESERVING"
+
+
+class TestReferenceReports:
+    """A refactor keeps the reports of the shipped circuits: every query
+    answer as in tests/data, and every residual within its bound."""
+
+    @pytest.mark.parametrize("circuit", sorted(CIRCUITS.glob("*.yaml")),
+                             ids=lambda path: path.stem)
+    def test_report_matches_reference(self, capsys, circuit):
+        status, out, err = run_cli(capsys, "run", str(circuit))
+        assert status == 0, err
+        got = json.loads(out)
+        want = json.loads((REFERENCE_REPORTS / f"{circuit.stem}.json")
+                          .read_text(encoding="utf-8"))
+        residuals, want_residuals = got.pop("residuals"), want.pop("residuals")
+        assert report_mismatches(want, got) == []
+        # The bounds execute() enforces.
+        tol = got["tolerances"]
+        assert sorted(residuals) == sorted(want_residuals)
+        assert residuals["algebra"] <= 100 * tol["general"]
+        per_step = residuals["oracle_per_step"]
+        assert len(per_step) == len(want_residuals["oracle_per_step"])
+        for residual in [residuals["oracle_max"], *per_step]:
+            assert residual <= tol["oracle"]
+
+
 class TestExitStatuses:
     def test_tolerance_violation_is_2(self, capsys, monkeypatch):
         # An oracle that ignores every gate disagrees with the network by
@@ -156,6 +260,16 @@ class TestExitStatuses:
             status, out, err = run_cli(capsys, command, str(path))
             assert status == 1, (command, out, err)
             assert "finite" in err
+
+    @pytest.mark.parametrize("name", sorted(INVALID_DOCUMENTS))
+    def test_validate_and_run_both_reject(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text("format_version: 1\n" + INVALID_DOCUMENTS[name],
+                        encoding="utf-8")
+        for command in ("validate", "run"):
+            status, out, err = run_cli(capsys, command, str(path))
+            assert status == 1, (command, out, err)
+            assert out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
     def test_bad_tol_value_is_1(self, capsys, value):

@@ -6,7 +6,7 @@ import pytest
 from heisim.errors import (NonUnitary, NotHermitian, NotInvolution,
                            ValidationError)
 from heisim.linalg import (DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                           check_unitary, conjugate, embed_pauli, exceeds,
+                           check_unitary, embed_pauli, exceeds,
                            identity, max_abs, pauli_projector, spectral,
                            tensor, worst)
 
@@ -57,29 +57,6 @@ class TestTensor:
         assert max_abs(tensor(tensor(a, b), c) - tensor(a, tensor(b, c))) <= 1e-12
 
 
-class TestConjugate:
-    def test_identity(self):
-        assert np.allclose(conjugate(identity(2), SIGMA_Z), SIGMA_Z)
-
-    def test_anticommuting_pauli_flips(self):
-        assert np.allclose(conjugate(SIGMA_X, SIGMA_Z), -SIGMA_Z)
-
-    def test_self_commuting(self):
-        assert np.allclose(conjugate(SIGMA_X, SIGMA_X), SIGMA_X)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NonUnitary):
-            conjugate(2 * identity(2), SIGMA_Z)
-
-    def test_preserves_hermiticity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            u = random_unitary(rng, 8)
-            h = random_hermitian(rng, 8)
-            out = conjugate(u, h)
-            assert max_abs(out - out.conj().T) <= 1e-10
-
-
 class TestSpectral:
     def test_sigma_z(self):
         decomp = spectral(SIGMA_Z)
@@ -118,7 +95,9 @@ class TestSpectral:
         for dim in (2, 4, 8, 16):
             h = random_hermitian(rng, dim)
             decomp = spectral(h)
-            assert max_abs(decomp.reconstruct() - h) <= 1e-9
+            total = sum(lam * proj for lam, proj in
+                        zip(decomp.eigenvalues, decomp.projectors))
+            assert max_abs(total - h) <= 1e-9
 
     def test_projector_invariants(self):
         rng = np.random.default_rng(5)

@@ -14,9 +14,8 @@ from heisim.network import (Gate, apply_gate, are_entangled,
 
 
 def measurement_timeline():
-    """H on qubit 1 then CNOT 1 -> 2, with z-records of both at the end."""
-    plan = {2: [(1, "z"), (2, "z")]}
-    return run_gates(init_network(2), [Gate.h(1), Gate.cnot(1, 2)], plan)
+    """H on qubit 1 then CNOT 1 -> 2."""
+    return run_gates(init_network(2), [Gate.h(1), Gate.cnot(1, 2)])
 
 
 class TestInitNetwork:
@@ -309,13 +308,10 @@ class TestRecordsAndTimeline:
         assert [s.t for s in timeline] == [0, 1, 2]
 
     def test_record_snapshot_is_frozen(self):
-        final = measurement_timeline()[-1]
-        snap = final.get_record(1, "z", 2)
-        assert max_abs(snap - final.descriptor(1).z) == 0
-        later = apply_gate(final, Gate.h(1))
-        assert max_abs(later.get_record(1, "z", 2) - snap) == 0
-
-    def test_missing_record_raises(self):
-        final = measurement_timeline()[-1]
-        with pytest.raises(ValidationError):
-            final.get_record(1, "x", 2)
+        # A record of q_1z at step 1 is timeline[1]'s component: the later
+        # gates, which change q_1z, leave it unchanged.
+        timeline = run_gates(init_network(2),
+                             [Gate.h(1), Gate.cnot(1, 2), Gate.h(1)])
+        want = apply_gate(init_network(2), Gate.h(1)).descriptor(1).z
+        assert max_abs(timeline[1].component(1, "z") - want) == 0
+        assert max_abs(timeline[-1].component(1, "z") - want) > 0.1

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from heisim import network, oracle
-from heisim.errors import (BadSubset, NotReversible, PreconditionFailed,
-                           SynthesisError)
+from heisim.errors import (BadSubset, BranchNotSharp, NotHermitian,
+                           NotReversible, PreconditionFailed, SynthesisError)
 from heisim.linalg import max_abs
-from heisim.network import Gate, apply_gate, init_network
-from heisim.registers import (ClassicalFunction, classical_branches,
-                              compile_classical, register_descriptor,
-                              verify_classical_step)
+from heisim.network import Gate, NetworkState, apply_gate, init_network
+from heisim.registers import (ClassicalFunction, RegisterDescriptor,
+                              classical_branches, compile_classical,
+                              register_descriptor, verify_classical_step)
+from heisim.relative import RelativeFrame
 
 
 def basis_register_value(index: int, n: int, qubits) -> int:
@@ -194,6 +195,26 @@ class TestClassicalBranches:
         with pytest.raises(PreconditionFailed):
             classical_branches(state, bm, bs)
 
+    def test_nan_register_matrix_rejected(self):
+        state = entangled_pair()
+        bm = register_descriptor(state, (1,))
+        bs = register_descriptor(state, (2,))
+        broken = RegisterDescriptor(bm.qubits, np.full_like(bm.matrix, np.nan),
+                                    bm.time)
+        with pytest.raises(NotHermitian):
+            classical_branches(state, broken, bs)
+
+    def test_nan_branch_value_not_sharp(self):
+        # A NaN fixed state passes the non-sharp precondition and gives NaN
+        # branch values, which must not pass the sharpness test.
+        state = entangled_pair()
+        nan_state = NetworkState(state.n, state.t, state.u,
+                                 np.full_like(state.psi, np.nan), state.tol)
+        bm = register_descriptor(nan_state, (1,))
+        bs = register_descriptor(nan_state, (2,))
+        with pytest.raises(BranchNotSharp, match="register value nan"):
+            classical_branches(nan_state, bm, bs)
+
 
 class TestVerifyClassicalStep:
     def frames_for(self, state, s_qubits, m_qubits):
@@ -256,6 +277,14 @@ class TestVerifyClassicalStep:
                                        step_gates=[boundary])
         assert report.interaction_flagged
         assert not report.ok
+
+    def test_nan_frame_not_sharp(self):
+        state = entangled_pair()
+        frame = RelativeFrame(np.full((4, 4), np.nan, dtype=complex), 1.0,
+                              "nan", 0.5)
+        with pytest.raises(BranchNotSharp, match="register value nan"):
+            verify_classical_step(state, state, (1,),
+                                  ClassicalFunction.identity(1), [frame])
 
     def test_register_hides_full_state(self):
         # Two networks differing by a z-rotation of a register qubit give

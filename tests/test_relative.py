@@ -7,23 +7,23 @@ from heisim import linalg, network
 from heisim.errors import NonCommuting, WrongGateKind, ZeroWeightBranch
 from heisim.linalg import COMPONENTS, SIGMA_Z, max_abs
 from heisim.network import Gate, apply_gate, init_network, run_gates
-from heisim.relative import (autonomy_check, branch_evolution_factor, foliate,
-                             identity_frame, make_pvm, make_pvm_spectral,
-                             record_check,
+from heisim.relative import (RelativeFrame, autonomy_check,
+                             branch_evolution_factor, foliate, make_pvm,
+                             make_pvm_spectral, record_check,
                              relative_descriptor, relative_expectation,
                              relative_heisenberg_state)
 
 
 @pytest.fixture
 def measured():
-    """Network after H(1) and CNOT(1 -> 2), z-records of both at step 2."""
-    plan = {2: [(1, "z"), (2, "z")]}
-    return run_gates(init_network(2), [Gate.h(1), Gate.cnot(1, 2)], plan)[-1]
+    """Network after H(1) and CNOT(1 -> 2); the z-records of both qubits,
+    taken at step 2, are its z descriptors."""
+    return run_gates(init_network(2), [Gate.h(1), Gate.cnot(1, 2)])[-1]
 
 
 class TestMakePvm:
     def test_equal_weights_after_measurement(self, measured):
-        plus, minus = make_pvm(measured, measured.get_record(1, "z", 2))
+        plus, minus = make_pvm(measured, measured.descriptor(1).z)
         assert plus.weight == pytest.approx(0.5, abs=1e-10)
         assert minus.weight == pytest.approx(0.5, abs=1e-10)
         assert plus.label == 1.0 and minus.label == -1.0
@@ -35,7 +35,7 @@ class TestMakePvm:
         assert minus.weight == pytest.approx(0.0, abs=1e-12)
 
     def test_completeness(self, measured):
-        plus, minus = make_pvm(measured, measured.get_record(1, "z", 2))
+        plus, minus = make_pvm(measured, measured.descriptor(1).z)
         total = plus.projector + minus.projector
         assert max_abs(total - linalg.identity(4)) <= 1e-10
 
@@ -52,7 +52,7 @@ class TestMakePvm:
 class TestRelativeDescriptor:
     def test_invariants_in_both_branches(self, measured):
         for record_qubit, holder in ((1, 2), (2, 1)):
-            snapshot = measured.get_record(record_qubit, "z", 2)
+            snapshot = measured.descriptor(record_qubit).z
             for frame in make_pvm(measured, snapshot):
                 rd = relative_descriptor(measured, holder, frame)
                 for _, mat in rd.components():
@@ -61,13 +61,14 @@ class TestRelativeDescriptor:
                 assert network.algebra_residual([rd], unit=rd.unit) <= 1e-9
 
     def test_identity_frame_gives_absolute(self, measured):
-        rd = relative_descriptor(measured, 2, identity_frame(measured))
+        multiverse = RelativeFrame(linalg.identity(4), 1.0, "multiverse", 1.0)
+        rd = relative_descriptor(measured, 2, multiverse)
         for c in COMPONENTS:
             assert max_abs(rd.component(c)
                            - measured.descriptor(2).component(c)) <= 1e-12
 
     def test_sum_over_frames_reconstructs_absolute(self, measured):
-        frames = make_pvm(measured, measured.get_record(1, "z", 2))
+        frames = make_pvm(measured, measured.descriptor(1).z)
         rds = [relative_descriptor(measured, 2, f) for f in frames]
         for c in COMPONENTS:
             total = sum(rd.component(c) for rd in rds)
@@ -79,11 +80,18 @@ class TestRelativeDescriptor:
         with pytest.raises(NonCommuting):
             relative_descriptor(fresh, 1, plus)
 
+    def test_nan_projector_rejected(self, measured):
+        # A NaN commutator norm must not pass the commute check.
+        frame = RelativeFrame(np.full((4, 4), np.nan, dtype=complex), 1.0,
+                              "nan", 0.5)
+        with pytest.raises(NonCommuting, match="commutator norm nan"):
+            relative_descriptor(measured, 2, frame)
+
 
 class TestRelativeExpectation:
     def test_branch_values(self, measured):
         mz = measured.descriptor(2).z
-        plus, minus = make_pvm(measured, measured.get_record(1, "z", 2))
+        plus, minus = make_pvm(measured, measured.descriptor(1).z)
         assert relative_expectation(measured, mz, plus) == pytest.approx(
             1.0, abs=1e-10)
         assert relative_expectation(measured, mz, minus) == pytest.approx(
@@ -100,13 +108,14 @@ class TestRelativeExpectation:
         fixed_mz = linalg.embed(SIGMA_Z, 2, 2)
         oracle_value = float(np.real(np.vdot(branch, fixed_mz @ branch)))
         assert oracle_value == pytest.approx(-1.0)
-        _, minus = make_pvm(measured, measured.get_record(1, "z", 2))
+        _, minus = make_pvm(measured, measured.descriptor(1).z)
         heis = relative_expectation(measured, measured.descriptor(2).z, minus)
         assert heis == pytest.approx(oracle_value, abs=1e-10)
 
     def test_identity_frame_equals_absolute(self, measured):
         mz = measured.descriptor(2).z
-        assert relative_expectation(measured, mz, identity_frame(measured)) \
+        multiverse = RelativeFrame(linalg.identity(4), 1.0, "multiverse", 1.0)
+        assert relative_expectation(measured, mz, multiverse) \
             == pytest.approx(network.expectation(measured, mz), abs=1e-12)
 
     def test_zero_weight_branch_raises(self):
@@ -118,11 +127,12 @@ class TestRelativeExpectation:
 
 class TestRelativeHeisenbergState:
     def test_identity_frame_unchanged(self, measured):
-        psi = relative_heisenberg_state(measured, identity_frame(measured))
+        multiverse = RelativeFrame(linalg.identity(4), 1.0, "multiverse", 1.0)
+        psi = relative_heisenberg_state(measured, multiverse)
         assert max_abs(psi - measured.psi) <= 1e-12
 
     def test_branch_norms(self, measured):
-        plus, minus = make_pvm(measured, measured.get_record(1, "z", 2))
+        plus, minus = make_pvm(measured, measured.descriptor(1).z)
         for frame in (plus, minus):
             projected = frame.projector @ measured.psi
             assert np.linalg.norm(projected) ** 2 == pytest.approx(
@@ -134,7 +144,7 @@ class TestRelativeHeisenbergState:
         rng = np.random.default_rng(23)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         a = 0.5 * (a + a.conj().T)
-        plus, _ = make_pvm(measured, measured.get_record(1, "z", 2))
+        plus, _ = make_pvm(measured, measured.descriptor(1).z)
         psi_rel = relative_heisenberg_state(measured, plus)
         # Restrict to the block-diagonal (projector-commuting) part so both
         # conditioning routes are comparing the same observable.
@@ -148,7 +158,7 @@ class TestRelativeHeisenbergState:
 
 class TestRecordCheck:
     def test_meter_holds_record(self, measured):
-        found = record_check(measured, 2, measured.get_record(1, "z", 2))
+        found = record_check(measured, 2, measured.descriptor(1).z)
         assert ("z", pytest.approx(1.0, abs=1e-10)) in [
             (c, v) for c, v in found]
 
@@ -159,14 +169,14 @@ class TestRecordCheck:
         assert found[0][1] == pytest.approx(1.0)
 
     def test_second_cnot_erases_record(self, measured):
-        snapshot = measured.get_record(1, "z", 2)
+        snapshot = measured.descriptor(1).z
         undone = apply_gate(measured, Gate.cnot(1, 2))
         assert record_check(undone, 2, snapshot) == []
 
 
 class TestAutonomy:
     def snapshots(self, state):
-        return [state.get_record(1, "z", 2), state.get_record(2, "z", 2)]
+        return [state.descriptor(1).z, state.descriptor(2).z]
 
     def test_f_gate_preserving(self, measured):
         gate = Gate.f(1, 2, 0.5, 0.5, 0.5, -0.5)
@@ -189,14 +199,14 @@ class TestAutonomy:
 
 class TestBranchEvolutionFactor:
     def test_identity_f_gives_unit(self, measured):
-        plus, _ = make_pvm(measured, measured.get_record(1, "z", 2))
+        plus, _ = make_pvm(measured, measured.descriptor(1).z)
         gate = Gate.f(1, 2, 1.0, 0.0, 0.0, 0.0)
         factor = branch_evolution_factor(measured, gate, plus)
         assert max_abs(factor - plus.projector) <= 1e-10
 
     def test_two_path_equality(self, measured):
         rng = np.random.default_rng(31)
-        frames = make_pvm(measured, measured.get_record(1, "z", 2))
+        frames = make_pvm(measured, measured.descriptor(1).z)
         for _ in range(5):
             signs = rng.choice([-1.0, 1.0], size=4)
             alpha = (signs[0] + signs[1] + signs[2] + signs[3]) / 4
@@ -214,7 +224,7 @@ class TestBranchEvolutionFactor:
                     assert max_abs(path_a - path_b) <= 1e-9
 
     def test_wrong_gate_kind(self, measured):
-        plus, _ = make_pvm(measured, measured.get_record(1, "z", 2))
+        plus, _ = make_pvm(measured, measured.descriptor(1).z)
         with pytest.raises(WrongGateKind):
             branch_evolution_factor(measured, Gate.h(1), plus)
 
@@ -224,12 +234,11 @@ class TestBranchEvolutionFactor:
         # yet the descriptor matrices themselves depend on the angle.
         kept = {}
         for theta in (0.0, np.pi / 4, np.pi / 2, np.pi):
-            plan = {2: [(1, "z")]}
             timeline = run_gates(
                 init_network(2),
-                [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta)], plan)
+                [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta)])
             final = timeline[-1]
-            frames = make_pvm(final, final.get_record(1, "z", 2))
+            frames = make_pvm(final, timeline[2].descriptor(1).z)
             for frame, target in zip(frames, (1.0, -1.0)):
                 values = [float(np.real(relative_expectation(
                     final, final.descriptor(2).component(c), frame)))
@@ -244,21 +253,27 @@ class TestBranchEvolutionFactor:
 
 class TestFoliate:
     def test_valid_foliation(self, measured):
-        report = foliate(measured, measured.get_record(1, "z", 2), [2])
+        report = foliate(measured, measured.descriptor(1).z, [2])
         assert report.valid
         assert report.completeness_residual <= 1e-10
         assert report.max_commutator <= 1e-9
         assert set(report.relative) == {2}
         assert len(report.frames) == 2
 
+    def test_max_commutator_is_largest_norm(self, measured):
+        # A record tilted by 1e-11 towards q_1x q_2x is an involution that
+        # commutes with qubit 2's descriptors within tol.commute, not exactly.
+        d1, d2 = measured.descriptor(1), measured.descriptor(2)
+        record = np.cos(1e-11) * d1.z + np.sin(1e-11) * d1.x @ d2.x
+        report = foliate(measured, record, [2])
+        direct = max(linalg.commutator_norm(f.projector, mat)
+                     for f in report.frames for _, mat in d2.components())
+        assert 0 < report.max_commutator == direct <= 1e-9
+        assert report.valid
+
     def test_unentangled_cannot_be_foliated(self):
         fresh = init_network(2)
-        with pytest.raises(NonCommuting):
+        with pytest.raises(NonCommuting, match=(
+                r"^frame projector does not commute with q_1x: commutator "
+                r"norm 1\.000e\+00 \(invalid foliation")):
             foliate(fresh, fresh.descriptor(1).z, [1])
-
-    def test_compose_frames(self, measured):
-        plus, _ = make_pvm(measured, measured.get_record(1, "z", 2))
-        composed = plus.compose(identity_frame(measured))
-        assert max_abs(composed.projector - plus.projector) <= 1e-12
-        assert max_abs(composed.projector @ composed.projector
-                       - composed.projector) <= 1e-10
