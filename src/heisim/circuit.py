@@ -17,6 +17,11 @@ from .network import Gate
 
 FORMAT_VERSION = 1
 
+# libyaml's parser where PyYAML was built with it. The constructor and
+# resolver are PyYAML's Python code under either loader, so both build the
+# same objects; only the scanner and parser differ.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 QUERY_KINDS = ("expectation", "sharpness", "entanglement", "foliate",
                "autonomy", "classical")
 
@@ -56,8 +61,7 @@ def _int_field(mapping: dict, key: str, context: str) -> int:
     return value
 
 
-def _parse_gate(entry: dict, index: int, n: int) -> tuple[int, Gate]:
-    context = f"gates[{index}]"
+def _parse_gate(entry: dict, context: str, n: int) -> tuple[int, Gate]:
     if not isinstance(entry, dict):
         raise ValidationError(f"{context}: expected a mapping")
     step = _int_field(entry, "step", context)
@@ -71,7 +75,12 @@ def _parse_gate(entry: dict, index: int, n: int) -> tuple[int, Gate]:
             isinstance(p, (int, float)) and not isinstance(p, bool)
             for p in params):
         raise ValidationError(f"{context}: params must be a list of numbers")
-    gate = Gate(kind, tuple(operands), tuple(float(p) for p in params))
+    try:
+        params = tuple(float(p) for p in params)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(
+            f"{context}: params must be finite floats") from None
+    gate = Gate(kind, tuple(operands), params)
     try:
         gate.validate(n)
     except ValidationError as exc:
@@ -139,7 +148,7 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
         gate = _require(query, "gate", context)
         if not isinstance(gate, dict):
             raise ValidationError(f"{context}: gate must be a mapping")
-        _parse_gate({"step": 0, **gate}, index, n)
+        _parse_gate({"step": 0, **gate}, f"{context}.gate", n)
         refs = _require(query, "records", context)
         if not isinstance(refs, list) or not refs:
             raise ValidationError(f"{context}: records must be a nonempty list")
@@ -160,11 +169,14 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
 def parse_circuit(text: str) -> CircuitFile:
     """Parse and validate a YAML circuit document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark else ""
         raise ParseError(f"invalid YAML{where}: {exc}") from None
+    except UnicodeEncodeError as exc:
+        # libyaml reads UTF-8, which has no code for a lone surrogate.
+        raise ParseError(f"invalid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("circuit document must be a mapping")
     version = _int_field(doc, "format_version", "document")
@@ -177,7 +189,8 @@ def parse_circuit(text: str) -> CircuitFile:
     raw_gates = doc.get("gates", [])
     if not isinstance(raw_gates, list):
         raise ValidationError("gates must be a list")
-    stepped = [_parse_gate(entry, i, n) for i, entry in enumerate(raw_gates)]
+    stepped = [_parse_gate(entry, f"gates[{i}]", n)
+               for i, entry in enumerate(raw_gates)]
     stepped.sort(key=lambda sg: sg[0])
     for i, (step, _) in enumerate(stepped):
         if step != i:
@@ -204,6 +217,9 @@ def parse_circuit(text: str) -> CircuitFile:
 def load_circuit(path) -> CircuitFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_circuit(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from None
+    return parse_circuit(text)

@@ -70,6 +70,15 @@ def exceeds(value: float, bound: float) -> bool:
     return not value <= bound
 
 
+def negligible(value: float, bound: float) -> bool:
+    """value <= bound, where NaN is negligible too.
+
+    For quantities that must rise above a bound to count, such as a branch
+    weight: NaN is no evidence that they do.
+    """
+    return not value > bound
+
+
 def worst(values) -> float:
     """Largest of the values (0.0 for none); NaN as soon as one is NaN.
 
@@ -92,16 +101,19 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def embed(op: np.ndarray, slot: int, n: int) -> np.ndarray:
     """Embed a single-qubit operator at 1-based ``slot`` of an n-qubit space.
 
-    Slot 1 occupies the leftmost Kronecker factor.
+    Slot 1 occupies the leftmost Kronecker factor. The result is
+    1 (x) op (x) 1, written as op on the diagonal blocks of a zero
+    (left, 2, right) x (left, 2, right) array: the entries of the two
+    Kronecker products without computing them.
     """
     if not 1 <= slot <= n:
         raise ValueError(f"slot {slot} out of range 1..{n}")
-    out = op
-    if slot > 1:
-        out = tensor(identity(2 ** (slot - 1)), out)
-    if slot < n:
-        out = tensor(out, identity(2 ** (n - slot)))
-    return out
+    left, right = 2 ** (slot - 1), 2 ** (n - slot)
+    out = np.zeros((left, 2, right, left, 2, right),
+                   dtype=np.result_type(op, complex))
+    rows, cols = np.arange(left)[:, None], np.arange(right)
+    out[rows, :, cols, rows, :, cols] = op
+    return out.reshape(2 ** n, 2 ** n)
 
 
 def embed_pauli(slot: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

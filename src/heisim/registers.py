@@ -30,7 +30,6 @@ class RegisterDescriptor:
 
     qubits: tuple[int, ...]
     matrix: np.ndarray
-    time: int
 
     @property
     def bits(self) -> int:
@@ -50,7 +49,7 @@ def register_descriptor(state: NetworkState,
         proj = linalg.pauli_projector(state.descriptor(q).z, -1,
                                       state.tol.general)
         matrix = matrix + (2 ** k) * proj
-    return RegisterDescriptor(qubits, matrix, state.t)
+    return RegisterDescriptor(qubits, matrix)
 
 
 @dataclass(frozen=True)
@@ -224,9 +223,7 @@ def classical_branches(state: NetworkState, bm: RegisterDescriptor,
                 f"entangled register")
     frames = relative.make_pvm_spectral(state, bs.matrix, source="reference register")
     branches = []
-    for frame in frames:
-        if frame.weight <= state.tol.weight:
-            continue
+    for frame in relative.live_frames(frames, state.tol):
         value, raw, variance = _branch_value(state, bm.matrix, frame)
         branches.append(BranchRegister(frame, value, raw, variance))
     return branches
@@ -254,9 +251,7 @@ def verify_classical_step(before: NetworkState, after: NetworkState,
     reg_after = register_descriptor(after, m_qubits)
     rows = []
     all_ok = True
-    for frame in frames:
-        if frame.weight <= before.tol.weight:
-            continue
+    for frame in relative.live_frames(frames, before.tol):
         vb, _, _ = _branch_value(before, reg_before.matrix, frame)
         va, _, _ = _branch_value(after, reg_after.matrix, frame)
         expected = func(vb)

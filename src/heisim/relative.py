@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg, network
 from .errors import NonCommuting, WrongGateKind, ZeroWeightBranch
-from .linalg import COMPONENTS, max_abs
+from .linalg import COMPONENTS, Tolerances, max_abs
 from .network import Gate, NetworkState
 
 
@@ -88,6 +88,20 @@ def make_pvm_spectral(state: NetworkState, observable: np.ndarray,
     return tuple(frames)
 
 
+def live_frames(frames: Sequence[RelativeFrame], tol: Tolerances
+                ) -> list[RelativeFrame]:
+    """The frames whose weight exceeds tol.weight.
+
+    A NaN weight raises ZeroWeightBranch: such a branch can be neither skipped
+    nor conditioned on.
+    """
+    for f in frames:
+        if np.isnan(f.weight):
+            raise ZeroWeightBranch(
+                f"branch {f.label:g} of {f.source!r} has weight nan")
+    return [f for f in frames if f.weight > tol.weight]
+
+
 def _branch_copy(state: NetworkState, qubit: int, frame: RelativeFrame
                  ) -> tuple[RelativeDescriptor, float]:
     """The relative descriptor and the largest ||[P, q_ac]|| over its components."""
@@ -120,12 +134,11 @@ def relative_descriptor(state: NetworkState, qubit: int,
 def relative_expectation(state: NetworkState, observable: np.ndarray,
                          frame: RelativeFrame):
     """Branch-conditional expectation <A P> / <P>."""
-    weight = network.expectation(state, frame.projector)
-    if np.real(weight) <= state.tol.weight:
+    weight = np.real(network.expectation(state, frame.projector))
+    if linalg.negligible(weight, state.tol.weight):
         raise ZeroWeightBranch(
-            f"branch {frame.label} of {frame.source!r} has weight "
-            f"{np.real(weight):.3e}")
-    return network.expectation(state, observable @ frame.projector) / np.real(weight)
+            f"branch {frame.label} of {frame.source!r} has weight {weight:.3e}")
+    return network.expectation(state, observable @ frame.projector) / weight
 
 
 def relative_heisenberg_state(state: NetworkState,
@@ -133,7 +146,7 @@ def relative_heisenberg_state(state: NetworkState,
     """Normalized projection P|Psi>/||P|Psi>|| of the fixed state."""
     projected = frame.projector @ state.psi
     norm = float(np.linalg.norm(projected))
-    if norm * norm <= state.tol.weight:
+    if linalg.negligible(norm * norm, state.tol.weight):
         raise ZeroWeightBranch(
             f"branch {frame.label} of {frame.source!r} has squared norm "
             f"{norm * norm:.3e}")

@@ -79,17 +79,13 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
     if kind == "foliate":
         snapshot, source = _record(timeline, query["record"])
         report = relative.foliate(state, snapshot, query["qubits"], source)
-        rel_exp = {}
-        for q, branch in report.relative.items():
-            per_frame = {}
-            for rd in branch:
-                if rd.frame.weight <= state.tol.weight:
-                    continue
-                per_frame[f"{rd.frame.label:g}"] = [
-                    np.real(relative.relative_expectation(
-                        state, state.descriptor(q).component(c), rd.frame))
-                    for c in COMPONENTS]
-            rel_exp[str(q)] = per_frame
+        live = relative.live_frames(report.frames, state.tol)
+        rel_exp = {
+            str(q): {f"{frame.label:g}": [
+                np.real(relative.relative_expectation(
+                    state, state.descriptor(q).component(c), frame))
+                for c in COMPONENTS] for frame in live}
+            for q in report.relative}
         return {"kind": kind,
                 "frames": [{"label": f.label, "weight": f.weight}
                            for f in report.frames],

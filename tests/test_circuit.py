@@ -3,7 +3,9 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
+from heisim import circuit as circuit_module
 from heisim.circuit import load_circuit, parse_circuit
 from heisim.errors import ParseError, ValidationError
 
@@ -18,6 +20,78 @@ gates:
 records:
   - {step: 2, qubit: 1, component: z}
 """
+
+# Block and flow style, anchors, quoting, comments and YAML 1.1 number forms.
+YAML_FEATURES = """
+%YAML 1.1
+---
+format_version: 0x1   # hex int
+qubits: 3
+gates:
+  - step: 0
+    kind: 'h'
+    operands: &first [1]
+  - {step: 1, kind: "CNOT", operands: [1, 2]}
+  - {step: 2, kind: RZ, operands: *first, params: [2.5e+0]}
+  - {step: 3, kind: F, operands: [2, 3], params: [0.5, .5, 0.5, -5.0e-1]}
+  - {step: 4, kind: CCNOT, operands: [1, 2, 3]}
+  - {step: 5, kind: RZ, operands: [3], params: [1_0]}
+records:
+  - &rec {step: 6, qubit: 1, component: z}
+  - {step: 2, qubit: 2, component: "x"}
+queries:
+  - {kind: expectation, qubit: 2, component: z, frame: {<<: *rec, label: -1}}
+  - {kind: sharpness, qubit: 3, component: x}
+  - {kind: entanglement, qubits: [1, 2]}
+  - {kind: foliate, qubits: [2, 3], record: *rec}
+  - kind: autonomy
+    gate: {kind: NOT, operands: [3]}
+    records: [*rec, {step: 2, qubit: 2, component: x}]
+  - {kind: classical, register: [1], reference: [2, 3], note: ~}
+...
+"""
+
+# Documents whose CircuitFile must not depend on the YAML loader.
+LOADER_DOCUMENTS = {
+    **{path.stem: path.read_text(encoding="utf-8")
+       for path in sorted(CIRCUITS.glob("*.yaml"))},
+    "minimal": MINIMAL,
+    "yaml-features": YAML_FEATURES,
+}
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader]
+                               if hasattr(yaml, "CSafeLoader") else [])
+
+
+class TestLoaders:
+    def test_libyaml_when_available(self):
+        assert circuit_module._LOADER is getattr(yaml, "CSafeLoader",
+                                                 yaml.SafeLoader)
+
+    @pytest.mark.parametrize("name", sorted(LOADER_DOCUMENTS))
+    def test_same_circuit_under_each_loader(self, monkeypatch, name):
+        parsed = []
+        for loader in LOADERS:
+            monkeypatch.setattr(circuit_module, "_LOADER", loader)
+            parsed.append(parse_circuit(LOADER_DOCUMENTS[name]))
+        assert parsed[0].gates
+        assert all(p == parsed[0] for p in parsed[1:])
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda l: l.__name__)
+    @pytest.mark.parametrize("text, line", [
+        ("format_version: 1\nqubits: 2\ngates: b: c\n", 3),
+        ("format_version: 1\nqubits: 2\n\tgates: []\n", 3),
+        ("format_version: 1\nqubits: [2\nrecords: {]\n", 3),
+    ])
+    def test_invalid_yaml_names_its_line(self, monkeypatch, loader, text,
+                                          line):
+        monkeypatch.setattr(circuit_module, "_LOADER", loader)
+        with pytest.raises(ParseError, match=f"invalid YAML at line {line}:"):
+            parse_circuit(text)
+
+    def test_lone_surrogate_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="invalid YAML"):
+            parse_circuit("format_version: 1\nqubits: \ud800\n")
 
 
 class TestParseCircuit:
@@ -160,6 +234,12 @@ class TestLoadCircuit:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_circuit(tmp_path / "nope.yaml")
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"format_version: 1\nqubits: \xff\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_circuit(path)
 
     def test_round_trip_from_disk(self, tmp_path):
         path = tmp_path / "c.yaml"

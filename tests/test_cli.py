@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface and report format."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from heisim import linalg, network, oracle
+from heisim import linalg, network, oracle, relative
 from heisim.cli import main
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -52,10 +53,39 @@ gates:
 """
 
 
+# Measure qubit 1 onto qubit 2 and foliate qubit 2 by the record.
+FOLIATION = """
+format_version: 1
+qubits: 2
+gates:
+  - {step: 0, kind: H, operands: [1]}
+  - {step: 1, kind: CNOT, operands: [1, 2]}
+records:
+  - {step: 2, qubit: 1, component: z}
+queries:
+  - {kind: foliate, qubits: [2], record: {qubit: 1, component: z, step: 2}}
+"""
+
+# The second query's gate names qubit 3 of 2.
+BAD_AUTONOMY_GATE = """
+format_version: 1
+qubits: 2
+records:
+  - {step: 0, qubit: 1, component: z}
+queries:
+  - {kind: expectation, qubit: 1, component: z}
+  - {kind: autonomy, gate: {kind: CNOT, operands: [1, 3]},
+     records: [{qubit: 1, component: z, step: 0}]}
+"""
+
+
 NON_FINITE_GATES = {
     "rz-nan": "{step: 0, kind: RZ, operands: [1], params: [.nan]}",
     "rz-inf": "{step: 0, kind: RZ, operands: [1], params: [.inf]}",
     "f-nan": "{step: 0, kind: F, operands: [1, 2], params: [.nan, 0, 0, 0]}",
+    # 10**400 is an integer YAML reads exactly, and no float holds it.
+    "rz-huge-int": ("{step: 0, kind: RZ, operands: [1], params: [1"
+                    + "0" * 400 + "]}"),
 }
 
 # Documents that both validate and run must reject with exit status 1.
@@ -117,6 +147,13 @@ class TestValidate:
         status, _, err = run_cli(capsys, "validate", str(path))
         assert status == 1
         assert "error:" in err
+
+    def test_autonomy_gate_error_names_its_query(self, capsys, tmp_path):
+        path = tmp_path / "autonomy.yaml"
+        path.write_text(BAD_AUTONOMY_GATE, encoding="utf-8")
+        status, _, err = run_cli(capsys, "validate", str(path))
+        assert status == 1
+        assert "error: queries[1].gate: operand 3 out of range 1..2" in err
 
     def test_missing_file(self, capsys, tmp_path):
         status, _, _ = run_cli(capsys, "validate", str(tmp_path / "nope.yaml"))
@@ -286,6 +323,24 @@ class TestExitStatuses:
         status, _, err = run_cli(capsys, "run", str(path))
         assert status == 3
         assert "foliat" in err
+
+    def test_nan_frame_weight_in_foliation_is_3(self, capsys, tmp_path,
+                                                monkeypatch):
+        # A foliation whose frames carry NaN weights must neither skip them
+        # nor report their relative expectations.
+        make_pvm = relative.make_pvm
+
+        def nan_weights(*args, **kwargs):
+            return tuple(dataclasses.replace(f, weight=float("nan"))
+                         for f in make_pvm(*args, **kwargs))
+
+        monkeypatch.setattr(relative, "make_pvm", nan_weights)
+        path = tmp_path / "foliation.yaml"
+        path.write_text(FOLIATION, encoding="utf-8")
+        status, out, err = run_cli(capsys, "run", str(path))
+        assert status == 3
+        assert out == ""
+        assert "weight nan" in err
 
     def test_bad_tol_name_is_1(self, capsys):
         status, _, _ = run_cli(capsys, "run",

@@ -6,9 +6,9 @@ import pytest
 from heisim.errors import (NonUnitary, NotHermitian, NotInvolution,
                            ValidationError)
 from heisim.linalg import (DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                           check_unitary, embed_pauli, exceeds,
-                           identity, max_abs, pauli_projector, spectral,
-                           tensor, worst)
+                           check_unitary, embed, embed_pauli, exceeds,
+                           identity, max_abs, negligible, pauli_projector,
+                           spectral, tensor, worst)
 
 
 def random_hermitian(rng, dim):
@@ -55,6 +55,27 @@ class TestTensor:
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert max_abs(tensor(tensor(a, b), c) - tensor(a, tensor(b, c))) <= 1e-12
+
+
+class TestEmbed:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equals_kron_reference(self, n):
+        rng = np.random.default_rng(n)
+        ops = (SIGMA_X, SIGMA_Y, SIGMA_Z,
+               rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        for op in ops:
+            for slot in range(1, n + 1):
+                want = np.kron(np.kron(np.eye(2 ** (slot - 1)), op),
+                               np.eye(2 ** (n - slot)))
+                got = embed(op, slot, n)
+                assert got.shape == (2 ** n, 2 ** n)
+                assert got.dtype == complex
+                assert np.array_equal(got, want), (n, slot)
+
+    def test_slot_out_of_range(self):
+        for slot in (0, 3):
+            with pytest.raises(ValueError):
+                embed(SIGMA_X, slot, 2)
 
 
 class TestSpectral:
@@ -159,6 +180,11 @@ class TestNanSafety:
         assert exceeds(float("nan"), 1e300)
         assert not exceeds(1.0, 1.0)
         assert exceeds(1.0 + 1e-12, 1.0)
+
+    def test_nan_is_negligible(self):
+        assert negligible(float("nan"), 0.0)
+        assert negligible(0.0, 0.0)
+        assert not negligible(1e-12, 0.0)
 
     def test_nan_matrix_is_not_unitary(self):
         with pytest.raises(NonUnitary):

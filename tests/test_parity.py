@@ -1,0 +1,156 @@
+"""Property test: `heisim validate` and `heisim run` accept the same documents.
+
+Documents are generated valid, then possibly mutated: a field replaced by a
+value of another type or range, a field deleted, or the text cut short. For
+each one, `validate` exits 0 exactly when `run` does not exit 1 (run may
+still exit 2 or 3 on a valid document), neither exits 4, and the two YAML
+loaders give the same circuit or the same kind of error.
+"""
+
+import contextlib
+import io
+from unittest import mock
+
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from heisim import circuit as circuit_module
+from heisim import cli
+from heisim.errors import HeisimError
+
+COMPONENTS = ("x", "y", "z")
+ARITY = {"I": 0, "NOT": 1, "H": 1, "RZ": 1, "CNOT": 2, "F": 2, "CCNOT": 3}
+# Unitary F coefficients: the diagonal gates with eigenvalues +-1.
+F_PARAMS = ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+            [0.5, 0.5, 0.5, -0.5], [0.0, 1.0, 0.0, 0.0])
+# Replacement values of the wrong type or range: numbers in place of a
+# number, anything in place of anything else. No qubit count between 5 and
+# 10, so that a mutated document stays cheap to run.
+ODD_NUMBERS = (-1, 0, 4, 11, 2 ** 70, 10 ** 400, 1.5, 1e300, float("nan"),
+               float("inf"), True)
+ODD_VALUES = ODD_NUMBERS + (None, "x", "cnot", "", [], [1, 1], [1], [0.5], {},
+                            {"qubit": 1})
+
+
+@st.composite
+def gates(draw, n):
+    kinds = [k for k, arity in ARITY.items() if arity <= n]
+    out = []
+    for step in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(kinds))
+        operands = draw(st.permutations(range(1, n + 1)))[:ARITY[kind]]
+        gate = {"step": step, "kind": kind, "operands": list(operands)}
+        if kind == "RZ":
+            gate["params"] = [draw(st.floats(-7, 7))]
+        elif kind == "F":
+            gate["params"] = list(draw(st.sampled_from(F_PARAMS)))
+        out.append(gate)
+    return out
+
+
+@st.composite
+def valid_documents(draw):
+    n = draw(st.integers(1, 3))
+    gate_list = draw(gates(n))
+    qubit = st.integers(1, n)
+    records = draw(st.lists(st.fixed_dictionaries({
+        "step": st.integers(0, len(gate_list)), "qubit": qubit,
+        "component": st.sampled_from(COMPONENTS)}), min_size=1, max_size=3))
+    # A copy per use, so that one mutation changes one place.
+    record = st.sampled_from(records).map(dict)
+    distinct = st.permutations(range(1, n + 1))
+    query = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("expectation"), "qubit": qubit,
+                               "component": st.sampled_from(COMPONENTS)}),
+        st.fixed_dictionaries({"kind": st.just("expectation"), "qubit": qubit,
+                               "component": st.sampled_from(COMPONENTS),
+                               "frame": record.map(lambda r: {
+                                   **r, "label": 1})}),
+        st.fixed_dictionaries({"kind": st.just("sharpness"), "qubit": qubit,
+                               "component": st.sampled_from(COMPONENTS)}),
+        st.fixed_dictionaries({"kind": st.just("foliate"),
+                               "qubits": st.lists(qubit, max_size=2),
+                               "record": record}),
+        st.fixed_dictionaries({"kind": st.just("autonomy"),
+                               "gate": gates(n).filter(bool).map(
+                                   lambda g: {k: v for k, v in g[0].items()
+                                              if k != "step"}),
+                               "records": st.lists(record, min_size=1,
+                                                   max_size=2)}),
+    )
+    if n >= 2:
+        query = query | st.fixed_dictionaries({
+            "kind": st.just("entanglement"),
+            "qubits": distinct.map(lambda p: list(p[:2]))})
+        query = query | distinct.map(lambda p: {
+            "kind": "classical", "register": [p[0]], "reference": list(p[1:])})
+    return {"format_version": 1, "qubits": n, "gates": gate_list,
+            "records": records,
+            "queries": draw(st.lists(query, max_size=3))}
+
+
+def _positions(node):
+    """(container, key) of every value below ``node``, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield node, key
+        yield from _positions(value)
+
+
+@st.composite
+def documents(draw):
+    doc = draw(valid_documents())
+    for _ in range(draw(st.integers(0, 3))):
+        positions = list(_positions(doc))
+        if draw(st.booleans()):  # a scalar, most of which sit deep down
+            positions = [(parent, key) for parent, key in positions
+                         if not isinstance(parent[key], (dict, list))]
+        parent, key = draw(st.sampled_from(positions))
+        if isinstance(parent, dict) and draw(st.integers(0, 3)) == 3:
+            del parent[key]
+        elif isinstance(parent[key], (int, float)):
+            parent[key] = draw(st.sampled_from(ODD_NUMBERS))
+        else:
+            parent[key] = draw(st.sampled_from(ODD_VALUES))
+    text = yaml.safe_dump(doc, default_flow_style=None)
+    if draw(st.integers(0, 9)) == 9:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+def _status(command: str, text: str) -> int:
+    """Exit status of `heisim <command>` on a document with this text."""
+    # The document is handed over in memory: the CLI reads every file the
+    # same way, and opening one per example would cost more than running it.
+    with mock.patch.object(cli, "load_circuit",
+                           lambda path: circuit_module.parse_circuit(text)), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main([command, "document.yaml"])
+
+
+def _parse_with(loader, text):
+    """The CircuitFile, or the class of the error, under one loader."""
+    saved = circuit_module._LOADER
+    circuit_module._LOADER = loader
+    try:
+        return circuit_module.parse_circuit(text)
+    except HeisimError as exc:
+        return type(exc)
+    finally:
+        circuit_module._LOADER = saved
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=documents())
+def test_validate_and_run_agree(text):
+    validated = _status("validate", text)
+    ran = _status("run", text)
+    assert validated in (0, 1) and ran in (0, 1, 2, 3), (validated, ran)
+    assert (validated == 0) == (ran != 1), (validated, ran)
+    if hasattr(yaml, "CSafeLoader"):
+        assert (_parse_with(yaml.SafeLoader, text)
+                == _parse_with(yaml.CSafeLoader, text))

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from heisim import network, oracle
+from heisim import network, oracle, relative
 from heisim.errors import (BadSubset, BranchNotSharp, NotHermitian,
-                           NotReversible, PreconditionFailed, SynthesisError)
+                           NotReversible, PreconditionFailed, SynthesisError,
+                           ZeroWeightBranch)
 from heisim.linalg import max_abs
 from heisim.network import Gate, NetworkState, apply_gate, init_network
 from heisim.registers import (ClassicalFunction, RegisterDescriptor,
-                              classical_branches, compile_classical,
-                              register_descriptor, verify_classical_step)
+                              _branch_value, classical_branches,
+                              compile_classical, register_descriptor,
+                              verify_classical_step)
 from heisim.relative import RelativeFrame
 
 
@@ -199,21 +201,29 @@ class TestClassicalBranches:
         state = entangled_pair()
         bm = register_descriptor(state, (1,))
         bs = register_descriptor(state, (2,))
-        broken = RegisterDescriptor(bm.qubits, np.full_like(bm.matrix, np.nan),
-                                    bm.time)
+        broken = RegisterDescriptor(bm.qubits, np.full_like(bm.matrix, np.nan))
         with pytest.raises(NotHermitian):
             classical_branches(state, broken, bs)
 
     def test_nan_branch_value_not_sharp(self):
         # A NaN fixed state passes the non-sharp precondition and gives NaN
-        # branch values, which must not pass the sharpness test.
+        # branch weights, which are stopped before any branch value is read.
         state = entangled_pair()
         nan_state = NetworkState(state.n, state.t, state.u,
                                  np.full_like(state.psi, np.nan), state.tol)
         bm = register_descriptor(nan_state, (1,))
         bs = register_descriptor(nan_state, (2,))
-        with pytest.raises(BranchNotSharp, match="register value nan"):
+        with pytest.raises(ZeroWeightBranch, match="weight nan"):
             classical_branches(nan_state, bm, bs)
+
+    def test_nan_register_value_not_sharp(self):
+        # A NaN register on a live branch gives a NaN value, which must not
+        # pass the sharpness test.
+        state = entangled_pair()
+        frame = relative.make_pvm(state, state.descriptor(2).z)[0]
+        nan_register = np.full((4, 4), np.nan, dtype=complex)
+        with pytest.raises(BranchNotSharp, match="register value nan"):
+            _branch_value(state, nan_register, frame)
 
 
 class TestVerifyClassicalStep:
@@ -279,10 +289,23 @@ class TestVerifyClassicalStep:
         assert not report.ok
 
     def test_nan_frame_not_sharp(self):
+        # A NaN projector gives the branch a NaN norm, which is stopped
+        # before the register value is read.
         state = entangled_pair()
         frame = RelativeFrame(np.full((4, 4), np.nan, dtype=complex), 1.0,
                               "nan", 0.5)
-        with pytest.raises(BranchNotSharp, match="register value nan"):
+        with pytest.raises(ZeroWeightBranch, match="squared norm nan"):
+            verify_classical_step(state, state, (1,),
+                                  ClassicalFunction.identity(1), [frame])
+
+    def test_nan_frame_weight_raises(self):
+        # A finite projector with a NaN weight is neither skipped nor taken
+        # as a live branch.
+        state = entangled_pair()
+        good = self.frames_for(state, (2,), (1,))[0]
+        frame = RelativeFrame(good.projector, good.label, good.source,
+                              float("nan"))
+        with pytest.raises(ZeroWeightBranch, match="weight nan"):
             verify_classical_step(state, state, (1,),
                                   ClassicalFunction.identity(1), [frame])
 

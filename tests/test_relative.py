@@ -6,7 +6,8 @@ import pytest
 from heisim import linalg, network
 from heisim.errors import NonCommuting, WrongGateKind, ZeroWeightBranch
 from heisim.linalg import COMPONENTS, SIGMA_Z, max_abs
-from heisim.network import Gate, apply_gate, init_network, run_gates
+from heisim.network import (Gate, NetworkState, apply_gate, init_network,
+                            run_gates)
 from heisim.relative import (RelativeFrame, autonomy_check,
                              branch_evolution_factor, foliate, make_pvm,
                              make_pvm_spectral, record_check,
@@ -19,6 +20,12 @@ def measured():
     """Network after H(1) and CNOT(1 -> 2); the z-records of both qubits,
     taken at step 2, are its z descriptors."""
     return run_gates(init_network(2), [Gate.h(1), Gate.cnot(1, 2)])[-1]
+
+
+def nan_state(state):
+    """The same descriptors over a NaN fixed state: every weight is NaN."""
+    return NetworkState(state.n, state.t, state.u,
+                        np.full_like(state.psi, np.nan), state.tol)
 
 
 class TestMakePvm:
@@ -124,12 +131,23 @@ class TestRelativeExpectation:
         with pytest.raises(ZeroWeightBranch):
             relative_expectation(fresh, fresh.descriptor(2).z, minus)
 
+    def test_nan_weight_raises(self, measured):
+        plus, _ = make_pvm(measured, measured.descriptor(1).z)
+        with pytest.raises(ZeroWeightBranch, match="weight nan"):
+            relative_expectation(nan_state(measured), measured.descriptor(2).z,
+                                 plus)
+
 
 class TestRelativeHeisenbergState:
     def test_identity_frame_unchanged(self, measured):
         multiverse = RelativeFrame(linalg.identity(4), 1.0, "multiverse", 1.0)
         psi = relative_heisenberg_state(measured, multiverse)
         assert max_abs(psi - measured.psi) <= 1e-12
+
+    def test_nan_norm_raises(self, measured):
+        plus, _ = make_pvm(measured, measured.descriptor(1).z)
+        with pytest.raises(ZeroWeightBranch, match="squared norm nan"):
+            relative_heisenberg_state(nan_state(measured), plus)
 
     def test_branch_norms(self, measured):
         plus, minus = make_pvm(measured, measured.descriptor(1).z)
