@@ -54,11 +54,26 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _is_int(value) -> bool:
+    """An integer, and not a YAML boolean (which Python counts as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_field(mapping: dict, key: str, context: str) -> int:
     value = _require(mapping, key, context)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValidationError(f"{context}: field {key!r} must be an integer")
     return value
+
+
+def _qubit_list(mapping: dict, key: str, context: str, n: int) -> list:
+    """A list of qubit indices, each an integer in 1..n."""
+    qubits = _require(mapping, key, context)
+    if not isinstance(qubits, list) or not all(
+            _is_int(q) and 1 <= q <= n for q in qubits):
+        raise ValidationError(
+            f"{context}: {key} must be a list of qubit indices in 1..{n}")
+    return qubits
 
 
 def _parse_gate(entry: dict, context: str, n: int) -> tuple[int, Gate]:
@@ -68,8 +83,7 @@ def _parse_gate(entry: dict, context: str, n: int) -> tuple[int, Gate]:
     kind = str(_require(entry, "kind", context)).upper()
     operands = entry.get("operands", [])
     params = entry.get("params", [])
-    if not isinstance(operands, list) or not all(
-            isinstance(q, int) and not isinstance(q, bool) for q in operands):
+    if not isinstance(operands, list) or not all(_is_int(q) for q in operands):
         raise ValidationError(f"{context}: operands must be a list of integers")
     if not isinstance(params, list) or not all(
             isinstance(p, (int, float)) and not isinstance(p, bool)
@@ -106,6 +120,7 @@ def _parse_record_ref(entry: dict, context: str, n: int,
 
 def _validate_query(query: dict, index: int, n: int, max_step: int,
                     records: tuple[RecordRef, ...]) -> dict:
+    """The query mapping, with an autonomy query's gate parsed to a Gate."""
     context = f"queries[{index}]"
     if not isinstance(query, dict):
         raise ValidationError(f"{context}: expected a mapping")
@@ -133,22 +148,18 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
             if label not in (1, -1):
                 raise ValidationError(f"{context}.frame: label must be +-1")
     elif kind == "entanglement":
-        qubits = _require(query, "qubits", context)
-        if (not isinstance(qubits, list) or len(qubits) != 2
-                or qubits[0] == qubits[1]
-                or not all(isinstance(q, int) and 1 <= q <= n for q in qubits)):
+        qubits = _qubit_list(query, "qubits", context, n)
+        if len(qubits) != 2 or qubits[0] == qubits[1]:
             raise ValidationError(f"{context}: qubits must be two distinct indices")
     elif kind == "foliate":
-        qubits = _require(query, "qubits", context)
-        if not isinstance(qubits, list) or not all(
-                isinstance(q, int) and 1 <= q <= n for q in qubits):
-            raise ValidationError(f"{context}: bad qubits list")
+        _qubit_list(query, "qubits", context, n)
         check_ref(_require(query, "record", context), "record")
     elif kind == "autonomy":
         gate = _require(query, "gate", context)
         if not isinstance(gate, dict):
             raise ValidationError(f"{context}: gate must be a mapping")
-        _parse_gate({"step": 0, **gate}, f"{context}.gate", n)
+        _, gate = _parse_gate({"step": 0, **gate}, f"{context}.gate", n)
+        query = {**query, "gate": gate}
         refs = _require(query, "records", context)
         if not isinstance(refs, list) or not refs:
             raise ValidationError(f"{context}: records must be a nonempty list")
@@ -156,10 +167,9 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
             check_ref(ref, "records")
     elif kind == "classical":
         for key in ("register", "reference"):
-            qubits = _require(query, key, context)
-            if not isinstance(qubits, list) or not qubits or not all(
-                    isinstance(q, int) and 1 <= q <= n for q in qubits):
-                raise ValidationError(f"{context}: bad {key} qubit list")
+            qubits = _qubit_list(query, key, context, n)
+            if not qubits:
+                raise ValidationError(f"{context}: {key} must not be empty")
             if len(set(qubits)) != len(qubits):
                 raise ValidationError(
                     f"{context}: {key} qubits must be distinct: {qubits}")

@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     selftest = sub.add_parser("selftest", help="run the acceptance suite")
     selftest.add_argument("--seed", type=int, default=0,
-                          help="seed for randomized checks")
+                          help="seed for randomized checks (>= 0)")
     return parser
 
 
@@ -65,6 +65,8 @@ def main(argv=None) -> int:
             sys.stdout.write(render_report(report, summary=args.summary))
             return 0
         # selftest
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         results = acceptance.run_all(args.seed)
         failed = 0
         for result in results:

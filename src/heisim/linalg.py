@@ -93,11 +93,6 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` as the left (more significant) factor."""
-    return np.kron(a, b)
-
-
 def embed(op: np.ndarray, slot: int, n: int) -> np.ndarray:
     """Embed a single-qubit operator at 1-based ``slot`` of an n-qubit space.
 

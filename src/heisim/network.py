@@ -10,15 +10,14 @@ The state holds that evolution as one accumulated unitary U_t, with
 q_ac(t) = U_t† sigma_ac U_t (the Deutsch-Hayden construction,
 quant-ph/9906007). A built-in gate evaluated on the current descriptors is
 U_{t-1}† g U_{t-1}, where g is the same function of fresh generators, so
-U_t = g U_{t-1}; a CUSTOM gate u gives U_t = U_{t-1} u. Descriptors are
-computed from U when something reads them.
+U_t = g U_{t-1}. Descriptors are computed from U when something reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from . import linalg
 from .errors import DimMismatch, NotHermitian, SizeLimit, ValidationError
 from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances, max_abs
 
-GATE_KINDS = ("I", "NOT", "H", "CNOT", "RZ", "F", "CCNOT", "CUSTOM")
+GATE_KINDS = ("I", "NOT", "H", "CNOT", "RZ", "F", "CCNOT")
 
 # Number of operands / parameters each gate kind requires.
 _ARITY = {"I": 0, "NOT": 1, "H": 1, "CNOT": 2, "RZ": 1, "F": 2, "CCNOT": 3}
@@ -49,30 +48,24 @@ def f_unitarity_defect(params: tuple[float, ...]) -> float:
 class Gate:
     """A named, parameterized network gate; operands are 1-based qubit indices.
 
-    For multi-operand kinds, controls precede the target. CUSTOM carries an
-    explicit builder mapping the current descriptor triples to a unitary.
+    For multi-operand kinds, controls precede the target.
     """
 
     kind: str
     operands: tuple[int, ...] = ()
     params: tuple[float, ...] = ()
-    builder: Optional[Callable] = None
 
     def validate(self, n: int, tol: Tolerances = DEFAULT_TOL) -> None:
         if self.kind not in GATE_KINDS:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "CUSTOM":
-            if self.builder is None:
-                raise ValidationError("CUSTOM gate requires a builder")
-        else:
-            if len(self.operands) != _ARITY[self.kind]:
-                raise ValidationError(
-                    f"{self.kind} takes {_ARITY[self.kind]} operand(s), "
-                    f"got {len(self.operands)}")
-            if len(self.params) != _NPARAMS[self.kind]:
-                raise ValidationError(
-                    f"{self.kind} takes {_NPARAMS[self.kind]} parameter(s), "
-                    f"got {len(self.params)}")
+        if len(self.operands) != _ARITY[self.kind]:
+            raise ValidationError(
+                f"{self.kind} takes {_ARITY[self.kind]} operand(s), "
+                f"got {len(self.operands)}")
+        if len(self.params) != _NPARAMS[self.kind]:
+            raise ValidationError(
+                f"{self.kind} takes {_NPARAMS[self.kind]} parameter(s), "
+                f"got {len(self.params)}")
         if len(set(self.operands)) != len(self.operands):
             raise ValidationError(f"repeated operand in {self.operands}")
         for q in self.operands:
@@ -118,10 +111,6 @@ class Gate:
     @classmethod
     def ccnot(cls, control1: int, control2: int, target: int) -> "Gate":
         return cls("CCNOT", (control1, control2, target))
-
-    @classmethod
-    def custom(cls, operands: tuple[int, ...], builder: Callable) -> "Gate":
-        return cls("CUSTOM", tuple(operands), (), builder)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,16 +264,11 @@ def _local_matrix(gate: Gate) -> np.ndarray:
 def build_gate_unitary(state: NetworkState, gate: Gate) -> np.ndarray:
     """Evaluate the gate's characteristic function on the current descriptors.
 
-    For a built-in gate with matrix g on fresh generators that is U† g U; a
-    CUSTOM gate's builder reads the current descriptors itself.
+    With g the gate's matrix on fresh generators, that is U† g U.
     """
     gate.validate(state.n, state.tol)
     if gate.kind == "I":
         return linalg.identity(state.dim)
-    if gate.kind == "CUSTOM":
-        u = gate.builder(state)
-        linalg.check_unitary(u, state.tol.unitary)
-        return u
     return state.u.conj().T @ _apply_local(_local_matrix(gate), gate.operands,
                                            state.u)
 
@@ -292,15 +276,12 @@ def build_gate_unitary(state: NetworkState, gate: Gate) -> np.ndarray:
 def apply_gate(state: NetworkState, gate: Gate) -> NetworkState:
     """Conjugate every descriptor by the gate unitary; advance one time step.
 
-    With u = U† g U, conjugating U† sigma U by u gives (gU)† sigma (gU), so a
-    built-in gate left-multiplies U by g. A CUSTOM unitary u right-multiplies.
+    With u = U† g U, conjugating U† sigma U by u gives (gU)† sigma (gU), so
+    the gate left-multiplies U by g.
     """
-    if gate.kind == "CUSTOM":
-        u = state.u @ build_gate_unitary(state, gate)
-    else:
-        gate.validate(state.n, state.tol)
-        u = state.u if gate.kind == "I" else _apply_local(
-            _local_matrix(gate), gate.operands, state.u)
+    gate.validate(state.n, state.tol)
+    u = state.u if gate.kind == "I" else _apply_local(
+        _local_matrix(gate), gate.operands, state.u)
     return NetworkState(state.n, state.t + 1, u, state.psi, state.tol)
 
 
@@ -368,15 +349,14 @@ _EPS = {("x", "y"): ("z", 1), ("y", "x"): ("z", -1),
         ("z", "x"): ("y", 1), ("x", "z"): ("y", -1)}
 
 
-def algebra_residual(descriptors, unit: Optional[np.ndarray] = None,
-                     cross_qubit: bool = True) -> float:
+def algebra_residual(descriptors, unit: Optional[np.ndarray] = None) -> float:
     """Max residual of the Pauli relations over (x, y, z) triples.
 
     Checks q_i q_j = delta_ij unit + i eps_ijk q_k per triple; ``descriptors``
     are a network's descriptors or relative descriptors. ``unit`` defaults to
     the identity; any other unit (a branch projector) must also absorb into
-    each component from either side. With ``cross_qubit``, components of
-    distinct triples must commute. NaN anywhere gives NaN.
+    each component from either side. Components of distinct triples must
+    commute. NaN anywhere gives NaN.
     """
     mats = [{c: d.component(c) for c in COMPONENTS} for d in descriptors]
     if not mats:
@@ -397,12 +377,11 @@ def algebra_residual(descriptors, unit: Optional[np.ndarray] = None,
             for c in COMPONENTS:
                 residuals.append(max_abs(unit @ m[c] - m[c]))
                 residuals.append(max_abs(m[c] @ unit - m[c]))
-    if cross_qubit:
-        for ai, ma in enumerate(mats):
-            for mb in mats[ai + 1:]:
-                for a_mat in ma.values():
-                    for b_mat in mb.values():
-                        residuals.append(linalg.commutator_norm(a_mat, b_mat))
+    for ai, ma in enumerate(mats):
+        for mb in mats[ai + 1:]:
+            for a_mat in ma.values():
+                for b_mat in mb.values():
+                    residuals.append(linalg.commutator_norm(a_mat, b_mat))
     return linalg.worst(residuals)
 
 

@@ -47,14 +47,13 @@ def gate_matrix(gate: Gate, n: int) -> np.ndarray:
         za = linalg.embed(linalg.SIGMA_Z, a, n)
         zb = linalg.embed(linalg.SIGMA_Z, b, n)
         return alpha * one + beta * za + gamma * zb + delta * (za @ zb)
-    if gate.kind == "CCNOT":
-        c1, c2, target = gate.operands
-        p1 = 0.5 * (one - linalg.embed(linalg.SIGMA_Z, c1, n))
-        p2 = 0.5 * (one - linalg.embed(linalg.SIGMA_Z, c2, n))
-        tx = linalg.embed(linalg.SIGMA_X, target, n)
-        both = p1 @ p2
-        return one - both + tx @ both
-    raise NonUnitary("CUSTOM gates have no fixed oracle matrix")
+    # CCNOT
+    c1, c2, target = gate.operands
+    p1 = 0.5 * (one - linalg.embed(linalg.SIGMA_Z, c1, n))
+    p2 = 0.5 * (one - linalg.embed(linalg.SIGMA_Z, c2, n))
+    tx = linalg.embed(linalg.SIGMA_X, target, n)
+    both = p1 @ p2
+    return one - both + tx @ both
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ class SchrodingerRun:
 
     n: int
     states: tuple[np.ndarray, ...]
-    gates: tuple[Gate, ...]
 
 
 def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
@@ -78,7 +76,7 @@ def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
         linalg.check_unitary(u, tol.unitary)
         psi = u @ psi
         states.append(psi)
-    return SchrodingerRun(n, tuple(states), tuple(gates))
+    return SchrodingerRun(n, tuple(states))
 
 
 @dataclass(frozen=True)

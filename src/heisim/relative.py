@@ -35,9 +35,7 @@ class RelativeDescriptor:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    frame: RelativeFrame
     unit: np.ndarray
-    qubit: int
 
     def component(self, name: str) -> np.ndarray:
         return getattr(self, name)
@@ -49,7 +47,6 @@ class RelativeDescriptor:
 @dataclass(frozen=True)
 class FoliationReport:
     frames: tuple[RelativeFrame, ...]
-    relative: dict
     completeness_residual: float
     max_commutator: float
     valid: bool
@@ -102,13 +99,15 @@ def live_frames(frames: Sequence[RelativeFrame], tol: Tolerances
     return [f for f in frames if f.weight > tol.weight]
 
 
-def _branch_copy(state: NetworkState, qubit: int, frame: RelativeFrame
-                 ) -> tuple[RelativeDescriptor, float]:
-    """The relative descriptor and the largest ||[P, q_ac]|| over its components."""
-    d = state.descriptor(qubit)
-    proj = frame.projector
+def _max_commutator(state: NetworkState, qubit: int,
+                    proj: np.ndarray) -> float:
+    """The largest ||[P, q_ac]|| over the qubit's components.
+
+    Raises NonCommuting at the first component whose norm exceeds
+    tol.commute; a NaN norm counts as not commuting.
+    """
     norms = []
-    for name, mat in d.components():
+    for name, mat in state.descriptor(qubit).components():
         cnorm = linalg.commutator_norm(proj, mat)
         if linalg.exceeds(cnorm, state.tol.commute):
             raise NonCommuting(
@@ -116,8 +115,7 @@ def _branch_copy(state: NetworkState, qubit: int, frame: RelativeFrame
                 f"commutator norm {cnorm:.3e} (invalid foliation; "
                 f"unentangled systems cannot be foliated)")
         norms.append(cnorm)
-    return (RelativeDescriptor(d.x @ proj, d.y @ proj, d.z @ proj,
-                               frame, proj, qubit), linalg.worst(norms))
+    return linalg.worst(norms)
 
 
 def relative_descriptor(state: NetworkState, qubit: int,
@@ -126,9 +124,11 @@ def relative_descriptor(state: NetworkState, qubit: int,
 
     The projector must commute with every component, otherwise the products
     are not Hermitian and the foliation attempt is physically meaningless.
-    A NaN commutator norm counts as not commuting.
     """
-    return _branch_copy(state, qubit, frame)[0]
+    proj = frame.projector
+    _max_commutator(state, qubit, proj)
+    d = state.descriptor(qubit)
+    return RelativeDescriptor(d.x @ proj, d.y @ proj, d.z @ proj, proj)
 
 
 def relative_expectation(state: NetworkState, observable: np.ndarray,
@@ -151,25 +151,6 @@ def relative_heisenberg_state(state: NetworkState,
             f"branch {frame.label} of {frame.source!r} has squared norm "
             f"{norm * norm:.3e}")
     return projected / norm
-
-
-def record_check(state: NetworkState, holder: int,
-                 recorded: np.ndarray) -> list[tuple[str, float]]:
-    """Components of the holder whose product with the record is sharp.
-
-    The holder contains a copy of the recorded observable iff the list is
-    nonempty; components are reported in x, y, z order.
-    """
-    found = []
-    for name, mat in state.descriptor(holder).components():
-        product = mat @ recorded
-        # Symmetrize: the record commutes with the holder's descriptors in
-        # valid setups, but roundoff can leave a tiny anti-Hermitian part.
-        product = 0.5 * (product + product.conj().T)
-        value = network.is_sharp(state, product)
-        if value is not None:
-            found.append((name, value))
-    return found
 
 
 def autonomy_check(state: NetworkState, gate: Gate,
@@ -210,18 +191,15 @@ def branch_evolution_factor(state: NetworkState, gate: Gate,
 
 def foliate(state: NetworkState, recorded: np.ndarray, qubits: Sequence[int],
             source: str = "") -> FoliationReport:
-    """Decompose the listed qubits into relative states of a two-frame PVM."""
+    """Decompose the listed qubits into relative states of a two-frame PVM.
+
+    Both projectors must commute with the listed qubits' descriptors;
+    ``relative_descriptor`` builds the branch copies themselves.
+    """
     frames = make_pvm(state, recorded, source)
     completeness = max_abs(sum(f.projector for f in frames)
                            - linalg.identity(state.dim))
-    relative = {}
-    max_comm = 0.0
-    valid = completeness <= state.tol.general
-    for q in qubits:
-        branch = []
-        for f in frames:
-            rd, cnorm = _branch_copy(state, q, f)
-            max_comm = linalg.worst((max_comm, cnorm))
-            branch.append(rd)
-        relative[q] = tuple(branch)
-    return FoliationReport(frames, relative, completeness, max_comm, valid)
+    max_comm = linalg.worst(_max_commutator(state, q, f.projector)
+                            for q in qubits for f in frames)
+    return FoliationReport(frames, completeness, max_comm,
+                           completeness <= state.tol.general)

@@ -16,7 +16,7 @@ from . import linalg, network, oracle, registers, relative
 from .circuit import CircuitFile
 from .errors import ToleranceViolation
 from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances
-from .network import Gate, NetworkState
+from .network import NetworkState
 
 ARTIFACT_VERSION = "0.1.0"
 REPORT_FORMAT_VERSION = 1
@@ -85,7 +85,7 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
                 np.real(relative.relative_expectation(
                     state, state.descriptor(q).component(c), frame))
                 for c in COMPONENTS] for frame in live}
-            for q in report.relative}
+            for q in query["qubits"]}
         return {"kind": kind,
                 "frames": [{"label": f.label, "weight": f.weight}
                            for f in report.frames],
@@ -94,13 +94,8 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
                 "valid": report.valid,
                 "relative_expectations": rel_exp}
     if kind == "autonomy":
-        gate_spec = dict(query["gate"])
-        gate_spec.pop("step", None)
-        gate = Gate(str(gate_spec["kind"]).upper(),
-                    tuple(gate_spec.get("operands", [])),
-                    tuple(float(p) for p in gate_spec.get("params", [])))
         snapshots = [_record(timeline, r)[0] for r in query["records"]]
-        result = relative.autonomy_check(state, gate, snapshots)
+        result = relative.autonomy_check(state, query["gate"], snapshots)
         return {"kind": kind, "classification": result.classification,
                 "violated_index": result.violated_index,
                 "commutator_norm": result.commutator_norm}

@@ -105,6 +105,32 @@ records:
 queries:
   - {kind: autonomy, gate: 5, records: [{qubit: 1, component: z, step: 0}]}
 """,
+    # YAML reads true as a boolean, which Python counts as the integer 1.
+    "boolean-entanglement-qubit": """qubits: 2
+queries:
+  - {kind: entanglement, qubits: [true, 2]}
+""",
+    "boolean-foliate-qubit": """qubits: 2
+records:
+  - {step: 0, qubit: 1, component: z}
+queries:
+  - {kind: foliate, qubits: [true], record: {qubit: 1, component: z, step: 0}}
+""",
+    "boolean-register-qubit": """qubits: 2
+queries:
+  - {kind: classical, register: [true], reference: [2]}
+""",
+}
+
+# One gate of every kind on a 3-qubit document.
+ONE_GATE = {
+    "I": "{step: 0, kind: I}",
+    "NOT": "{step: 0, kind: NOT, operands: [2]}",
+    "H": "{step: 0, kind: H, operands: [3]}",
+    "CNOT": "{step: 0, kind: CNOT, operands: [3, 1]}",
+    "RZ": "{step: 0, kind: RZ, operands: [1], params: [0.7]}",
+    "F": "{step: 0, kind: F, operands: [2, 3], params: [0.5, 0.5, 0.5, -0.5]}",
+    "CCNOT": "{step: 0, kind: CCNOT, operands: [3, 1, 2]}",
 }
 
 
@@ -269,6 +295,17 @@ class TestReferenceReports:
             assert residual <= tol["oracle"]
 
 
+@pytest.mark.parametrize("kind", network.GATE_KINDS)
+def test_every_gate_kind_is_cross_checked(capsys, tmp_path, kind):
+    # run parses the gate and checks the network against the oracle.
+    path = tmp_path / f"{kind}.yaml"
+    path.write_text("format_version: 1\nqubits: 3\ngates:\n  - "
+                    + ONE_GATE[kind] + "\n", encoding="utf-8")
+    status, out, err = run_cli(capsys, "run", str(path))
+    assert status == 0, err
+    assert json.loads(out)["steps"] == 1
+
+
 class TestExitStatuses:
     def test_tolerance_violation_is_2(self, capsys, monkeypatch):
         # An oracle that ignores every gate disagrees with the network by
@@ -341,6 +378,13 @@ class TestExitStatuses:
         assert status == 3
         assert out == ""
         assert "weight nan" in err
+
+    @pytest.mark.parametrize("seed", ["-1", "-2"])
+    def test_negative_seed_is_1(self, capsys, seed):
+        status, out, err = run_cli(capsys, "selftest", "--seed", seed)
+        assert status == 1
+        assert out == ""
+        assert "--seed" in err
 
     def test_bad_tol_name_is_1(self, capsys):
         status, _, _ = run_cli(capsys, "run",

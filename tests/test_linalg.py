@@ -8,7 +8,7 @@ from heisim.errors import (NonUnitary, NotHermitian, NotInvolution,
 from heisim.linalg import (DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            check_unitary, embed, embed_pauli, exceeds,
                            identity, max_abs, negligible, pauli_projector,
-                           spectral, tensor, worst)
+                           spectral, worst)
 
 
 def random_hermitian(rng, dim):
@@ -31,30 +31,30 @@ def random_involution(rng, dim):
 
 class TestTensor:
     def test_sigma_z_left(self):
-        assert np.allclose(np.diag(tensor(SIGMA_Z, identity(2))),
+        assert np.allclose(np.diag(np.kron(SIGMA_Z, identity(2))),
                            [1, 1, -1, -1])
 
     def test_sigma_z_right(self):
-        assert np.allclose(np.diag(tensor(identity(2), SIGMA_Z)),
+        assert np.allclose(np.diag(np.kron(identity(2), SIGMA_Z)),
                            [1, -1, 1, -1])
 
     def test_embed_pauli_first_slot(self):
         x, y, z = embed_pauli(1, 2)
-        assert np.allclose(x, tensor(SIGMA_X, identity(2)))
-        assert np.allclose(y, tensor(SIGMA_Y, identity(2)))
-        assert np.allclose(z, tensor(SIGMA_Z, identity(2)))
+        assert np.allclose(x, np.kron(SIGMA_X, identity(2)))
+        assert np.allclose(y, np.kron(SIGMA_Y, identity(2)))
+        assert np.allclose(z, np.kron(SIGMA_Z, identity(2)))
 
     def test_embed_pauli_second_slot(self):
         x, _, z = embed_pauli(2, 2)
-        assert np.allclose(x, tensor(identity(2), SIGMA_X))
-        assert np.allclose(z, tensor(identity(2), SIGMA_Z))
+        assert np.allclose(x, np.kron(identity(2), SIGMA_X))
+        assert np.allclose(z, np.kron(identity(2), SIGMA_Z))
 
     def test_associativity(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert max_abs(tensor(tensor(a, b), c) - tensor(a, tensor(b, c))) <= 1e-12
+        assert max_abs(np.kron(np.kron(a, b), c) - np.kron(a, np.kron(b, c))) <= 1e-12
 
 
 class TestEmbed:
@@ -96,8 +96,8 @@ class TestSpectral:
         # Independent oracle: enumerate the computational basis and read the
         # register value off the z eigenvalues (z = -1 marks bit value 1;
         # qubit 1 is the low bit and occupies the leftmost tensor factor).
-        z1 = tensor(SIGMA_Z, identity(2))
-        z2 = tensor(identity(2), SIGMA_Z)
+        z1 = np.kron(SIGMA_Z, identity(2))
+        z2 = np.kron(identity(2), SIGMA_Z)
         register = 1 * 0.5 * (identity(4) - z1) + 2 * 0.5 * (identity(4) - z2)
         expected = {}
         for idx in range(4):

@@ -82,11 +82,6 @@ class TestGateMatrix:
                              [0, 0, 1, 0]], dtype=complex)
         assert np.allclose(gate_matrix(Gate.cnot(1, 2), 2), expected)
 
-    def test_custom_rejected(self):
-        gate = Gate.custom((1,), lambda s: linalg.identity(2))
-        with pytest.raises(NonUnitary):
-            gate_matrix(gate, 1)
-
 
 class TestEvolve:
     def test_empty_gate_list(self):

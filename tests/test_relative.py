@@ -10,9 +10,8 @@ from heisim.network import (Gate, NetworkState, apply_gate, init_network,
                             run_gates)
 from heisim.relative import (RelativeFrame, autonomy_check,
                              branch_evolution_factor, foliate, make_pvm,
-                             make_pvm_spectral, record_check,
-                             relative_descriptor, relative_expectation,
-                             relative_heisenberg_state)
+                             make_pvm_spectral, relative_descriptor,
+                             relative_expectation, relative_heisenberg_state)
 
 
 @pytest.fixture
@@ -174,24 +173,6 @@ class TestRelativeHeisenbergState:
         assert cond == pytest.approx(direct, abs=1e-10)
 
 
-class TestRecordCheck:
-    def test_meter_holds_record(self, measured):
-        found = record_check(measured, 2, measured.descriptor(1).z)
-        assert ("z", pytest.approx(1.0, abs=1e-10)) in [
-            (c, v) for c, v in found]
-
-    def test_fresh_network_trivial_record(self):
-        fresh = init_network(2)
-        found = record_check(fresh, 2, fresh.descriptor(1).z)
-        assert [c for c, _ in found] == ["z"]
-        assert found[0][1] == pytest.approx(1.0)
-
-    def test_second_cnot_erases_record(self, measured):
-        snapshot = measured.descriptor(1).z
-        undone = apply_gate(measured, Gate.cnot(1, 2))
-        assert record_check(undone, 2, snapshot) == []
-
-
 class TestAutonomy:
     def snapshots(self, state):
         return [state.descriptor(1).z, state.descriptor(2).z]
@@ -275,7 +256,6 @@ class TestFoliate:
         assert report.valid
         assert report.completeness_residual <= 1e-10
         assert report.max_commutator <= 1e-9
-        assert set(report.relative) == {2}
         assert len(report.frames) == 2
 
     def test_max_commutator_is_largest_norm(self, measured):

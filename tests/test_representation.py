@@ -28,19 +28,10 @@ def _f_params(signs):
             (s0 - s1 + s2 - s3) / 4, (s0 - s1 - s2 + s3) / 4)
 
 
-def _custom(a, b, phi):
-    """exp(-i phi q_ax q_bz), built from the current descriptors."""
-    def build(state):
-        pair = state.descriptor(a).x @ state.descriptor(b).z
-        return (np.cos(phi) * linalg.identity(state.dim)
-                - 1j * np.sin(phi) * pair)
-    return Gate.custom((a, b), build)
-
-
 def random_gate(rng, n):
     kinds = ["I", "NOT", "H", "RZ"]
     if n >= 2:
-        kinds += ["CNOT", "F", "CUSTOM"]
+        kinds += ["CNOT", "F"]
     if n >= 3:
         kinds.append("CCNOT")
     kind = kinds[rng.integers(len(kinds))]
@@ -57,8 +48,6 @@ def random_gate(rng, n):
         return Gate.cnot(q[0], q[1])
     if kind == "F":
         return Gate.f(q[0], q[1], *_f_params(rng.choice([-1.0, 1.0], size=4)))
-    if kind == "CUSTOM":
-        return _custom(q[0], q[1], float(rng.uniform(0, 2 * np.pi)))
     return Gate.ccnot(q[0], q[1], q[2])
 
 
@@ -94,10 +83,9 @@ class ReferenceState:
             alpha, beta, gamma, delta = gate.params
             za, zb = d(ops[0]).z, d(ops[1]).z
             return alpha * one + beta * za + gamma * zb + delta * (za @ zb)
-        if kind == "CCNOT":
-            both = (0.5 * (one - d(ops[0]).z)) @ (0.5 * (one - d(ops[1]).z))
-            return one - both + d(ops[2]).x @ both
-        return gate.builder(self)
+        # CCNOT
+        both = (0.5 * (one - d(ops[0]).z)) @ (0.5 * (one - d(ops[1]).z))
+        return one - both + d(ops[2]).x @ both
 
     def apply(self, u):
         w, _, vh = np.linalg.svd(u)
@@ -131,17 +119,13 @@ def test_deep_circuit_algebra_residual():
     rng = np.random.default_rng(3000)
     state = init_network(3)
     for _ in range(3000):
-        gate = random_gate(rng, 3)
-        if gate.kind == "CUSTOM":
-            gate = Gate.cnot(*gate.operands)
-        state = apply_gate(state, gate)
+        state = apply_gate(state, random_gate(rng, 3))
     assert network.algebra_residual(state.descriptors) <= 1e-12
 
 
 @st.composite
 def circuits(draw):
-    """A qubit count and a list of built-in gates (no CUSTOM: the oracle
-    has no fixed matrix for it)."""
+    """A qubit count and a list of gates."""
     n = draw(st.integers(1, 4))
     kinds = ["I", "NOT", "H", "RZ"] + (["CNOT", "F"] if n >= 2 else []) + (
         ["CCNOT"] if n >= 3 else [])
