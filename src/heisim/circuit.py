@@ -94,8 +94,8 @@ def _parse_gate(entry: dict, context: str, n: int) -> tuple[int, Gate]:
     except OverflowError:  # an integer beyond the float range
         raise ValidationError(
             f"{context}: params must be finite floats") from None
-    gate = Gate(kind, tuple(operands), params)
     try:
+        gate = Gate(kind, tuple(operands), params)
         gate.validate(n)
     except ValidationError as exc:
         raise ValidationError(f"{context}: {exc}") from None

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatch, NotHermitian, SizeLimit, ValidationError
+from .errors import DimMismatch, SizeLimit, ValidationError
 from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances, max_abs
 
 GATE_KINDS = ("I", "NOT", "H", "CNOT", "RZ", "F", "CCNOT")
@@ -48,14 +48,16 @@ def f_unitarity_defect(params: tuple[float, ...]) -> float:
 class Gate:
     """A named, parameterized network gate; operands are 1-based qubit indices.
 
-    For multi-operand kinds, controls precede the target.
+    For multi-operand kinds, controls precede the target. Building a Gate
+    checks all but the operand range, which ``validate(n)`` checks; F
+    unitarity is bounded by the fixed DEFAULT_TOL.unitary, not a run's.
     """
 
     kind: str
     operands: tuple[int, ...] = ()
     params: tuple[float, ...] = ()
 
-    def validate(self, n: int, tol: Tolerances = DEFAULT_TOL) -> None:
+    def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
         if len(self.operands) != _ARITY[self.kind]:
@@ -68,23 +70,22 @@ class Gate:
                 f"got {len(self.params)}")
         if len(set(self.operands)) != len(self.operands):
             raise ValidationError(f"repeated operand in {self.operands}")
-        for q in self.operands:
-            if not 1 <= q <= n:
-                raise ValidationError(f"operand {q} out of range 1..{n}")
         if not all(math.isfinite(p) for p in self.params):
             raise ValidationError(
                 f"{self.kind} parameters must be finite, got {self.params}")
         if self.kind == "F":
             defect = f_unitarity_defect(self.params)
-            if linalg.exceeds(defect, tol.unitary):
+            if linalg.exceeds(defect, DEFAULT_TOL.unitary):
                 raise ValidationError(
                     f"F coefficients not unitary: defect {defect:.3e}")
 
-    # Convenience constructors -------------------------------------------------
+    def validate(self, n: int) -> None:
+        """Operands in 1..n: the one check that needs the qubit count."""
+        for q in self.operands:
+            if not 1 <= q <= n:
+                raise ValidationError(f"operand {q} out of range 1..{n}")
 
-    @classmethod
-    def identity(cls) -> "Gate":
-        return cls("I")
+    # Convenience constructors -------------------------------------------------
 
     @classmethod
     def not_(cls, qubit: int) -> "Gate":
@@ -266,7 +267,7 @@ def build_gate_unitary(state: NetworkState, gate: Gate) -> np.ndarray:
 
     With g the gate's matrix on fresh generators, that is U† g U.
     """
-    gate.validate(state.n, state.tol)
+    gate.validate(state.n)
     if gate.kind == "I":
         return linalg.identity(state.dim)
     return state.u.conj().T @ _apply_local(_local_matrix(gate), gate.operands,
@@ -279,7 +280,7 @@ def apply_gate(state: NetworkState, gate: Gate) -> NetworkState:
     With u = U† g U, conjugating U† sigma U by u gives (gU)† sigma (gU), so
     the gate left-multiplies U by g.
     """
-    gate.validate(state.n, state.tol)
+    gate.validate(state.n)
     u = state.u if gate.kind == "I" else _apply_local(
         _local_matrix(gate), gate.operands, state.u)
     return NetworkState(state.n, state.t + 1, u, state.psi, state.tol)
@@ -303,9 +304,7 @@ def is_sharp(state: NetworkState, observable: np.ndarray) -> Optional[float]:
     Sharp means <A>^2 = <A^2> within tol.sharp, i.e. the fixed state is an
     eigenstate of A.
     """
-    defect = linalg.hermiticity_defect(observable)
-    if linalg.exceeds(defect, state.tol.hermitian):
-        raise NotHermitian(f"hermiticity defect {defect:.3e}")
+    linalg.check_hermitian(observable, state.tol.hermitian)
     mean = expectation(state, observable)
     second = expectation(state, observable @ observable)
     if abs(mean * mean - second) <= state.tol.sharp:

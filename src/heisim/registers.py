@@ -31,10 +31,6 @@ class RegisterDescriptor:
     qubits: tuple[int, ...]
     matrix: np.ndarray
 
-    @property
-    def bits(self) -> int:
-        return len(self.qubits)
-
 
 def register_descriptor(state: NetworkState,
                         qubits: Sequence[int]) -> RegisterDescriptor:
@@ -166,7 +162,6 @@ def compile_classical(func: ClassicalFunction, register: Sequence[int],
 class BranchRegister:
     frame: RelativeFrame
     value: int
-    raw_value: float
     variance: float
 
 
@@ -188,7 +183,7 @@ class ClassicalStepReport:
 
 
 def _branch_value(state: NetworkState, reg_matrix: np.ndarray,
-                  frame: RelativeFrame) -> tuple[int, float, float]:
+                  frame: RelativeFrame) -> tuple[int, float]:
     """Sharp register value in a branch, judged against the relative state.
 
     Raises BranchNotSharp when the variance, or the distance of the mean from
@@ -203,7 +198,7 @@ def _branch_value(state: NetworkState, reg_matrix: np.ndarray,
         raise BranchNotSharp(
             f"branch {frame.label:g}: register value {mean:.6g} "
             f"(variance {variance:.3e}) is not sharp")
-    return int(round(mean)), mean, variance
+    return int(round(mean)), variance
 
 
 def classical_branches(state: NetworkState, bm: RegisterDescriptor,
@@ -224,8 +219,8 @@ def classical_branches(state: NetworkState, bm: RegisterDescriptor,
     frames = relative.make_pvm_spectral(state, bs.matrix, source="reference register")
     branches = []
     for frame in relative.live_frames(frames, state.tol):
-        value, raw, variance = _branch_value(state, bm.matrix, frame)
-        branches.append(BranchRegister(frame, value, raw, variance))
+        value, variance = _branch_value(state, bm.matrix, frame)
+        branches.append(BranchRegister(frame, value, variance))
     return branches
 
 
@@ -252,8 +247,8 @@ def verify_classical_step(before: NetworkState, after: NetworkState,
     rows = []
     all_ok = True
     for frame in relative.live_frames(frames, before.tol):
-        vb, _, _ = _branch_value(before, reg_before.matrix, frame)
-        va, _, _ = _branch_value(after, reg_after.matrix, frame)
+        vb, _ = _branch_value(before, reg_before.matrix, frame)
+        va, _ = _branch_value(after, reg_after.matrix, frame)
         expected = func(vb)
         ok = va == expected
         all_ok = all_ok and ok

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg, network
 from .errors import NonCommuting, WrongGateKind, ZeroWeightBranch
-from .linalg import COMPONENTS, Tolerances, max_abs
+from .linalg import Tolerances, max_abs
 from .network import Gate, NetworkState
 
 
@@ -40,9 +40,6 @@ class RelativeDescriptor:
     def component(self, name: str) -> np.ndarray:
         return getattr(self, name)
 
-    def components(self):
-        return tuple((c, getattr(self, c)) for c in COMPONENTS)
-
 
 @dataclass(frozen=True)
 class FoliationReport:
@@ -65,12 +62,15 @@ class AutonomyResult:
 
 def make_pvm(state: NetworkState, recorded: np.ndarray,
              source: str = "") -> tuple[RelativeFrame, RelativeFrame]:
-    """Two-frame PVM of an involution record: projectors 1/2(1 +- recorded)."""
+    """Two-frame PVM of an involution record: projectors 1/2(1 +- recorded).
+
+    P- is 1 - P+, so the record's involution is checked once.
+    """
+    plus = linalg.pauli_projector(recorded, +1, state.tol.general)
     frames = []
-    for sign in (+1, -1):
-        proj = linalg.pauli_projector(recorded, sign, state.tol.general)
+    for sign, proj in ((1.0, plus), (-1.0, linalg.identity(state.dim) - plus)):
         weight = float(np.real(network.expectation(state, proj)))
-        frames.append(RelativeFrame(proj, float(sign), source, weight))
+        frames.append(RelativeFrame(proj, sign, source, weight))
     return tuple(frames)
 
 
@@ -199,7 +199,8 @@ def foliate(state: NetworkState, recorded: np.ndarray, qubits: Sequence[int],
     frames = make_pvm(state, recorded, source)
     completeness = max_abs(sum(f.projector for f in frames)
                            - linalg.identity(state.dim))
-    max_comm = linalg.worst(_max_commutator(state, q, f.projector)
-                            for q in qubits for f in frames)
+    # [1 - P, q] = -[P, q]: both frames have the commutator norms of P+.
+    max_comm = linalg.worst(_max_commutator(state, q, frames[0].projector)
+                            for q in qubits)
     return FoliationReport(frames, completeness, max_comm,
                            completeness <= state.tol.general)

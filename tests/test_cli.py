@@ -87,6 +87,14 @@ NON_FINITE_GATES = {
     "rz-huge-int": ("{step: 0, kind: RZ, operands: [1], params: [1"
                     + "0" * 400 + "]}"),
 }
+# An F gate with unitarity defect 1e-12: inside the fixed bound a Gate is
+# built against, outside a run's --tol unitary=1e-13.
+NEARLY_UNITARY_F = """
+format_version: 1
+qubits: 2
+gates:
+  - {step: 0, kind: F, operands: [1, 2], params: [1.000000000001, 0, 0, 0]}
+"""
 
 # Documents that both validate and run must reject with exit status 1.
 INVALID_DOCUMENTS = {
@@ -334,6 +342,19 @@ class TestExitStatuses:
             status, out, err = run_cli(capsys, command, str(path))
             assert status == 1, (command, out, err)
             assert "finite" in err
+
+    def test_tol_unitary_bounds_the_oracle_not_the_document(self, capsys,
+                                                              tmp_path):
+        path = tmp_path / "nearly_unitary_f.yaml"
+        path.write_text(NEARLY_UNITARY_F, encoding="utf-8")
+        for command in ("validate", "run"):
+            status, _, err = run_cli(capsys, command, str(path))
+            assert status == 0, (command, err)
+        status, out, err = run_cli(capsys, "run", str(path),
+                                   "--tol", "unitary=1e-13")
+        assert status == 2
+        assert out == ""
+        assert "error:" in err
 
     @pytest.mark.parametrize("name", sorted(INVALID_DOCUMENTS))
     def test_validate_and_run_both_reject(self, capsys, tmp_path, name):

@@ -115,7 +115,7 @@ class TestEvolve:
 
 class TestCrossValidate:
     def test_identity_circuit(self):
-        gates = [Gate.identity(), Gate.identity()]
+        gates = [Gate("I"), Gate("I")]
         timeline = run_gates(init_network(2), gates)
         run = evolve(timeline[0].psi, gates, 2)
         report = cross_validate(run, timeline)
@@ -178,9 +178,9 @@ class TestCrossValidate:
     def test_skipped_gate_is_caught(self, n):
         # The oracle leaves out the Hadamard at step 3: from then on q_1x
         # reads 1 in the network and 0 in the oracle.
-        gates = [Gate.identity(), Gate.identity(), Gate.identity(), Gate.h(1)]
+        gates = [Gate("I"), Gate("I"), Gate("I"), Gate.h(1)]
         timeline = run_gates(init_network(n), gates)
-        skipped = gates[:3] + [Gate.identity()]
+        skipped = gates[:3] + [Gate("I")]
         run = evolve(timeline[0].psi, skipped, n)
         report = cross_validate(run, timeline)
         assert report.per_step == pytest.approx(

@@ -61,7 +61,7 @@ class TestRelativeDescriptor:
             snapshot = measured.descriptor(record_qubit).z
             for frame in make_pvm(measured, snapshot):
                 rd = relative_descriptor(measured, holder, frame)
-                for _, mat in rd.components():
+                for mat in map(rd.component, COMPONENTS):
                     assert linalg.hermiticity_defect(mat) <= 1e-10
                     assert max_abs(mat @ mat - rd.unit) <= 1e-9
                 assert network.algebra_residual([rd], unit=rd.unit) <= 1e-9
@@ -275,3 +275,43 @@ class TestFoliate:
                 r"^frame projector does not commute with q_1x: commutator "
                 r"norm 1\.000e\+00 \(invalid foliation")):
             foliate(fresh, fresh.descriptor(1).z, [1])
+
+
+class TestChecksOncePerRecord:
+    """A record's two frames share one involution check and, since
+    [1 - P, q] = -[P, q], one commutator norm per descriptor component."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"involution_defect": 0, "commutator_norm": 0}
+
+        def counted(name):
+            inner = getattr(linalg, name)
+
+            def call(*args):
+                counts[name] += 1
+                return inner(*args)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(linalg, name, counted(name))
+        return counts
+
+    def test_make_pvm_checks_involution_once(self, measured, calls):
+        make_pvm(measured, measured.descriptor(1).z)
+        assert calls == {"involution_defect": 1, "commutator_norm": 0}
+
+    @pytest.mark.parametrize("qubits", [[2], [3, 2]])
+    def test_foliate_takes_three_norms_per_qubit(self, calls, qubits):
+        ghz = run_gates(init_network(3), [Gate.h(1), Gate.cnot(1, 2),
+                                          Gate.cnot(1, 3)])[-1]
+        report = foliate(ghz, ghz.descriptor(1).z, qubits)
+        assert report.valid
+        assert calls == {"involution_defect": 1,
+                         "commutator_norm": 3 * len(qubits)}
+
+    def test_unentangled_stops_at_first_norm(self, calls):
+        fresh = init_network(2)
+        with pytest.raises(NonCommuting, match="q_1x"):
+            foliate(fresh, fresh.descriptor(1).z, [1, 2])
+        assert calls == {"involution_defect": 1, "commutator_norm": 1}

@@ -37,7 +37,7 @@ def random_gate(rng, n):
     kind = kinds[rng.integers(len(kinds))]
     q = [int(v) + 1 for v in rng.permutation(n)]
     if kind == "I":
-        return Gate.identity()
+        return Gate("I")
     if kind == "NOT":
         return Gate.not_(q[0])
     if kind == "H":
