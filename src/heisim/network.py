@@ -356,6 +356,9 @@ def algebra_residual(descriptors, unit: Optional[np.ndarray] = None) -> float:
     the identity; any other unit (a branch projector) must also absorb into
     each component from either side. Components of distinct triples must
     commute. NaN anywhere gives NaN.
+
+    Dense, O(n^2 8^n): ``selftest`` takes it, and a run reports
+    ``algebra_certificate``, which bounds it.
     """
     mats = [{c: d.component(c) for c in COMPONENTS} for d in descriptors]
     if not mats:
@@ -382,6 +385,35 @@ def algebra_residual(descriptors, unit: Optional[np.ndarray] = None) -> float:
                 for b_mat in mb.values():
                     residuals.append(linalg.commutator_norm(a_mat, b_mat))
     return linalg.worst(residuals)
+
+
+def algebra_certificate(state: NetworkState) -> float:
+    """Upper bound on the Pauli-algebra residual of the state's descriptors.
+
+    The bound comes from U = U_t alone. Let d1 = ||U†U - 1||_F,
+    d2 = ||UU† - 1||_F and E = UU† - 1. With q_i = U† sigma_i U, inserting
+    UU† = 1 + E between the two factors of a product gives
+
+        q_i q_j - delta_ij 1 - i eps_ijk q_k
+            = delta_ij (U†U - 1) + U† sigma_i E sigma_j U   (one triple),
+        [q_a, q_b] = U† (sigma_a E sigma_b - sigma_b E sigma_a) U
+                                                 (qubits a != b),
+
+    since the sigmas obey the algebra exactly and those of distinct qubits
+    commute. The Paulis are unitary, ||X||_max <= ||X||_2 <= ||X||_F and
+    ||U||_2^2 = ||U†U||_2 <= 1 + d1, so every residual the dense check takes
+    (each relation within a triple, each commutator across triples) is at
+    most d1 + 2 (1 + d1) d2. That costs two products of 2^n x 2^n matrices,
+    where the dense check takes O(n^2) of them. NaN in U gives NaN.
+
+    The bound is on exact arithmetic: when U is unitary to the last bit it
+    can read 0 while a dense check in floating point reads an ulp or two.
+    """
+    u = state.u
+    one = linalg.identity(state.dim)
+    d1 = float(np.linalg.norm(u.conj().T @ u - one))
+    d2 = float(np.linalg.norm(u @ u.conj().T - one))
+    return d1 + 2 * (1 + d1) * d2
 
 
 def run_gates(state: NetworkState, gates) -> list[NetworkState]:

@@ -71,9 +71,14 @@ def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
     if linalg.exceeds(abs(np.linalg.norm(psi) - 1.0), tol.norm):
         raise NonUnitary(f"initial state norm {np.linalg.norm(psi):.12f} != 1")
     states = [psi]
-    for gate in gates:
+    for step, gate in enumerate(gates):
         u = gate_matrix(gate, n)
-        linalg.check_unitary(u, tol.unitary)
+        try:
+            linalg.check_unitary(u, tol.unitary)
+        except NonUnitary as exc:
+            operands = ", ".join(map(str, gate.operands))
+            raise NonUnitary(
+                f"step {step}: {gate.kind} on ({operands}): {exc}") from None
         psi = u @ psi
         states.append(psi)
     return SchrodingerRun(n, tuple(states))

@@ -127,7 +127,7 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
 
     run = oracle.evolve(state0.psi, circuit.gates, circuit.qubits, tol)
     cross = oracle.cross_validate(run, timeline)
-    algebra = network.algebra_residual(timeline[-1].descriptors)
+    algebra = network.algebra_certificate(timeline[-1])
 
     results = [_answer_query(timeline, q) for q in circuit.queries]
 

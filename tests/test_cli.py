@@ -326,12 +326,22 @@ class TestExitStatuses:
         assert "error:" in err
 
     def test_nan_residual_fails_its_bound(self, capsys, monkeypatch):
-        monkeypatch.setattr(network, "algebra_residual",
+        monkeypatch.setattr(network, "algebra_certificate",
                             lambda *args, **kwargs: float("nan"))
         status, _, err = run_cli(capsys, "run",
                                  str(CIRCUITS / "measurement.yaml"))
         assert status == 2
         assert "algebra residual nan" in err
+
+    def test_run_never_takes_the_dense_algebra_residual(self, capsys,
+                                                        monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense algebra residual called")
+
+        monkeypatch.setattr(network, "algebra_residual", dense)
+        status, _, err = run_cli(capsys, "run",
+                                 str(CIRCUITS / "measurement.yaml"))
+        assert status == 0, err
 
     @pytest.mark.parametrize("name", sorted(NON_FINITE_GATES))
     def test_non_finite_gate_params_are_1(self, capsys, tmp_path, name):
@@ -355,6 +365,8 @@ class TestExitStatuses:
         assert status == 2
         assert out == ""
         assert "error:" in err
+        # The oracle names the gate: its step, kind and operands.
+        assert "step 0: F on (1, 2): unitarity defect" in err
 
     @pytest.mark.parametrize("name", sorted(INVALID_DOCUMENTS))
     def test_validate_and_run_both_reject(self, capsys, tmp_path, name):

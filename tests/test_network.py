@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from heisim import linalg, network
+from heisim import acceptance, linalg, network
 from heisim.errors import (DimMismatch, NotHermitian, SizeLimit,
                            ValidationError)
 from heisim.linalg import COMPONENTS, SIGMA_X, SIGMA_Y, SIGMA_Z, max_abs
@@ -308,6 +308,52 @@ class TestAlgebraResidual:
         assert network.algebra_residual(state.descriptors) == 0.0
         assert network.algebra_residual(state.descriptors[1:],
                                         unit=unit) == pytest.approx(1.0)
+
+
+def random_circuit_state(rng, n, depth):
+    state = init_network(n)
+    for _ in range(depth):
+        state = apply_gate(state, acceptance._random_gate(rng, n))
+    return state
+
+
+def perturbed(state, eps, rng):
+    """The state with complex Gaussian noise of size eps added to U."""
+    noise = rng.standard_normal((2, state.dim, state.dim))
+    u = state.u + eps * (noise[0] + 1j * noise[1]) / np.sqrt(2)
+    return network.NetworkState(state.n, state.t, u, state.psi)
+
+
+class TestAlgebraCertificate:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_bounds_the_dense_residual_of_perturbed_u(self, n):
+        rng = np.random.default_rng(40 + n)
+        state = random_circuit_state(rng, n, 30)
+        assert network.algebra_certificate(state) <= 1e-12
+        for eps in (1e-12, 1e-9, 1e-6, 1e-3):
+            noisy = perturbed(state, eps, rng)
+            dense = network.algebra_residual(noisy.descriptors)
+            assert network.algebra_certificate(noisy) >= dense > 0
+
+    def test_bound_holds_up_to_the_dense_check_roundoff(self):
+        # The certificate bounds the residual in exact arithmetic. When U is
+        # unitary to the last bit, it can read 0 while the dense products
+        # round to an ulp or two; dim * eps allows for that roundoff.
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(2, 5))
+            state = random_circuit_state(rng, n, int(rng.integers(1, 30)))
+            cert = network.algebra_certificate(state)
+            assert cert <= 1e-12
+            assert (network.algebra_residual(state.descriptors)
+                    <= cert + state.dim * np.finfo(float).eps)
+
+    def test_nan_u_gives_nan(self):
+        state = init_network(2)
+        u = state.u.copy()
+        u[1, 2] = np.nan
+        broken = network.NetworkState(2, 1, u, state.psi)
+        assert np.isnan(network.algebra_certificate(broken))
 
 
 class TestRecordsAndTimeline:

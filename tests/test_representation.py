@@ -112,6 +112,10 @@ def test_random_circuits_match_full_conjugation():
             if step < len(gates):
                 got = network.build_gate_unitary(state, gates[step])
                 assert max_abs(got - ref.gate_unitary(gates[step])) <= 1e-10
+        # The run's certificate bounds the dense algebra residual.
+        cert = network.algebra_certificate(timeline[-1])
+        assert network.algebra_residual(timeline[-1].descriptors) <= cert
+        assert cert <= 1e-12
     assert checked_kinds == set(network.GATE_KINDS)
 
 
@@ -120,7 +124,8 @@ def test_deep_circuit_algebra_residual():
     state = init_network(3)
     for _ in range(3000):
         state = apply_gate(state, random_gate(rng, 3))
-    assert network.algebra_residual(state.descriptors) <= 1e-12
+    residual = network.algebra_residual(state.descriptors)
+    assert residual <= network.algebra_certificate(state) <= 1e-12
 
 
 @st.composite
