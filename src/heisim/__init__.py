@@ -13,7 +13,7 @@ from .network import (Descriptor, Gate, NetworkState, apply_gate,
                       init_network, is_sharp, run_gates)
 from .relative import (RelativeDescriptor, RelativeFrame, autonomy_check,
                        branch_evolution_factor, foliate, make_pvm,
-                       make_pvm_spectral, relative_descriptor,
+                       make_pvm_spectral, relative_descriptors,
                        relative_expectation, relative_heisenberg_state)
 from .registers import (ClassicalFunction, RegisterDescriptor,
                         classical_branches, compile_classical,
@@ -27,7 +27,7 @@ __all__ = [
     "apply_gate", "are_entangled", "build_gate_unitary", "expectation",
     "init_network", "is_sharp", "run_gates", "RelativeDescriptor",
     "RelativeFrame", "autonomy_check", "branch_evolution_factor", "foliate",
-    "make_pvm", "make_pvm_spectral", "relative_descriptor",
+    "make_pvm", "make_pvm_spectral", "relative_descriptors",
     "relative_expectation", "relative_heisenberg_state", "ClassicalFunction",
     "RegisterDescriptor", "classical_branches", "compile_classical",
     "register_descriptor", "verify_classical_step", "SchrodingerRun",

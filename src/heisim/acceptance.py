@@ -99,7 +99,8 @@ def criterion_3(seed: int) -> dict:
     final = section3_timeline()[-1]
     mz = final.descriptor(2).z
     absolute = network.expectation(final, mz)
-    plus, minus = relative.make_pvm(final, final.descriptor(1).z, "q_1z at t=2")
+    plus, minus = relative.make_pvm(final, final.projector(1, "z"),
+                                    "q_1z at t=2")
     errs = [abs(absolute),
             abs(relative.relative_expectation(final, mz, plus) - 1.0),
             abs(relative.relative_expectation(final, mz, minus) + 1.0),
@@ -115,9 +116,9 @@ def criterion_4(seed: int) -> dict:
     worst_alg = 0.0
     worst_sum = 0.0
     for holder, record_qubit in ((2, 1), (1, 2)):
-        frames = relative.make_pvm(final, final.descriptor(record_qubit).z,
+        frames = relative.make_pvm(final, final.projector(record_qubit, "z"),
                                    f"q_{record_qubit}z at t=2")
-        rds = [relative.relative_descriptor(final, holder, f) for f in frames]
+        rds = relative.relative_descriptors(final, holder, frames)
         for rd in rds:
             residual = network.algebra_residual([rd], unit=rd.unit)
             worst_alg = linalg.worst((worst_alg, residual))
@@ -148,7 +149,7 @@ def criterion_5(seed: int) -> dict:
                                             final.descriptor(q).component(c))
                 worst_abs = linalg.worst((worst_abs, abs(np.real(value))))
         # The q_1z record is taken at step 2, before the rotation.
-        plus, minus = relative.make_pvm(final, timeline[2].descriptor(1).z,
+        plus, minus = relative.make_pvm(final, timeline[2].projector(1, "z"),
                                         "q_1z at t=2")
         for frame, target_z in ((plus, 1.0), (minus, -1.0)):
             values = [np.real(relative.relative_expectation(
@@ -189,11 +190,12 @@ def criterion_6(seed: int) -> dict:
         ok = ok and result.preserving
         # Two evaluation routes per branch: evolve absolutely then project,
         # or conjugate the relative copy with the branch factor.
-        frames = relative.make_pvm(final, final.descriptor(2).z, "q_2z at t=2")
+        frames = relative.make_pvm(final, final.projector(2, "z"),
+                                   "q_2z at t=2")
         evolved = apply_gate(final, gate)
-        for frame in frames:
+        rds = relative.relative_descriptors(final, 1, frames)
+        for frame, rd in zip(frames, rds):
             factor = relative.branch_evolution_factor(final, gate, frame)
-            rd = relative.relative_descriptor(final, 1, frame)
             for c in COMPONENTS:
                 path_a = evolved.descriptor(1).component(c) @ frame.projector
                 path_b = factor.conj().T @ rd.component(c) @ factor
@@ -227,7 +229,8 @@ def criterion_7(seed: int) -> dict:
         final = timeline[-1]
         psi_t = run.states[-1]
         for a in range(1, n + 1):
-            frames = relative.make_pvm(final, final.descriptor(a).z, "final z")
+            frames = relative.make_pvm(final, final.projector(a, "z"),
+                                       "final z")
             fixed_z = linalg.embed(linalg.SIGMA_Z, a, n)
             for frame in frames:
                 fixed_proj = linalg.pauli_projector(fixed_z, int(frame.label))
@@ -312,10 +315,10 @@ def criterion_8(seed: int) -> dict:
 def criterion_9(seed: int) -> dict:
     """Guards: sharp records cannot be foliated; zero weights raise, never NaN."""
     fresh = init_network(2)
-    snapshot = fresh.descriptor(1).z
-    plus, minus = relative.make_pvm(fresh, snapshot, "q_1z at t=0")
+    plus, minus = relative.make_pvm(fresh, fresh.projector(1, "z"),
+                                    "q_1z at t=0")
     try:
-        relative.relative_descriptor(fresh, 1, plus)
+        relative.relative_descriptors(fresh, 1, (plus, minus))
         sharp_guard = False
     except NonCommuting:
         sharp_guard = True

@@ -140,6 +140,12 @@ def involution_defect(q: np.ndarray) -> float:
     return max_abs(q @ q - identity(q.shape[0]))
 
 
+def check_involution(q: np.ndarray, tol: float = DEFAULT_TOL.general) -> None:
+    defect = involution_defect(q)
+    if exceeds(defect, tol):
+        raise NotInvolution(f"involution defect {defect:.3e} > {tol:.3e}")
+
+
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return max_abs(a @ b - b @ a)
 
@@ -149,9 +155,7 @@ def pauli_projector(q: np.ndarray, sign: int,
     """1/2(1 + sign*q) for an involution q; projects onto the sign eigenspace."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    defect = involution_defect(q)
-    if exceeds(defect, tol):
-        raise NotInvolution(f"involution defect {defect:.3e} > {tol:.3e}")
+    check_involution(q, tol)
     return 0.5 * (identity(q.shape[0]) + sign * q)
 
 

@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatch, SizeLimit, ValidationError
+from .errors import (DimMismatch, SizeLimit, ToleranceViolation,
+                     ValidationError)
 from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances, max_abs
 
 GATE_KINDS = ("I", "NOT", "H", "CNOT", "RZ", "F", "CCNOT")
@@ -159,6 +160,8 @@ class NetworkState:
     tol: Tolerances = DEFAULT_TOL
     # Descriptor components computed so far, keyed by (qubit, component).
     _components: dict = field(default_factory=dict, repr=False)
+    # Components whose involution check has passed, same keys.
+    _involutions: set = field(default_factory=set, repr=False)
 
     @property
     def dim(self) -> int:
@@ -188,6 +191,19 @@ class NetworkState:
             mat.flags.writeable = False
             self._components[key] = mat
         return mat
+
+    def projector(self, qubit: int, name: str) -> np.ndarray:
+        """P+ = 1/2(1 + q_{qubit,name}), the +1 eigenprojector of a record.
+
+        The involution q^2 = 1 is checked on the first read only. The verdict
+        is cached, not the matrix: rebuilding P+ is O(4^n), keeping it would
+        hold one more 2^n x 2^n matrix per record.
+        """
+        q = self.component(qubit, name)
+        if (qubit, name) not in self._involutions:
+            linalg.check_involution(q, self.tol.general)
+            self._involutions.add((qubit, name))
+        return 0.5 * (linalg.identity(self.dim) + q)
 
 
 def init_network(n: int, tol: Tolerances = DEFAULT_TOL) -> NetworkState:
@@ -286,16 +302,35 @@ def apply_gate(state: NetworkState, gate: Gate) -> NetworkState:
     return NetworkState(state.n, state.t + 1, u, state.psi, state.tol)
 
 
-def expectation(state: NetworkState, observable: np.ndarray):
-    """<Psi| A |Psi> against the fixed state; real float when A is Hermitian."""
-    observable = np.asarray(observable)
-    if observable.shape != (state.dim, state.dim):
-        raise DimMismatch(
-            f"observable shape {observable.shape} != ({state.dim}, {state.dim})")
-    value = complex(np.vdot(state.psi, observable @ state.psi))
+def _check_shape(state: NetworkState, *observables: np.ndarray) -> None:
+    for observable in observables:
+        if np.shape(observable) != (state.dim, state.dim):
+            raise DimMismatch(f"observable shape {np.shape(observable)} != "
+                              f"({state.dim}, {state.dim})")
+
+
+def _scalar(state: NetworkState, value):
+    """An expectation value: real float when its imaginary part is roundoff."""
+    value = complex(value)
     if abs(value.imag) <= state.tol.general * max(1.0, abs(value)):
         return value.real
     return value
+
+
+def expectation(state: NetworkState, observable: np.ndarray):
+    """<Psi| A |Psi> against the fixed state; real float when A is Hermitian."""
+    _check_shape(state, observable)
+    return _scalar(state, np.vdot(state.psi, observable @ state.psi))
+
+
+def correlation(state: NetworkState, a: np.ndarray, b: np.ndarray):
+    """<Psi| A B |Psi> = (Psi† A)(B Psi), two matrix-vector products.
+
+    Equal to ``expectation(state, a @ b)`` without the O(8^n) product; the
+    real/imaginary rule is expectation's. Neither matrix need be Hermitian.
+    """
+    _check_shape(state, a, b)
+    return _scalar(state, (state.psi.conj() @ a) @ (b @ state.psi))
 
 
 def is_sharp(state: NetworkState, observable: np.ndarray) -> Optional[float]:
@@ -306,7 +341,7 @@ def is_sharp(state: NetworkState, observable: np.ndarray) -> Optional[float]:
     """
     linalg.check_hermitian(observable, state.tol.hermitian)
     mean = expectation(state, observable)
-    second = expectation(state, observable @ observable)
+    second = correlation(state, observable, observable)
     if abs(mean * mean - second) <= state.tol.sharp:
         return float(np.real(mean))
     return None
@@ -322,20 +357,28 @@ class EntanglementWitness:
 def are_entangled(state: NetworkState, a: int, b: int) -> EntanglementWitness:
     """Correlation test: some component pair with <q_ai q_bj> != <q_ai><q_bj>.
 
-    The discrepancy is the maximum over the nine pairs. The witness is the
-    first pair in x, y, z order within tol.entangle of it, so roundoff does
-    not pick among tied pairs.
+    The discrepancy is the maximum over the nine pairs; each <q_ai q_bj> is
+    the product of the row vector Psi† q_ai and the column vector q_bj Psi.
+    The witness is the first pair in x, y, z order within tol.entangle of
+    it, so roundoff does not pick among tied pairs. A NaN discrepancy raises
+    ToleranceViolation: it is no evidence either way.
     """
     if a == b:
         raise ValidationError("entanglement test needs two distinct qubits")
-    da, db = state.descriptor(a), state.descriptor(b)
-    means_b = [(cj, mj, expectation(state, mj)) for cj, mj in db.components()]
+    psi = state.psi
+    bra = psi.conj()
+    rows = [(ci, bra @ mi) for ci, mi in state.descriptor(a).components()]
+    cols = [(cj, mj @ psi) for cj, mj in state.descriptor(b).components()]
+    means_b = [_scalar(state, np.vdot(psi, col)) for _, col in cols]
     pairs = []
-    for ci, mi in da.components():
-        ei = expectation(state, mi)
-        for cj, mj, ej in means_b:
-            pairs.append(((ci, cj), abs(expectation(state, mi @ mj) - ei * ej)))
+    for ci, row in rows:
+        ei = _scalar(state, row @ psi)
+        for (cj, col), ej in zip(cols, means_b):
+            pairs.append(((ci, cj), abs(_scalar(state, row @ col) - ei * ej)))
     best = linalg.worst(disc for _, disc in pairs)
+    if math.isnan(best):
+        raise ToleranceViolation(
+            f"entanglement discrepancy of qubits {a} and {b} is nan")
     if best > state.tol.entangle:
         witness = next(p for p, disc in pairs
                        if disc >= best - state.tol.entangle)

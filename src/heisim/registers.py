@@ -40,12 +40,26 @@ def register_descriptor(state: NetworkState,
     for q in qubits:
         if not 1 <= q <= state.n:
             raise BadSubset(f"register qubit {q} out of range 1..{state.n}")
+    one = linalg.identity(state.dim)
     matrix = np.zeros((state.dim, state.dim), dtype=complex)
     for k, q in enumerate(qubits):
-        proj = linalg.pauli_projector(state.descriptor(q).z, -1,
-                                      state.tol.general)
-        matrix = matrix + (2 ** k) * proj
+        matrix = matrix + (2 ** k) * (one - state.projector(q, "z"))
     return RegisterDescriptor(qubits, matrix)
+
+
+def product_sharpness_residual(state: NetworkState, bm: RegisterDescriptor,
+                               bs: RegisterDescriptor) -> float:
+    """|<(M S)^2> - <M S>^2| for the register product M S.
+
+    From matrix-vector products only: <M S> = Psi† M (S Psi) and
+    <(M S)^2> = (Psi† M S)(M S Psi).
+    """
+    psi = state.psi
+    column = bm.matrix @ (bs.matrix @ psi)
+    row = (psi.conj() @ bm.matrix) @ bs.matrix
+    mean = np.real(np.vdot(psi, column))
+    second = np.real(row @ column)
+    return abs(second - mean * mean)
 
 
 @dataclass(frozen=True)
@@ -190,8 +204,9 @@ def _branch_value(state: NetworkState, reg_matrix: np.ndarray,
     the nearest integer, exceeds tol.sharp (NaN exceeds it).
     """
     psi_rel = relative.relative_heisenberg_state(state, frame)
-    mean = float(np.real(np.vdot(psi_rel, reg_matrix @ psi_rel)))
-    second = float(np.real(np.vdot(psi_rel, reg_matrix @ reg_matrix @ psi_rel)))
+    column = reg_matrix @ psi_rel
+    mean = float(np.real(np.vdot(psi_rel, column)))
+    second = float(np.real(np.vdot(psi_rel, reg_matrix @ column)))
     variance = second - mean * mean
     defect = linalg.worst((abs(variance), abs(mean - np.round(mean))))
     if linalg.exceeds(defect, state.tol.sharp):

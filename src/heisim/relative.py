@@ -60,13 +60,14 @@ class AutonomyResult:
         return "PRESERVING" if self.preserving else "DESTROYING"
 
 
-def make_pvm(state: NetworkState, recorded: np.ndarray,
+def make_pvm(state: NetworkState, plus: np.ndarray,
              source: str = "") -> tuple[RelativeFrame, RelativeFrame]:
-    """Two-frame PVM of an involution record: projectors 1/2(1 +- recorded).
+    """Two-frame PVM of an involution record, from its projector
+    P+ = 1/2(1 + q).
 
-    P- is 1 - P+, so the record's involution is checked once.
+    ``NetworkState.projector`` gives P+ and checks the record's involution;
+    P- is 1 - P+.
     """
-    plus = linalg.pauli_projector(recorded, +1, state.tol.general)
     frames = []
     for sign, proj in ((1.0, plus), (-1.0, linalg.identity(state.dim) - plus)):
         weight = float(np.real(network.expectation(state, proj)))
@@ -118,17 +119,21 @@ def _max_commutator(state: NetworkState, qubit: int,
     return linalg.worst(norms)
 
 
-def relative_descriptor(state: NetworkState, qubit: int,
-                        frame: RelativeFrame) -> RelativeDescriptor:
-    """Branch copy of one qubit: descriptor components times the frame projector.
+def relative_descriptors(state: NetworkState, qubit: int,
+                         frames: tuple[RelativeFrame, RelativeFrame]
+                         ) -> tuple[RelativeDescriptor, RelativeDescriptor]:
+    """Both branch copies of one qubit under a ``make_pvm`` pair (P+, 1 - P+):
+    descriptor components times each frame projector.
 
-    The projector must commute with every component, otherwise the products
+    The projectors must commute with every component, otherwise the products
     are not Hermitian and the foliation attempt is physically meaningless.
+    [1 - P, q] = -[P, q], so the norms against P+ serve both frames.
     """
-    proj = frame.projector
-    _max_commutator(state, qubit, proj)
+    _max_commutator(state, qubit, frames[0].projector)
     d = state.descriptor(qubit)
-    return RelativeDescriptor(d.x @ proj, d.y @ proj, d.z @ proj, proj)
+    return tuple(RelativeDescriptor(d.x @ f.projector, d.y @ f.projector,
+                                    d.z @ f.projector, f.projector)
+                 for f in frames)
 
 
 def relative_expectation(state: NetworkState, observable: np.ndarray,
@@ -138,7 +143,7 @@ def relative_expectation(state: NetworkState, observable: np.ndarray,
     if linalg.negligible(weight, state.tol.weight):
         raise ZeroWeightBranch(
             f"branch {frame.label} of {frame.source!r} has weight {weight:.3e}")
-    return network.expectation(state, observable @ frame.projector) / weight
+    return network.correlation(state, observable, frame.projector) / weight
 
 
 def relative_heisenberg_state(state: NetworkState,
@@ -189,14 +194,15 @@ def branch_evolution_factor(state: NetworkState, gate: Gate,
     return (alpha + s * beta) * proj + (gamma + s * delta) * (qbz @ proj)
 
 
-def foliate(state: NetworkState, recorded: np.ndarray, qubits: Sequence[int],
+def foliate(state: NetworkState, plus: np.ndarray, qubits: Sequence[int],
             source: str = "") -> FoliationReport:
-    """Decompose the listed qubits into relative states of a two-frame PVM.
+    """Decompose the listed qubits into relative states of a record's
+    two-frame PVM, given by its projector P+ as for ``make_pvm``.
 
     Both projectors must commute with the listed qubits' descriptors;
-    ``relative_descriptor`` builds the branch copies themselves.
+    ``relative_descriptors`` builds the branch copies themselves.
     """
-    frames = make_pvm(state, recorded, source)
+    frames = make_pvm(state, plus, source)
     completeness = max_abs(sum(f.projector for f in frames)
                            - linalg.identity(state.dim))
     # [1 - P, q] = -[P, q]: both frames have the commutator norms of P+.

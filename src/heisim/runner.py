@@ -45,10 +45,11 @@ def _clean(obj):
 
 
 def _record(timeline: list[NetworkState], ref: dict) -> tuple[np.ndarray, str]:
-    """The record marker (qubit a, component c, step s), read from the run's
-    timeline as q_ac at step s, with its source label."""
+    """The projector 1/2(1 + q_ac) of the record marker (qubit a,
+    component c, step s), read from the run's timeline at step s, with its
+    source label. Its involution is checked once per run."""
     a, c, s = ref["qubit"], ref["component"], ref["step"]
-    return timeline[s].component(a, c), f"q_{a}{c} at t={s}"
+    return timeline[s].projector(a, c), f"q_{a}{c} at t={s}"
 
 
 def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
@@ -77,8 +78,8 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
                 "witness": list(witness.components) if witness.components else None,
                 "discrepancy": witness.discrepancy}
     if kind == "foliate":
-        snapshot, source = _record(timeline, query["record"])
-        report = relative.foliate(state, snapshot, query["qubits"], source)
+        plus, source = _record(timeline, query["record"])
+        report = relative.foliate(state, plus, query["qubits"], source)
         live = relative.live_frames(report.frames, state.tol)
         rel_exp = {
             str(q): {f"{frame.label:g}": [
@@ -94,7 +95,8 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
                 "valid": report.valid,
                 "relative_expectations": rel_exp}
     if kind == "autonomy":
-        snapshots = [_record(timeline, r)[0] for r in query["records"]]
+        snapshots = [timeline[r["step"]].component(r["qubit"], r["component"])
+                     for r in query["records"]]
         result = relative.autonomy_check(state, query["gate"], snapshots)
         return {"kind": kind, "classification": result.classification,
                 "violated_index": result.violated_index,
@@ -103,16 +105,14 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
         bm = registers.register_descriptor(state, query["register"])
         bs = registers.register_descriptor(state, query["reference"])
         branches = registers.classical_branches(state, bm, bs)
-        product = bm.matrix @ bs.matrix
-        mean = np.real(network.expectation(state, product))
-        second = np.real(network.expectation(state, product @ product))
         return {"kind": kind,
                 "branches": [{"label": b.frame.label,
                               "weight": b.frame.weight,
                               "value": b.value,
                               "variance": b.variance}
                              for b in branches],
-                "product_sharpness_residual": abs(second - mean * mean)}
+                "product_sharpness_residual":
+                    registers.product_sharpness_residual(state, bm, bs)}
     raise AssertionError(f"unhandled query kind {kind}")
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from heisim import linalg, network, oracle, relative
+from heisim.circuit import load_circuit
 from heisim.cli import main
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -301,6 +302,37 @@ class TestReferenceReports:
         assert len(per_step) == len(want_residuals["oracle_per_step"])
         for residual in [residuals["oracle_max"], *per_step]:
             assert residual <= tol["oracle"]
+
+
+def test_each_record_is_checked_once_per_run(capsys, monkeypatch):
+    """The involution check runs once per distinct record or register qubit,
+    not once per query; the commutator norms of foliate and autonomy stay."""
+    path = CIRCUITS / "branch_queries.yaml"
+    doc = load_circuit(path)
+    final = len(doc.gates)
+    distinct = set()
+    for query in doc.queries:
+        for ref in (query.get("frame"), query.get("record")):
+            if ref is not None:
+                distinct.add((ref["step"], ref["qubit"], ref["component"]))
+        for q in [*query.get("register", ()), *query.get("reference", ())]:
+            distinct.add((final, q, "z"))
+    counts = {"involution_defect": 0, "commutator_norm": 0}
+
+    def counted(name):
+        inner = getattr(linalg, name)
+
+        def call(*args):
+            counts[name] += 1
+            return inner(*args)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(linalg, name, counted(name))
+    status, _, err = run_cli(capsys, "run", str(path))
+    assert status == 0, err
+    assert len(distinct) == 8
+    assert counts == {"involution_defect": 8, "commutator_norm": 202}
 
 
 @pytest.mark.parametrize("kind", network.GATE_KINDS)

@@ -7,10 +7,10 @@ import pytest
 
 from heisim import acceptance, linalg, network
 from heisim.errors import (DimMismatch, NotHermitian, SizeLimit,
-                           ValidationError)
+                           ToleranceViolation, ValidationError)
 from heisim.linalg import COMPONENTS, SIGMA_X, SIGMA_Y, SIGMA_Z, max_abs
 from heisim.network import (Gate, apply_gate, are_entangled,
-                            build_gate_unitary, expectation,
+                            build_gate_unitary, correlation, expectation,
                             f_unitarity_defect, init_network, is_sharp,
                             run_gates)
 
@@ -292,6 +292,122 @@ class TestEntanglement:
     def test_same_qubit_rejected(self):
         with pytest.raises(ValidationError):
             are_entangled(init_network(2), 1, 1)
+
+    def test_nan_discrepancy_is_a_tolerance_violation(self):
+        # NaN is no evidence of a product state: it must not read as
+        # "not entangled", nor fail to find a witness (internal error).
+        final = measurement_timeline()[-1]
+        u = final.u.copy()
+        u[0, 0] = np.nan
+        broken = network.NetworkState(2, final.t, u, final.psi)
+        with pytest.raises(ToleranceViolation,
+                           match="qubits 1 and 2 is nan") as caught:
+            are_entangled(broken, 1, 2)
+        assert caught.value.exit_status == 2
+
+
+def random_complex(rng, dim):
+    parts = rng.standard_normal((2, dim, dim))
+    return parts[0] + 1j * parts[1]
+
+
+class TestCorrelation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_expectation_of_the_product(self, n):
+        # Non-Hermitian factors against a random normalized fixed state.
+        rng = np.random.default_rng(50 + n)
+        dim = 2 ** n
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        state = network.NetworkState(n, 0, linalg.identity(dim),
+                                     psi / np.linalg.norm(psi))
+        for _ in range(10):
+            a, b = random_complex(rng, dim), random_complex(rng, dim)
+            want = expectation(state, a @ b)
+            got = correlation(state, a, b)
+            assert isinstance(got, complex)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_real_when_the_product_is_hermitian(self):
+        final = measurement_timeline()[-1]
+        d1, d2 = final.descriptor(1), final.descriptor(2)
+        value = correlation(final, d1.z, d2.z)
+        assert isinstance(value, float)
+        assert value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shapes", [((2, 2), (4, 4)), ((4, 4), (2, 2))])
+    def test_dim_mismatch(self, shapes):
+        a, b = (np.eye(*shape, dtype=complex) for shape in shapes)
+        with pytest.raises(DimMismatch):
+            correlation(init_network(2), a, b)
+
+
+def dense_sharp(state, observable):
+    """is_sharp through the dense square of the observable."""
+    mean = expectation(state, observable)
+    second = expectation(state, observable @ observable)
+    if abs(mean * mean - second) <= state.tol.sharp:
+        return float(np.real(mean))
+    return None
+
+
+def dense_entanglement(state, a, b):
+    """are_entangled through the nine dense products q_ai q_bj."""
+    pairs = []
+    for ci, mi in state.descriptor(a).components():
+        for cj, mj in state.descriptor(b).components():
+            disc = abs(expectation(state, mi @ mj)
+                       - expectation(state, mi) * expectation(state, mj))
+            pairs.append(((ci, cj), disc))
+    best = max(disc for _, disc in pairs)
+    if best > state.tol.entangle:
+        witness = next(p for p, d in pairs
+                       if d >= best - state.tol.entangle)
+        return witness, best
+    return None, best
+
+
+class TestMatrixFreeAnswers:
+    """The matrix-vector answers agree with the dense products they replace."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_entanglement_matches_dense(self, n):
+        rng = np.random.default_rng(60 + n)
+        entangled = 0
+        for depth in (2, 5, 20):
+            state = random_circuit_state(rng, n, depth)
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    if a == b:
+                        continue
+                    got = are_entangled(state, a, b)
+                    witness, best = dense_entanglement(state, a, b)
+                    assert got.components == witness
+                    assert got.entangled == (witness is not None)
+                    assert abs(got.discrepancy - best) <= 1e-12
+                    entangled += got.entangled
+        assert entangled > 0
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_sharpness_matches_dense(self, n):
+        rng = np.random.default_rng(70 + n)
+        sharp = unsharp = 0
+        for depth in (2, 5, 20):
+            state = random_circuit_state(rng, n, depth)
+            observables = [m for d in state.descriptors
+                           for _, m in d.components()]
+            # Products of components of distinct qubits are Hermitian too.
+            observables += [
+                state.descriptor(a).z @ state.descriptor(a % n + 1).z
+                for a in range(1, n + 1)]
+            for obs in observables:
+                got, want = is_sharp(state, obs), dense_sharp(state, obs)
+                if want is None:
+                    assert got is None
+                    unsharp += 1
+                else:
+                    assert abs(got - want) <= 1e-12
+                    sharp += 1
+        assert sharp > 0 and unsharp > 0
 
 
 class TestAlgebraResidual:

@@ -207,7 +207,7 @@ class TestCrossValidate:
         timeline = run_gates(init_network(2), gates)
         final = timeline[-1]
         run = evolve(timeline[0].psi, gates, 2)
-        frames = relative.make_pvm(final, final.descriptor(1).z)
+        frames = relative.make_pvm(final, final.projector(1, "z"))
         fixed_z = linalg.embed(SIGMA_Z, 1, 2)
         for frame in frames:
             fixed_proj = linalg.pauli_projector(fixed_z, int(frame.label))

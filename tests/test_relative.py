@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from heisim import linalg, network
+from heisim import acceptance, linalg, network
 from heisim.errors import NonCommuting, WrongGateKind, ZeroWeightBranch
 from heisim.linalg import COMPONENTS, SIGMA_Z, max_abs
 from heisim.network import (Gate, NetworkState, apply_gate, init_network,
                             run_gates)
 from heisim.relative import (RelativeFrame, autonomy_check,
                              branch_evolution_factor, foliate, make_pvm,
-                             make_pvm_spectral, relative_descriptor,
+                             make_pvm_spectral, relative_descriptors,
                              relative_expectation, relative_heisenberg_state)
 
 
@@ -29,19 +29,19 @@ def nan_state(state):
 
 class TestMakePvm:
     def test_equal_weights_after_measurement(self, measured):
-        plus, minus = make_pvm(measured, measured.descriptor(1).z)
+        plus, minus = make_pvm(measured, measured.projector(1, "z"))
         assert plus.weight == pytest.approx(0.5, abs=1e-10)
         assert minus.weight == pytest.approx(0.5, abs=1e-10)
         assert plus.label == 1.0 and minus.label == -1.0
 
     def test_sharp_record_degenerate_weights(self):
         fresh = init_network(2)
-        plus, minus = make_pvm(fresh, fresh.descriptor(1).z)
+        plus, minus = make_pvm(fresh, fresh.projector(1, "z"))
         assert plus.weight == pytest.approx(1.0)
         assert minus.weight == pytest.approx(0.0, abs=1e-12)
 
     def test_completeness(self, measured):
-        plus, minus = make_pvm(measured, measured.descriptor(1).z)
+        plus, minus = make_pvm(measured, measured.projector(1, "z"))
         total = plus.projector + minus.projector
         assert max_abs(total - linalg.identity(4)) <= 1e-10
 
@@ -58,46 +58,46 @@ class TestMakePvm:
 class TestRelativeDescriptor:
     def test_invariants_in_both_branches(self, measured):
         for record_qubit, holder in ((1, 2), (2, 1)):
-            snapshot = measured.descriptor(record_qubit).z
-            for frame in make_pvm(measured, snapshot):
-                rd = relative_descriptor(measured, holder, frame)
+            frames = make_pvm(measured, measured.projector(record_qubit, "z"))
+            for rd in relative_descriptors(measured, holder, frames):
                 for mat in map(rd.component, COMPONENTS):
                     assert linalg.hermiticity_defect(mat) <= 1e-10
                     assert max_abs(mat @ mat - rd.unit) <= 1e-9
                 assert network.algebra_residual([rd], unit=rd.unit) <= 1e-9
 
     def test_identity_frame_gives_absolute(self, measured):
-        multiverse = RelativeFrame(linalg.identity(4), 1.0, "multiverse", 1.0)
-        rd = relative_descriptor(measured, 2, multiverse)
+        # P+ = 1: the multiverse frame and an empty P- = 0.
+        multiverse, empty = relative_descriptors(
+            measured, 2, make_pvm(measured, linalg.identity(4)))
         for c in COMPONENTS:
-            assert max_abs(rd.component(c)
+            assert max_abs(multiverse.component(c)
                            - measured.descriptor(2).component(c)) <= 1e-12
+            assert max_abs(empty.component(c)) == 0.0
 
     def test_sum_over_frames_reconstructs_absolute(self, measured):
-        frames = make_pvm(measured, measured.descriptor(1).z)
-        rds = [relative_descriptor(measured, 2, f) for f in frames]
+        frames = make_pvm(measured, measured.projector(1, "z"))
+        rds = relative_descriptors(measured, 2, frames)
         for c in COMPONENTS:
             total = sum(rd.component(c) for rd in rds)
             assert max_abs(total - measured.descriptor(2).component(c)) <= 1e-10
 
     def test_unentangled_rejected(self):
         fresh = init_network(2)
-        plus, _ = make_pvm(fresh, fresh.descriptor(1).z)
         with pytest.raises(NonCommuting):
-            relative_descriptor(fresh, 1, plus)
+            relative_descriptors(fresh, 1,
+                                 make_pvm(fresh, fresh.projector(1, "z")))
 
     def test_nan_projector_rejected(self, measured):
         # A NaN commutator norm must not pass the commute check.
-        frame = RelativeFrame(np.full((4, 4), np.nan, dtype=complex), 1.0,
-                              "nan", 0.5)
+        frames = make_pvm(measured, np.full((4, 4), np.nan, dtype=complex))
         with pytest.raises(NonCommuting, match="commutator norm nan"):
-            relative_descriptor(measured, 2, frame)
+            relative_descriptors(measured, 2, frames)
 
 
 class TestRelativeExpectation:
     def test_branch_values(self, measured):
         mz = measured.descriptor(2).z
-        plus, minus = make_pvm(measured, measured.descriptor(1).z)
+        plus, minus = make_pvm(measured, measured.projector(1, "z"))
         assert relative_expectation(measured, mz, plus) == pytest.approx(
             1.0, abs=1e-10)
         assert relative_expectation(measured, mz, minus) == pytest.approx(
@@ -114,7 +114,7 @@ class TestRelativeExpectation:
         fixed_mz = linalg.embed(SIGMA_Z, 2, 2)
         oracle_value = float(np.real(np.vdot(branch, fixed_mz @ branch)))
         assert oracle_value == pytest.approx(-1.0)
-        _, minus = make_pvm(measured, measured.descriptor(1).z)
+        _, minus = make_pvm(measured, measured.projector(1, "z"))
         heis = relative_expectation(measured, measured.descriptor(2).z, minus)
         assert heis == pytest.approx(oracle_value, abs=1e-10)
 
@@ -126,12 +126,12 @@ class TestRelativeExpectation:
 
     def test_zero_weight_branch_raises(self):
         fresh = init_network(2)
-        _, minus = make_pvm(fresh, fresh.descriptor(1).z)
+        _, minus = make_pvm(fresh, fresh.projector(1, "z"))
         with pytest.raises(ZeroWeightBranch):
             relative_expectation(fresh, fresh.descriptor(2).z, minus)
 
     def test_nan_weight_raises(self, measured):
-        plus, _ = make_pvm(measured, measured.descriptor(1).z)
+        plus, _ = make_pvm(measured, measured.projector(1, "z"))
         with pytest.raises(ZeroWeightBranch, match="weight nan"):
             relative_expectation(nan_state(measured), measured.descriptor(2).z,
                                  plus)
@@ -144,12 +144,12 @@ class TestRelativeHeisenbergState:
         assert max_abs(psi - measured.psi) <= 1e-12
 
     def test_nan_norm_raises(self, measured):
-        plus, _ = make_pvm(measured, measured.descriptor(1).z)
+        plus, _ = make_pvm(measured, measured.projector(1, "z"))
         with pytest.raises(ZeroWeightBranch, match="squared norm nan"):
             relative_heisenberg_state(nan_state(measured), plus)
 
     def test_branch_norms(self, measured):
-        plus, minus = make_pvm(measured, measured.descriptor(1).z)
+        plus, minus = make_pvm(measured, measured.projector(1, "z"))
         for frame in (plus, minus):
             projected = frame.projector @ measured.psi
             assert np.linalg.norm(projected) ** 2 == pytest.approx(
@@ -161,7 +161,7 @@ class TestRelativeHeisenbergState:
         rng = np.random.default_rng(23)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         a = 0.5 * (a + a.conj().T)
-        plus, _ = make_pvm(measured, measured.descriptor(1).z)
+        plus, _ = make_pvm(measured, measured.projector(1, "z"))
         psi_rel = relative_heisenberg_state(measured, plus)
         # Restrict to the block-diagonal (projector-commuting) part so both
         # conditioning routes are comparing the same observable.
@@ -198,14 +198,14 @@ class TestAutonomy:
 
 class TestBranchEvolutionFactor:
     def test_identity_f_gives_unit(self, measured):
-        plus, _ = make_pvm(measured, measured.descriptor(1).z)
+        plus, _ = make_pvm(measured, measured.projector(1, "z"))
         gate = Gate.f(1, 2, 1.0, 0.0, 0.0, 0.0)
         factor = branch_evolution_factor(measured, gate, plus)
         assert max_abs(factor - plus.projector) <= 1e-10
 
     def test_two_path_equality(self, measured):
         rng = np.random.default_rng(31)
-        frames = make_pvm(measured, measured.descriptor(1).z)
+        frames = make_pvm(measured, measured.projector(1, "z"))
         for _ in range(5):
             signs = rng.choice([-1.0, 1.0], size=4)
             alpha = (signs[0] + signs[1] + signs[2] + signs[3]) / 4
@@ -214,16 +214,16 @@ class TestBranchEvolutionFactor:
             delta = (signs[0] - signs[1] - signs[2] + signs[3]) / 4
             gate = Gate.f(1, 2, alpha, beta, gamma, delta)
             evolved = apply_gate(measured, gate)
-            for frame in frames:
+            for frame, rd in zip(frames,
+                                 relative_descriptors(measured, 2, frames)):
                 factor = branch_evolution_factor(measured, gate, frame)
-                rd = relative_descriptor(measured, 2, frame)
                 for c in COMPONENTS:
                     path_a = evolved.descriptor(2).component(c) @ frame.projector
                     path_b = factor.conj().T @ rd.component(c) @ factor
                     assert max_abs(path_a - path_b) <= 1e-9
 
     def test_wrong_gate_kind(self, measured):
-        plus, _ = make_pvm(measured, measured.descriptor(1).z)
+        plus, _ = make_pvm(measured, measured.projector(1, "z"))
         with pytest.raises(WrongGateKind):
             branch_evolution_factor(measured, Gate.h(1), plus)
 
@@ -237,7 +237,7 @@ class TestBranchEvolutionFactor:
                 init_network(2),
                 [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta)])
             final = timeline[-1]
-            frames = make_pvm(final, timeline[2].descriptor(1).z)
+            frames = make_pvm(final, timeline[2].projector(1, "z"))
             for frame, target in zip(frames, (1.0, -1.0)):
                 values = [float(np.real(relative_expectation(
                     final, final.descriptor(2).component(c), frame)))
@@ -252,7 +252,7 @@ class TestBranchEvolutionFactor:
 
 class TestFoliate:
     def test_valid_foliation(self, measured):
-        report = foliate(measured, measured.descriptor(1).z, [2])
+        report = foliate(measured, measured.projector(1, "z"), [2])
         assert report.valid
         assert report.completeness_residual <= 1e-10
         assert report.max_commutator <= 1e-9
@@ -263,7 +263,7 @@ class TestFoliate:
         # commutes with qubit 2's descriptors within tol.commute, not exactly.
         d1, d2 = measured.descriptor(1), measured.descriptor(2)
         record = np.cos(1e-11) * d1.z + np.sin(1e-11) * d1.x @ d2.x
-        report = foliate(measured, record, [2])
+        report = foliate(measured, linalg.pauli_projector(record, +1), [2])
         direct = max(linalg.commutator_norm(f.projector, mat)
                      for f in report.frames for _, mat in d2.components())
         assert 0 < report.max_commutator == direct <= 1e-9
@@ -274,7 +274,7 @@ class TestFoliate:
         with pytest.raises(NonCommuting, match=(
                 r"^frame projector does not commute with q_1x: commutator "
                 r"norm 1\.000e\+00 \(invalid foliation")):
-            foliate(fresh, fresh.descriptor(1).z, [1])
+            foliate(fresh, fresh.projector(1, "z"), [1])
 
 
 class TestChecksOncePerRecord:
@@ -298,14 +298,31 @@ class TestChecksOncePerRecord:
         return counts
 
     def test_make_pvm_checks_involution_once(self, measured, calls):
-        make_pvm(measured, measured.descriptor(1).z)
+        make_pvm(measured, measured.projector(1, "z"))
         assert calls == {"involution_defect": 1, "commutator_norm": 0}
+
+    def test_state_checks_each_record_once(self, measured, calls):
+        # The verdict is kept per (qubit, component), not the projector.
+        for _ in range(3):
+            for qubit in (1, 2):
+                q = measured.descriptor(qubit).z
+                assert max_abs(measured.projector(qubit, "z")
+                               - 0.5 * (linalg.identity(4) + q)) == 0
+        assert calls == {"involution_defect": 2, "commutator_norm": 0}
+        assert len(measured._components) == 2
+
+    def test_both_copies_take_three_norms(self, measured, calls):
+        frames = make_pvm(measured, measured.projector(1, "z"))
+        plus, minus = relative_descriptors(measured, 2, frames)
+        assert calls == {"involution_defect": 1, "commutator_norm": 3}
+        assert plus.unit is frames[0].projector
+        assert minus.unit is frames[1].projector
 
     @pytest.mark.parametrize("qubits", [[2], [3, 2]])
     def test_foliate_takes_three_norms_per_qubit(self, calls, qubits):
         ghz = run_gates(init_network(3), [Gate.h(1), Gate.cnot(1, 2),
                                           Gate.cnot(1, 3)])[-1]
-        report = foliate(ghz, ghz.descriptor(1).z, qubits)
+        report = foliate(ghz, ghz.projector(1, "z"), qubits)
         assert report.valid
         assert calls == {"involution_defect": 1,
                          "commutator_norm": 3 * len(qubits)}
@@ -313,5 +330,30 @@ class TestChecksOncePerRecord:
     def test_unentangled_stops_at_first_norm(self, calls):
         fresh = init_network(2)
         with pytest.raises(NonCommuting, match="q_1x"):
-            foliate(fresh, fresh.descriptor(1).z, [1, 2])
+            foliate(fresh, fresh.projector(1, "z"), [1, 2])
         assert calls == {"involution_defect": 1, "commutator_norm": 1}
+
+
+class TestMatrixFreeAnswers:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_relative_expectation_matches_dense(self, n):
+        # <A P> / <P> through the dense product A P, over every live frame of
+        # every z-record and every component of every qubit.
+        rng = np.random.default_rng(80 + n)
+        checked = 0
+        for depth in (3, 20):
+            state = run_gates(init_network(n), [
+                acceptance._random_gate(rng, n) for _ in range(depth)])[-1]
+            for record in range(1, n + 1):
+                frames = make_pvm(state, state.projector(record, "z"))
+                for frame in frames:
+                    if frame.weight <= state.tol.weight:
+                        continue
+                    for qubit in range(1, n + 1):
+                        for _, obs in state.descriptor(qubit).components():
+                            got = relative_expectation(state, obs, frame)
+                            want = network.expectation(
+                                state, obs @ frame.projector) / frame.weight
+                            assert abs(got - want) <= 1e-12
+                            checked += 1
+        assert checked > 0
