@@ -11,6 +11,14 @@ q_ac(t) = U_t† sigma_ac U_t (the Deutsch-Hayden construction,
 quant-ph/9906007). A built-in gate evaluated on the current descriptors is
 U_{t-1}† g U_{t-1}, where g is the same function of fresh generators, so
 U_t = g U_{t-1}. Descriptors are computed from U when something reads them.
+
+A state whose algebra certificate has been taken and lies within tol.general
+and tol.commute is *certified*; a run certifies its final state before the
+queries. A certified state answers from phi = U Psi and the local Paulis:
+<q_ac> = <phi|sigma_ac phi> and <q_ai q_bj> = <sigma_ai phi|sigma_bj phi>,
+the second within the certificate. An observable is then passed as its *ket*,
+the vector U A Psi (sigma_ac phi for a descriptor), where an uncertified
+state takes the 2^n x 2^n matrix A.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import (DimMismatch, SizeLimit, ToleranceViolation,
-                     ValidationError)
+from .errors import (DimMismatch, NotInvolution, SizeLimit,
+                     ToleranceViolation, ValidationError)
 from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances, max_abs
 
 GATE_KINDS = ("I", "NOT", "H", "CNOT", "RZ", "F", "CCNOT")
@@ -160,8 +168,10 @@ class NetworkState:
     tol: Tolerances = DEFAULT_TOL
     # Descriptor components computed so far, keyed by (qubit, component).
     _components: dict = field(default_factory=dict, repr=False)
-    # Components whose involution check has passed, same keys.
-    _involutions: set = field(default_factory=set, repr=False)
+    # Everything else computed once: "phi", "certificate", and the kets
+    # ("ket", qubit, component) and record involution defects ("defect",
+    # qubit, component) read so far.
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -176,34 +186,98 @@ class NetworkState:
             raise ValidationError(f"qubit {qubit} out of range 1..{self.n}")
         return Descriptor(self, qubit)
 
+    def _check_component(self, qubit: int, name: str) -> None:
+        if not 1 <= qubit <= self.n:
+            raise ValidationError(f"qubit {qubit} out of range 1..{self.n}")
+        if name not in COMPONENTS:
+            raise ValidationError(f"bad component {name!r}")
+
     def component(self, qubit: int, name: str) -> np.ndarray:
         """q_{qubit,name} = U† sigma U: sigma acts on the rows of U, then one
         matmul. Computed on first read and cached on the state."""
         key = (qubit, name)
         mat = self._components.get(key)
         if mat is None:
-            if not 1 <= qubit <= self.n:
-                raise ValidationError(f"qubit {qubit} out of range 1..{self.n}")
-            if name not in COMPONENTS:
-                raise ValidationError(f"bad component {name!r}")
-            mat = self.u.conj().T @ _apply_local(linalg.PAULIS[name], (qubit,),
-                                                 self.u)
+            self._check_component(qubit, name)
+            mat = self.u.conj().T @ apply_pauli(self.u, qubit, name)
             mat.flags.writeable = False
             self._components[key] = mat
         return mat
 
+    @property
+    def phi(self) -> np.ndarray:
+        """phi = U Psi, computed once."""
+        phi = self._cache.get("phi")
+        if phi is None:
+            phi = self._cache["phi"] = self.u @ self.psi
+            phi.flags.writeable = False
+        return phi
+
+    @property
+    def certified(self) -> bool:
+        """Whether the algebra certificate has been taken (see
+        ``algebra_certificate``) and lies within tol.general and tol.commute.
+
+        Every involution defect and every commutator of two descriptors of
+        distinct qubits is then within both tolerances, so a check of either
+        passes without its dense product. NaN is not certified.
+        """
+        cert = self._cache.get("certificate")
+        return cert is not None and not linalg.exceeds(
+            cert, min(self.tol.general, self.tol.commute))
+
+    def ket(self, qubit: int, name: str) -> np.ndarray:
+        """sigma_{qubit,name} phi, the ket U q Psi of a descriptor: O(2^n),
+        computed on first read and cached on the state."""
+        key = ("ket", qubit, name)
+        ket = self._cache.get(key)
+        if ket is None:
+            self._check_component(qubit, name)
+            ket = self._cache[key] = apply_pauli(self.phi, qubit, name)
+            ket.flags.writeable = False
+        return ket
+
+    def involution_defect(self, qubit: int, name: str) -> float:
+        """||q^2 - 1|| of a component read as a record, taken once.
+
+        A certified state reports its certificate, which bounds the defect
+        (see ``algebra_certificate``); any other takes the dense square.
+        """
+        key = ("defect", qubit, name)
+        defect = self._cache.get(key)
+        if defect is None:
+            defect = (self._cache["certificate"] if self.certified else
+                      linalg.involution_defect(self.component(qubit, name)))
+            self._cache[key] = defect
+        return defect
+
     def projector(self, qubit: int, name: str) -> np.ndarray:
         """P+ = 1/2(1 + q_{qubit,name}), the +1 eigenprojector of a record.
 
-        The involution q^2 = 1 is checked on the first read only. The verdict
-        is cached, not the matrix: rebuilding P+ is O(4^n), keeping it would
-        hold one more 2^n x 2^n matrix per record.
+        The involution q^2 = 1 within tol.general is checked against the
+        defect ``involution_defect`` keeps, not the matrix: rebuilding P+ is
+        O(4^n), keeping it would hold one more 2^n x 2^n matrix per record.
         """
-        q = self.component(qubit, name)
-        if (qubit, name) not in self._involutions:
-            linalg.check_involution(q, self.tol.general)
-            self._involutions.add((qubit, name))
-        return 0.5 * (linalg.identity(self.dim) + q)
+        defect = self.involution_defect(qubit, name)
+        if linalg.exceeds(defect, self.tol.general):
+            raise NotInvolution(f"involution defect {defect:.3e} > "
+                                f"{self.tol.general:.3e}")
+        return 0.5 * (linalg.identity(self.dim) + self.component(qubit, name))
+
+
+@dataclass(frozen=True)
+class Record:
+    """A record marker: the descriptor q_{qubit,name} of the state of its
+    step."""
+
+    state: NetworkState
+    qubit: int
+    name: str
+
+    def local_to(self, state: NetworkState) -> bool:
+        """Whether ``state`` reads this record through phi: it is the
+        state's own record and the state is certified."""
+        return self.state is state and state.certified
 
 
 def init_network(n: int, tol: Tolerances = DEFAULT_TOL) -> NetworkState:
@@ -220,7 +294,8 @@ def _apply_local(g: np.ndarray, operands: tuple[int, ...],
     """g m for a gate g on the listed qubits of m's row index.
 
     The first operand is g's most significant factor. Only the operand axes
-    are contracted: O(2^k 4^n) for a k-qubit g on a 2^n x 2^n m.
+    are contracted: O(2^k 4^n) for a k-qubit g on a 2^n x 2^n m, O(2^k 2^n)
+    on a vector.
     """
     if len(operands) == 1:
         (q,) = operands
@@ -231,6 +306,13 @@ def _apply_local(g: np.ndarray, operands: tuple[int, ...],
     out = np.tensordot(g.reshape((2,) * 2 * k), m.reshape((2,) * n + (-1,)),
                        axes=(list(range(k, 2 * k)), axes))
     return np.moveaxis(out, list(range(k)), axes).reshape(m.shape)
+
+
+def apply_pauli(m: np.ndarray, qubit: int, name: str) -> np.ndarray:
+    """sigma_{qubit,name} m, on the rows of a vector or of a stack of them:
+    the one local-Pauli product behind descriptors, kets and the oracle
+    cross-check."""
+    return _apply_local(linalg.PAULIS[name], (qubit,), m)
 
 
 def _characteristic(kind: str, params: tuple[float, ...], x, z, one):
@@ -278,6 +360,21 @@ def _local_matrix(gate: Gate) -> np.ndarray:
                            *_GENERATORS[_ARITY[gate.kind]])
 
 
+def gate_commutes(gate: Gate, qubit: int, name: str) -> bool:
+    """Whether the gate's matrix g commutes exactly with sigma_{qubit,name}:
+    the qubit is not an operand, or [g, sigma] is 0 on the 2^k operand block.
+
+    Then [U† g U, U† sigma U] = U†(g E sigma - sigma E g)U with E = UU† - 1,
+    which the algebra certificate bounds.
+    """
+    if qubit not in gate.operands:
+        return True
+    sigma = linalg.embed(linalg.PAULIS[name], gate.operands.index(qubit) + 1,
+                         len(gate.operands))
+    g = _local_matrix(gate)
+    return not np.any(g @ sigma - sigma @ g)
+
+
 def build_gate_unitary(state: NetworkState, gate: Gate) -> np.ndarray:
     """Evaluate the gate's characteristic function on the current descriptors.
 
@@ -302,11 +399,16 @@ def apply_gate(state: NetworkState, gate: Gate) -> NetworkState:
     return NetworkState(state.n, state.t + 1, u, state.psi, state.tol)
 
 
-def _check_shape(state: NetworkState, *observables: np.ndarray) -> None:
-    for observable in observables:
-        if np.shape(observable) != (state.dim, state.dim):
-            raise DimMismatch(f"observable shape {np.shape(observable)} != "
-                              f"({state.dim}, {state.dim})")
+def _are_kets(state: NetworkState, *observables: np.ndarray) -> bool:
+    """True when the observables are kets (2^n vectors), False when they are
+    2^n x 2^n matrices; DimMismatch for anything else or a mix."""
+    shapes = {np.shape(observable) for observable in observables}
+    if shapes == {(state.dim,)}:
+        return True
+    if shapes != {(state.dim, state.dim)}:
+        raise DimMismatch(f"observable shapes {sorted(shapes)}: expected all "
+                          f"({state.dim}, {state.dim}) or all ({state.dim},)")
+    return False
 
 
 def _scalar(state: NetworkState, value):
@@ -318,8 +420,12 @@ def _scalar(state: NetworkState, value):
 
 
 def expectation(state: NetworkState, observable: np.ndarray):
-    """<Psi| A |Psi> against the fixed state; real float when A is Hermitian."""
-    _check_shape(state, observable)
+    """<Psi| A |Psi> against the fixed state; real float when A is Hermitian.
+
+    A ket U A Psi gives <phi| U A Psi>, the same number.
+    """
+    if _are_kets(state, observable):
+        return _scalar(state, np.vdot(state.phi, observable))
     return _scalar(state, np.vdot(state.psi, observable @ state.psi))
 
 
@@ -328,8 +434,11 @@ def correlation(state: NetworkState, a: np.ndarray, b: np.ndarray):
 
     Equal to ``expectation(state, a @ b)`` without the O(8^n) product; the
     real/imaginary rule is expectation's. Neither matrix need be Hermitian.
+    Two kets give <U A Psi|U B Psi>, which is <A B> for a Hermitian A and a
+    unitary U.
     """
-    _check_shape(state, a, b)
+    if _are_kets(state, a, b):
+        return _scalar(state, np.vdot(a, b))
     return _scalar(state, (state.psi.conj() @ a) @ (b @ state.psi))
 
 
@@ -337,9 +446,11 @@ def is_sharp(state: NetworkState, observable: np.ndarray) -> Optional[float]:
     """The sharp value of a Hermitian observable, or None when it has none.
 
     Sharp means <A>^2 = <A^2> within tol.sharp, i.e. the fixed state is an
-    eigenstate of A.
+    eigenstate of A. A matrix is checked to be Hermitian; a ket stands for a
+    descriptor U† sigma U, which is.
     """
-    linalg.check_hermitian(observable, state.tol.hermitian)
+    if not _are_kets(state, observable):
+        linalg.check_hermitian(observable, state.tol.hermitian)
     mean = expectation(state, observable)
     second = correlation(state, observable, observable)
     if abs(mean * mean - second) <= state.tol.sharp:
@@ -358,21 +469,27 @@ def are_entangled(state: NetworkState, a: int, b: int) -> EntanglementWitness:
     """Correlation test: some component pair with <q_ai q_bj> != <q_ai><q_bj>.
 
     The discrepancy is the maximum over the nine pairs; each <q_ai q_bj> is
-    the product of the row vector Psi† q_ai and the column vector q_bj Psi.
+    the product of a row vector and a column vector: Psi† q_ai and q_bj Psi,
+    or on a certified state (sigma_ai phi)† and sigma_bj phi.
     The witness is the first pair in x, y, z order within tol.entangle of
     it, so roundoff does not pick among tied pairs. A NaN discrepancy raises
     ToleranceViolation: it is no evidence either way.
     """
     if a == b:
         raise ValidationError("entanglement test needs two distinct qubits")
-    psi = state.psi
-    bra = psi.conj()
-    rows = [(ci, bra @ mi) for ci, mi in state.descriptor(a).components()]
-    cols = [(cj, mj @ psi) for cj, mj in state.descriptor(b).components()]
-    means_b = [_scalar(state, np.vdot(psi, col)) for _, col in cols]
+    if state.certified:
+        ref = state.phi
+        rows = [(ci, state.ket(a, ci).conj()) for ci in COMPONENTS]
+        cols = [(cj, state.ket(b, cj)) for cj in COMPONENTS]
+    else:
+        ref = state.psi
+        bra = ref.conj()
+        rows = [(ci, bra @ mi) for ci, mi in state.descriptor(a).components()]
+        cols = [(cj, mj @ ref) for cj, mj in state.descriptor(b).components()]
+    means_b = [_scalar(state, np.vdot(ref, col)) for _, col in cols]
     pairs = []
     for ci, row in rows:
-        ei = _scalar(state, row @ psi)
+        ei = _scalar(state, row @ ref)
         for (cj, col), ej in zip(cols, means_b):
             pairs.append(((ci, cj), abs(_scalar(state, row @ col) - ei * ej)))
     best = linalg.worst(disc for _, disc in pairs)
@@ -449,14 +566,24 @@ def algebra_certificate(state: NetworkState) -> float:
     most d1 + 2 (1 + d1) d2. That costs two products of 2^n x 2^n matrices,
     where the dense check takes O(n^2) of them. NaN in U gives NaN.
 
+    The same steps bound the ket answers against the dense ones: a
+    correlation (sigma_i phi)†(sigma_j phi) misses only Psi† U† sigma_i E
+    sigma_j U Psi, and [U† g U, q] = U†(g E sigma - sigma E g)U when a
+    unitary local g commutes with sigma.
+
     The bound is on exact arithmetic: when U is unitary to the last bit it
     can read 0 while a dense check in floating point reads an ulp or two.
+    Taken once per state; it certifies the state (``certified``) when it is
+    within tol.general and tol.commute.
     """
-    u = state.u
-    one = linalg.identity(state.dim)
-    d1 = float(np.linalg.norm(u.conj().T @ u - one))
-    d2 = float(np.linalg.norm(u @ u.conj().T - one))
-    return d1 + 2 * (1 + d1) * d2
+    cert = state._cache.get("certificate")
+    if cert is None:
+        u = state.u
+        one = linalg.identity(state.dim)
+        d1 = float(np.linalg.norm(u.conj().T @ u - one))
+        d2 = float(np.linalg.norm(u @ u.conj().T - one))
+        cert = state._cache["certificate"] = d1 + 2 * (1 + d1) * d2
+    return cert
 
 
 def run_gates(state: NetworkState, gates) -> list[NetworkState]:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
+from . import linalg, network
 from .errors import CircuitMismatch, NonUnitary
 from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances
 from .network import Gate, NetworkState
@@ -105,22 +105,18 @@ def cross_validate(run: SchrodingerRun, timeline: Sequence[NetworkState]
         raise CircuitMismatch(f"oracle n={run.n} vs network n={timeline[0].n}")
     n = run.n
     # Column t of each stack is step t: the oracle state, and phi = U_t Psi,
-    # with <Psi|U_t† sigma_a U_t|Psi> = <phi|sigma_a|phi>.
+    # with <Psi|U_t† sigma_a U_t|Psi> = <phi|sigma_a phi>, the number the
+    # final-step answers read (network.apply_pauli).
     states = np.stack(run.states, axis=1)
-    phis = np.stack([state.u @ state.psi for state in timeline], axis=1)
+    phis = np.stack([state.phi for state in timeline], axis=1)
+    bras = phis.conj()
     residuals = []
     for a in range(1, n + 1):
-        # Qubit a's 0 and 1 amplitudes of every step, as views of phis.
-        rows = phis.reshape(2 ** (a - 1), 2, -1, phis.shape[1])
-        up, down = rows[:, 0], rows[:, 1]
-        xy = 2 * np.sum(up.conj() * down, axis=(0, 1))
-        heis = {"x": xy.real, "y": xy.imag,
-                "z": (np.sum(np.abs(up) ** 2, axis=(0, 1))
-                      - np.sum(np.abs(down) ** 2, axis=(0, 1)))}
         for c in COMPONENTS:
+            heis = np.sum(bras * network.apply_pauli(phis, a, c), axis=0).real
             fixed = linalg.embed(linalg.PAULIS[c], a, n) @ states
             schr = np.sum(states.conj() * fixed, axis=0)
-            residuals.append(np.abs(heis[c] - schr))
+            residuals.append(np.abs(heis - schr))
     # The worst of the 3n comparisons per step; NaN propagates.
     per_step = tuple(np.max(residuals, axis=0).tolist())
     return CrossValidationReport(linalg.worst(per_step), per_step)

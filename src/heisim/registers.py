@@ -32,14 +32,20 @@ class RegisterDescriptor:
     matrix: np.ndarray
 
 
-def register_descriptor(state: NetworkState,
-                        qubits: Sequence[int]) -> RegisterDescriptor:
+def _register_qubits(state: NetworkState,
+                     qubits: Sequence[int]) -> tuple[int, ...]:
     qubits = tuple(qubits)
     if not qubits or len(set(qubits)) != len(qubits):
         raise BadSubset(f"register qubits must be nonempty and distinct: {qubits}")
     for q in qubits:
         if not 1 <= q <= state.n:
             raise BadSubset(f"register qubit {q} out of range 1..{state.n}")
+    return qubits
+
+
+def register_descriptor(state: NetworkState,
+                        qubits: Sequence[int]) -> RegisterDescriptor:
+    qubits = _register_qubits(state, qubits)
     one = linalg.identity(state.dim)
     matrix = np.zeros((state.dim, state.dim), dtype=complex)
     for k, q in enumerate(qubits):
@@ -207,6 +213,13 @@ def _branch_value(state: NetworkState, reg_matrix: np.ndarray,
     column = reg_matrix @ psi_rel
     mean = float(np.real(np.vdot(psi_rel, column)))
     second = float(np.real(np.vdot(psi_rel, reg_matrix @ column)))
+    return _sharp_value(state, frame, mean, second)
+
+
+def _sharp_value(state: NetworkState, frame: RelativeFrame, mean: float,
+                 second: float) -> tuple[int, float]:
+    """The branch's register value and variance from its first two
+    moments; BranchNotSharp as in ``_branch_value``."""
     variance = second - mean * mean
     defect = linalg.worst((abs(variance), abs(mean - np.round(mean))))
     if linalg.exceeds(defect, state.tol.sharp):
@@ -214,6 +227,13 @@ def _branch_value(state: NetworkState, reg_matrix: np.ndarray,
             f"branch {frame.label:g}: register value {mean:.6g} "
             f"(variance {variance:.3e}) is not sharp")
     return int(round(mean)), variance
+
+
+def _require_unsharp(state: NetworkState, name: str, sharp: bool) -> None:
+    if sharp:
+        raise PreconditionFailed(
+            f"register {name} is sharp; foliation requires a non-sharp "
+            f"entangled register")
 
 
 def classical_branches(state: NetworkState, bm: RegisterDescriptor,
@@ -227,16 +247,67 @@ def classical_branches(state: NetworkState, bm: RegisterDescriptor,
     nonzero even for a perfectly correlated pair).
     """
     for name, reg in (("M", bm), ("S", bs)):
-        if network.is_sharp(state, reg.matrix) is not None:
-            raise PreconditionFailed(
-                f"register {name} is sharp; foliation requires a non-sharp "
-                f"entangled register")
+        _require_unsharp(state, name,
+                         network.is_sharp(state, reg.matrix) is not None)
     frames = relative.make_pvm_spectral(state, bs.matrix, source="reference register")
     branches = []
     for frame in relative.live_frames(frames, state.tol):
         value, variance = _branch_value(state, bm.matrix, frame)
         branches.append(BranchRegister(frame, value, variance))
     return branches
+
+
+def _register_values(state: NetworkState,
+                     qubits: Sequence[int]) -> np.ndarray:
+    """Each basis state's register value sum_k 2^k b_k, with b_k the bit of
+    qubits[k] (qubit 1 is the most significant bit of the index)."""
+    index = np.arange(state.dim)
+    return sum(((index >> (state.n - q)) & 1) << k
+               for k, q in enumerate(_register_qubits(state, qubits)))
+
+
+def marginal_branches(state: NetworkState, m_qubits: Sequence[int],
+                      s_qubits: Sequence[int]
+                      ) -> tuple[list[BranchRegister], float]:
+    """``classical_branches`` and ``product_sharpness_residual`` of a
+    certified state, from the marginals of |phi|^2.
+
+    In U's frame the registers U M U† and U S U† are diagonal, holding each
+    basis state's register value, and S's spectrum is the integers
+    0..2^k - 1. So every mean, weight and variance is a sum of |phi_x|^2
+    grouped by register bits: no register matrix and no eigh. The
+    eigenvalue clusters, preconditions, errors and NaN rules are those of
+    ``classical_branches``. Each frame holds its ket: phi on its branch.
+    """
+    prob = np.abs(state.phi) ** 2
+    m = _register_values(state, m_qubits)
+    s = _register_values(state, s_qubits)
+    for name, values in (("M", m), ("S", s)):
+        mean = prob @ values
+        _require_unsharp(state, name,
+                         abs(mean * mean - prob @ values ** 2)
+                         <= state.tol.sharp)
+    # Integer eigenvalues are 1 apart: all one cluster or each its own.
+    labels = np.arange(2 ** len(s_qubits))
+    groups = ([labels] if state.tol.eigengap >= 1
+              else [labels[j:j + 1] for j in labels])
+    frames = []
+    for group in groups:
+        inside = np.isin(s, group)
+        frames.append(RelativeFrame(np.where(inside, state.phi, 0),
+                                    float(np.mean(group)),
+                                    "reference register",
+                                    float(prob @ inside)))
+    branches = []
+    for frame in relative.live_frames(frames, state.tol):
+        branch = np.abs(frame.projector) ** 2
+        value, variance = _sharp_value(state, frame,
+                                       branch @ m / frame.weight,
+                                       branch @ m ** 2 / frame.weight)
+        branches.append(BranchRegister(frame, value, variance))
+    product = m * s
+    mean = prob @ product
+    return branches, abs(prob @ product ** 2 - mean * mean)
 
 
 def verify_classical_step(before: NetworkState, after: NetworkState,

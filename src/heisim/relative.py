@@ -8,19 +8,24 @@ that qubit, a fully-fledged qubit whose unit element is the projector itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg, network
 from .errors import NonCommuting, WrongGateKind, ZeroWeightBranch
-from .linalg import Tolerances, max_abs
-from .network import Gate, NetworkState
+from .linalg import COMPONENTS, Tolerances
+from .network import Gate, NetworkState, Record
 
 
 @dataclass(frozen=True)
 class RelativeFrame:
-    """A branch selector: projector, its eigenvalue label, and its weight."""
+    """A branch selector: projector, its eigenvalue label, and its weight.
+
+    On a certified state the projector P is held as its ket U P Psi, the
+    final state phi projected onto the branch (see ``network``).
+    """
 
     projector: np.ndarray
     label: float
@@ -63,16 +68,33 @@ class AutonomyResult:
 def make_pvm(state: NetworkState, plus: np.ndarray,
              source: str = "") -> tuple[RelativeFrame, RelativeFrame]:
     """Two-frame PVM of an involution record, from its projector
-    P+ = 1/2(1 + q).
+    P+ = 1/2(1 + q) or that projector's ket.
 
     ``NetworkState.projector`` gives P+ and checks the record's involution;
-    P- is 1 - P+.
+    P- is 1 - P+, and its ket phi - P+'s ket.
     """
+    minus = (state.phi if np.ndim(plus) == 1
+             else linalg.identity(state.dim)) - plus
     frames = []
-    for sign, proj in ((1.0, plus), (-1.0, linalg.identity(state.dim) - plus)):
+    for sign, proj in ((1.0, plus), (-1.0, minus)):
         weight = float(np.real(network.expectation(state, proj)))
         frames.append(RelativeFrame(proj, sign, source, weight))
     return tuple(frames)
+
+
+def record_pvm(state: NetworkState, record: Record,
+               source: str = "") -> tuple[RelativeFrame, RelativeFrame]:
+    """``make_pvm`` of a record read by ``state``.
+
+    A record of the certified state itself gives P+'s ket
+    1/2(phi + sigma phi): the certificate bounds its involution defect
+    within tol.general. Any other record gives the matrix and its check.
+    """
+    if record.local_to(state):
+        plus = 0.5 * (state.phi + state.ket(record.qubit, record.name))
+    else:
+        plus = record.state.projector(record.qubit, record.name)
+    return make_pvm(state, plus, source)
 
 
 def make_pvm_spectral(state: NetworkState, observable: np.ndarray,
@@ -100,16 +122,16 @@ def live_frames(frames: Sequence[RelativeFrame], tol: Tolerances
     return [f for f in frames if f.weight > tol.weight]
 
 
-def _max_commutator(state: NetworkState, qubit: int,
-                    proj: np.ndarray) -> float:
-    """The largest ||[P, q_ac]|| over the qubit's components.
+def _max_commutator(state: NetworkState, qubit: int, norm) -> float:
+    """The largest ||[P, q_ac]|| = ``norm(name)`` over the qubit's
+    components.
 
     Raises NonCommuting at the first component whose norm exceeds
     tol.commute; a NaN norm counts as not commuting.
     """
     norms = []
-    for name, mat in state.descriptor(qubit).components():
-        cnorm = linalg.commutator_norm(proj, mat)
+    for name in COMPONENTS:
+        cnorm = norm(name)
         if linalg.exceeds(cnorm, state.tol.commute):
             raise NonCommuting(
                 f"frame projector does not commute with q_{qubit}{name}: "
@@ -129,7 +151,8 @@ def relative_descriptors(state: NetworkState, qubit: int,
     are not Hermitian and the foliation attempt is physically meaningless.
     [1 - P, q] = -[P, q], so the norms against P+ serve both frames.
     """
-    _max_commutator(state, qubit, frames[0].projector)
+    _max_commutator(state, qubit, lambda name: linalg.commutator_norm(
+        frames[0].projector, state.component(qubit, name)))
     d = state.descriptor(qubit)
     return tuple(RelativeDescriptor(d.x @ f.projector, d.y @ f.projector,
                                     d.z @ f.projector, f.projector)
@@ -159,17 +182,30 @@ def relative_heisenberg_state(state: NetworkState,
 
 
 def autonomy_check(state: NetworkState, gate: Gate,
-                   snapshots: Sequence[np.ndarray]) -> AutonomyResult:
+                   snapshots: Sequence) -> AutonomyResult:
     """Classify a gate against the current foliation's record snapshots.
 
     PRESERVING iff the gate unitary (evaluated on current descriptors)
     commutes with every recorded snapshot; otherwise DESTROYING with the
     first violated snapshot and the commutator norm.
+
+    A snapshot is a descriptor matrix or a ``Record``. A record of the
+    certified state itself whose sigma commutes exactly with the gate's
+    local matrix (``network.gate_commutes``) takes the algebra certificate
+    as its norm; every other snapshot takes the dense norm.
     """
-    u = network.build_gate_unitary(state, gate)
+    u = None
     worst = 0.0
     for idx, snap in enumerate(snapshots):
-        cnorm = linalg.commutator_norm(u, snap)
+        if (isinstance(snap, Record) and snap.local_to(state)
+                and network.gate_commutes(gate, snap.qubit, snap.name)):
+            cnorm = network.algebra_certificate(state)
+        else:
+            if isinstance(snap, Record):
+                snap = snap.state.component(snap.qubit, snap.name)
+            if u is None:
+                u = network.build_gate_unitary(state, gate)
+            cnorm = linalg.commutator_norm(u, snap)
         worst = linalg.worst((worst, cnorm))
         if linalg.exceeds(cnorm, state.tol.commute):
             return AutonomyResult(False, idx, cnorm)
@@ -194,19 +230,34 @@ def branch_evolution_factor(state: NetworkState, gate: Gate,
     return (alpha + s * beta) * proj + (gamma + s * delta) * (qbz @ proj)
 
 
-def foliate(state: NetworkState, plus: np.ndarray, qubits: Sequence[int],
+def foliate(state: NetworkState, record: Record, qubits: Sequence[int],
             source: str = "") -> FoliationReport:
     """Decompose the listed qubits into relative states of a record's
-    two-frame PVM, given by its projector P+ as for ``make_pvm``.
+    two-frame PVM (``record_pvm``).
 
     Both projectors must commute with the listed qubits' descriptors;
-    ``relative_descriptors`` builds the branch copies themselves.
+    ``relative_descriptors`` builds the branch copies themselves. For a
+    record of the certified state itself, sigma_rc and sigma_qc' commute
+    exactly unless q = r and c != c', and the certificate bounds those
+    norms; the others are dense. The completeness residual is ||P+ P-||,
+    which is a quarter of the record's involution defect ||1 - q^2||.
     """
-    frames = make_pvm(state, plus, source)
-    completeness = max_abs(sum(f.projector for f in frames)
-                           - linalg.identity(state.dim))
+    frames = record_pvm(state, record, source)
+    local = record.local_to(state)
+    plus = None if local else frames[0].projector
+
+    def norm(qubit: int, name: str) -> float:
+        nonlocal plus
+        if local and (qubit != record.qubit or name == record.name):
+            return network.algebra_certificate(state)
+        if plus is None:
+            plus = record.state.projector(record.qubit, record.name)
+        return linalg.commutator_norm(plus, state.component(qubit, name))
+
     # [1 - P, q] = -[P, q]: both frames have the commutator norms of P+.
-    max_comm = linalg.worst(_max_commutator(state, q, frames[0].projector)
+    max_comm = linalg.worst(_max_commutator(state, q, partial(norm, q))
                             for q in qubits)
+    completeness = 0.25 * record.state.involution_defect(record.qubit,
+                                                          record.name)
     return FoliationReport(frames, completeness, max_comm,
                            completeness <= state.tol.general)

@@ -44,31 +44,45 @@ def _clean(obj):
     return obj
 
 
-def _record(timeline: list[NetworkState], ref: dict) -> tuple[np.ndarray, str]:
-    """The projector 1/2(1 + q_ac) of the record marker (qubit a,
-    component c, step s), read from the run's timeline at step s, with its
-    source label. Its involution is checked once per run."""
+def _record(timeline: list[NetworkState],
+            ref: dict) -> tuple[network.Record, str]:
+    """The record marker (qubit a, component c, step s), read from the run's
+    timeline at step s, with its source label."""
     a, c, s = ref["qubit"], ref["component"], ref["step"]
-    return timeline[s].projector(a, c), f"q_{a}{c} at t={s}"
+    return network.Record(timeline[s], a, c), f"q_{a}{c} at t={s}"
+
+
+def _descriptor(state: NetworkState, qubit: int, name: str,
+                local: bool) -> np.ndarray:
+    """A final-step descriptor as its ket sigma phi when the answer reads
+    phi, else as its matrix."""
+    return state.ket(qubit, name) if local else state.component(qubit, name)
 
 
 def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
-    """One query's answer against the final state of the timeline."""
+    """One query's answer against the final state of the timeline.
+
+    A certified final state answers from phi: every query but the frames
+    and records taken before the final step, which read matrices.
+    """
     state = timeline[-1]
     kind = query["kind"]
     if kind == "expectation":
-        obs = state.descriptor(query["qubit"]).component(query["component"])
+        qubit, name = query["qubit"], query["component"]
         if "frame" in query:
-            plus, minus = relative.make_pvm(state,
-                                            *_record(timeline, query["frame"]))
+            record, source = _record(timeline, query["frame"])
+            plus, minus = relative.record_pvm(state, record, source)
             frame = plus if query["frame"]["label"] == 1 else minus
+            obs = _descriptor(state, qubit, name, record.local_to(state))
             value = relative.relative_expectation(state, obs, frame)
             return {"kind": kind, "value": np.real(value),
                     "frame_label": query["frame"]["label"],
                     "frame_weight": frame.weight}
+        obs = _descriptor(state, qubit, name, state.certified)
         return {"kind": kind, "value": np.real(network.expectation(state, obs))}
     if kind == "sharpness":
-        obs = state.descriptor(query["qubit"]).component(query["component"])
+        obs = _descriptor(state, query["qubit"], query["component"],
+                          state.certified)
         value = network.is_sharp(state, obs)
         return {"kind": kind, "sharp": value is not None, "value": value}
     if kind == "entanglement":
@@ -78,13 +92,14 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
                 "witness": list(witness.components) if witness.components else None,
                 "discrepancy": witness.discrepancy}
     if kind == "foliate":
-        plus, source = _record(timeline, query["record"])
-        report = relative.foliate(state, plus, query["qubits"], source)
+        record, source = _record(timeline, query["record"])
+        report = relative.foliate(state, record, query["qubits"], source)
+        local = record.local_to(state)
         live = relative.live_frames(report.frames, state.tol)
         rel_exp = {
             str(q): {f"{frame.label:g}": [
                 np.real(relative.relative_expectation(
-                    state, state.descriptor(q).component(c), frame))
+                    state, _descriptor(state, q, c, local), frame))
                 for c in COMPONENTS] for frame in live}
             for q in query["qubits"]}
         return {"kind": kind,
@@ -95,24 +110,27 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
                 "valid": report.valid,
                 "relative_expectations": rel_exp}
     if kind == "autonomy":
-        snapshots = [timeline[r["step"]].component(r["qubit"], r["component"])
-                     for r in query["records"]]
+        snapshots = [_record(timeline, r)[0] for r in query["records"]]
         result = relative.autonomy_check(state, query["gate"], snapshots)
         return {"kind": kind, "classification": result.classification,
                 "violated_index": result.violated_index,
                 "commutator_norm": result.commutator_norm}
     if kind == "classical":
-        bm = registers.register_descriptor(state, query["register"])
-        bs = registers.register_descriptor(state, query["reference"])
-        branches = registers.classical_branches(state, bm, bs)
+        if state.certified:
+            branches, residual = registers.marginal_branches(
+                state, query["register"], query["reference"])
+        else:
+            bm = registers.register_descriptor(state, query["register"])
+            bs = registers.register_descriptor(state, query["reference"])
+            branches = registers.classical_branches(state, bm, bs)
+            residual = registers.product_sharpness_residual(state, bm, bs)
         return {"kind": kind,
                 "branches": [{"label": b.frame.label,
                               "weight": b.frame.weight,
                               "value": b.value,
                               "variance": b.variance}
                              for b in branches],
-                "product_sharpness_residual":
-                    registers.product_sharpness_residual(state, bm, bs)}
+                "product_sharpness_residual": residual}
     raise AssertionError(f"unhandled query kind {kind}")
 
 
@@ -127,6 +145,7 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
 
     run = oracle.evolve(state0.psi, circuit.gates, circuit.qubits, tol)
     cross = oracle.cross_validate(run, timeline)
+    # Taken before the queries: it certifies the final state they read.
     algebra = network.algebra_certificate(timeline[-1])
 
     results = [_answer_query(timeline, q) for q in circuit.queries]

@@ -4,6 +4,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heisim import linalg, network, oracle, relative
@@ -305,34 +306,44 @@ class TestReferenceReports:
 
 
 def test_each_record_is_checked_once_per_run(capsys, monkeypatch):
-    """The involution check runs once per distinct record or register qubit,
-    not once per query; the commutator norms of foliate and autonomy stay."""
+    """Every record and register of branch_queries.yaml is read at the final
+    step, which the run certifies before its queries. The certificate then
+    bounds each record's involution defect and each commutator of distinct
+    qubits, and the registers are read from |phi|^2: no involution square
+    and no eigh. The one dense commutator norm per autonomy query with a
+    CNOT is its violated snapshot, the CNOT's target record."""
     path = CIRCUITS / "branch_queries.yaml"
     doc = load_circuit(path)
     final = len(doc.gates)
     distinct = set()
     for query in doc.queries:
-        for ref in (query.get("frame"), query.get("record")):
+        for ref in (query.get("frame"), query.get("record"),
+                    *query.get("records", ())):
             if ref is not None:
                 distinct.add((ref["step"], ref["qubit"], ref["component"]))
         for q in [*query.get("register", ()), *query.get("reference", ())]:
             distinct.add((final, q, "z"))
-    counts = {"involution_defect": 0, "commutator_norm": 0}
+    cnots = sum(query["kind"] == "autonomy" and query["gate"].kind == "CNOT"
+                for query in doc.queries)
+    counts = {"involution_defect": 0, "commutator_norm": 0, "eigh": 0}
 
-    def counted(name):
-        inner = getattr(linalg, name)
+    def counted(module, name):
+        inner = getattr(module, name)
 
-        def call(*args):
+        def call(*args, **kwargs):
             counts[name] += 1
-            return inner(*args)
-        return call
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
 
-    for name in counts:
-        monkeypatch.setattr(linalg, name, counted(name))
+    counted(linalg, "involution_defect")
+    counted(linalg, "commutator_norm")
+    counted(np.linalg, "eigh")
     status, _, err = run_cli(capsys, "run", str(path))
     assert status == 0, err
-    assert len(distinct) == 8
-    assert counts == {"involution_defect": 8, "commutator_norm": 202}
+    assert {step for step, _, _ in distinct} == {final}
+    assert len(distinct) == 8 and cnots == 8
+    assert counts == {"involution_defect": 0, "commutator_norm": cnots,
+                      "eigh": 0}
 
 
 @pytest.mark.parametrize("kind", network.GATE_KINDS)

@@ -1,0 +1,482 @@
+"""Final-step answers read from phi = U_T Psi and the local Paulis.
+
+A run certifies its final state before the queries; the answers of that
+state must agree with the dense operator path (kept here as an in-test
+reference built from 2^n x 2^n matrices and numpy's eigh), raise the same
+errors on the same inputs, and fall back to dense norms when the
+certificate does not cover them.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from heisim import acceptance, linalg, network, oracle, relative, runner
+from heisim.errors import (BranchNotSharp, NonCommuting, PreconditionFailed,
+                           ToleranceViolation, ZeroWeightBranch)
+from heisim.linalg import COMPONENTS, DEFAULT_TOL
+from heisim.network import Gate, NetworkState, init_network, run_gates
+
+
+def certify(timeline):
+    network.algebra_certificate(timeline[-1])
+    assert timeline[-1].certified
+    return timeline
+
+
+def uncertified(timeline):
+    """The same run with a fresh final state, which reads matrices."""
+    last = timeline[-1]
+    return timeline[:-1] + [NetworkState(last.n, last.t, last.u, last.psi,
+                                         last.tol)]
+
+
+def random_gate(rng, n):
+    if n >= 2 and rng.random() < 0.2:
+        a, b = (int(q) + 1 for q in rng.permutation(n)[:2])
+        return Gate("F", (a, b), acceptance._random_f_params(rng))
+    return acceptance._random_gate(rng, n)
+
+
+def ref(qubit, name, step):
+    return {"qubit": qubit, "component": name, "step": step}
+
+
+# The dense operator path --------------------------------------------------
+
+def dense_answer(timeline, query):
+    """A query's answer from descriptor matrices U† sigma U of the final
+    state, dense products and numpy's eigh."""
+    state = timeline[-1]
+    tol, psi, one = state.tol, state.psi, linalg.identity(state.dim)
+
+    def q(qubit, name):
+        return state.component(qubit, name)
+
+    def mean(m):
+        return np.vdot(psi, m @ psi)
+
+    def projector(r, sign=1):
+        return 0.5 * (one + sign * q(r["qubit"], r["component"]))
+
+    kind = query["kind"]
+    if kind == "expectation":
+        obs = q(query["qubit"], query["component"])
+        if "frame" not in query:
+            return {"kind": kind, "value": mean(obs).real}
+        frame = query["frame"]
+        proj = projector(frame, frame["label"])
+        weight = mean(proj).real
+        return {"kind": kind, "value": (mean(obs @ proj) / weight).real,
+                "frame_label": frame["label"], "frame_weight": weight}
+    if kind == "sharpness":
+        obs = q(query["qubit"], query["component"])
+        value = mean(obs).real
+        sharp = bool(abs(value * value - mean(obs @ obs).real) <= tol.sharp)
+        return {"kind": kind, "sharp": sharp,
+                "value": value if sharp else None}
+    if kind == "entanglement":
+        a, b = query["qubits"]
+        pairs = [((ci, cj), abs(mean(q(a, ci) @ q(b, cj))
+                                - mean(q(a, ci)) * mean(q(b, cj))))
+                 for ci in COMPONENTS for cj in COMPONENTS]
+        best = max(disc for _, disc in pairs)
+        entangled = bool(best > tol.entangle)
+        witness = (list(next(p for p, disc in pairs
+                             if disc >= best - tol.entangle))
+                   if entangled else None)
+        return {"kind": kind, "entangled": entangled, "witness": witness,
+                "discrepancy": best}
+    if kind == "foliate":
+        plus = projector(query["record"])
+        frames = [(1.0, plus), (-1.0, one - plus)]
+        completeness = linalg.max_abs(plus @ (one - plus))
+        rel_exp = {}
+        for b in query["qubits"]:
+            rel_exp[str(b)] = {
+                f"{label:g}": [(mean(q(b, c) @ proj) / mean(proj).real).real
+                               for c in COMPONENTS]
+                for label, proj in frames if mean(proj).real > tol.weight}
+        return {"kind": kind,
+                "frames": [{"label": label, "weight": mean(proj).real}
+                           for label, proj in frames],
+                "completeness_residual": completeness,
+                "max_commutator": max(linalg.commutator_norm(plus, q(b, c))
+                                      for b in query["qubits"]
+                                      for c in COMPONENTS),
+                "valid": bool(completeness <= tol.general),
+                "relative_expectations": rel_exp}
+    if kind == "autonomy":
+        g = oracle.gate_matrix(query["gate"], state.n)
+        unitary = state.u.conj().T @ g @ state.u
+        norms = [linalg.commutator_norm(unitary, q(r["qubit"], r["component"]))
+                 for r in query["records"]]
+        for idx, norm in enumerate(norms):
+            if norm > tol.commute:
+                return {"kind": kind, "classification": "DESTROYING",
+                        "violated_index": idx, "commutator_norm": norm}
+        return {"kind": kind, "classification": "PRESERVING",
+                "violated_index": None, "commutator_norm": max(norms)}
+    # classical
+    def register(qubits):
+        return sum(2 ** k * (one - q(b, "z")) / 2
+                   for k, b in enumerate(qubits))
+    m, s = register(query["register"]), register(query["reference"])
+    vals, vecs = np.linalg.eigh(s)
+    branches = []
+    for label in np.unique(np.round(vals)):
+        block = vecs[:, np.abs(vals - label) < 0.5]
+        proj = block @ block.conj().T
+        weight = mean(proj).real
+        if weight <= tol.weight:
+            continue
+        rel = proj @ psi / np.sqrt(weight)
+        value = np.vdot(rel, m @ rel).real
+        branches.append({"label": float(label), "weight": weight,
+                         "value": int(round(value)),
+                         "variance": np.vdot(rel, m @ m @ rel).real
+                         - value * value})
+    product = m @ s
+    return {"kind": kind, "branches": branches,
+            "product_sharpness_residual": abs(
+                mean(product @ product).real - mean(product).real ** 2)}
+
+
+def mismatches(want, got, where="answer"):
+    """Floats within 1e-12; everything else equal and of the same type."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        return [m for key in want
+                for m in mismatches(want[key], got[key], f"{where}.{key}")]
+    if isinstance(want, list):
+        assert len(got) == len(want), where
+        return [m for i, (w, g) in enumerate(zip(want, got))
+                for m in mismatches(w, g, f"{where}[{i}]")]
+    if isinstance(want, (float, np.floating)):
+        ok = abs(float(got) - float(want)) <= 1e-12
+    else:
+        ok = type(got) is type(want) and got == want
+    return [] if ok else [f"{where}: {got!r} != {want!r}"]
+
+
+def random_queries(rng, timeline):
+    """Queries of every kind but classical, all reading the final step."""
+    state = timeline[-1]
+    n, final = state.n, len(timeline) - 1
+    queries = []
+    for a in range(1, n + 1):
+        for c in COMPONENTS:
+            queries += [{"kind": "expectation", "qubit": a, "component": c},
+                        {"kind": "sharpness", "qubit": a, "component": c}]
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if a != b:
+                queries.append({"kind": "entanglement", "qubits": [a, b]})
+    for r in range(1, n + 1):
+        name = COMPONENTS[rng.integers(3)]
+        plus = 0.5 * (1 + network.expectation(state, state.component(r, name)))
+        others = [b for b in range(1, n + 1) if b != r]
+        if min(plus, 1 - plus) > 1e-6:  # both branches live
+            for label in (1, -1):
+                b = int(rng.integers(1, n + 1))
+                queries.append({"kind": "expectation", "qubit": b,
+                                "component": COMPONENTS[rng.integers(3)],
+                                "frame": {**ref(r, name, final),
+                                          "label": label}})
+        if others:
+            queries.append({"kind": "foliate", "record": ref(r, name, final),
+                            "qubits": [int(b) for b in rng.permutation(others)]})
+    for _ in range(2 * n):
+        records = [ref(int(rng.integers(1, n + 1)),
+                       COMPONENTS[rng.integers(3)], final)
+                   for _ in range(int(rng.integers(1, n + 1)))]
+        queries.append({"kind": "autonomy", "gate": random_gate(rng, n),
+                        "records": records})
+    return queries
+
+
+class TestAgainstDensePath:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_every_answer(self, n):
+        rng = np.random.default_rng(500 + n)
+        kinds = set()
+        for depth in (4, 25):
+            gates = [random_gate(rng, n) for _ in range(depth)]
+            timeline = certify(run_gates(init_network(n), gates))
+            for query in random_queries(rng, timeline):
+                got = runner._answer_query(timeline, query)
+                want = dense_answer(timeline, query)
+                assert mismatches(want, got) == [], query
+                kinds.add((query["kind"], got.get("classification")))
+        assert kinds >= {("autonomy", "PRESERVING"),
+                         ("autonomy", "DESTROYING"), ("foliate", None),
+                         ("entanglement", None), ("sharpness", None),
+                         ("expectation", None)}
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_classical_answers(self, n):
+        # Reference register S in a random superposition (H RZ H on each
+        # qubit, then reversible gates among them), copied onto register M
+        # by CNOTs and then permuted by NOT/CNOT gates within M: every
+        # branch of S holds a sharp value of M.
+        rng = np.random.default_rng(600 + n)
+        k = n // 2
+        s_qubits = [int(q) + 1 for q in rng.permutation(k)]
+        m_qubits = list(range(k + 1, n + 1))
+        for _ in range(3):
+            gates = []
+            for q in s_qubits:
+                gates += [Gate.h(q), Gate.rz(q, rng.uniform(0.3, 2.8)),
+                          Gate.h(q)]
+            for _ in range(4 * k if k >= 2 else 0):
+                gate = acceptance._random_gate(rng, k)
+                if gate.kind in ("NOT", "CNOT", "CCNOT"):
+                    gates.append(gate)
+            gates += [Gate.cnot(s, m) for s, m in zip(s_qubits, m_qubits)]
+            if k >= 2:
+                gates += [Gate.cnot(m_qubits[0], m_qubits[1]),
+                          Gate.not_(m_qubits[-1])]
+            timeline = certify(run_gates(init_network(n), gates))
+            query = {"kind": "classical",
+                     "register": [int(q) for q in rng.permutation(m_qubits)],
+                     "reference": s_qubits}
+            got = runner._answer_query(timeline, query)
+            want = dense_answer(timeline, query)
+            assert mismatches(want, got) == [], query
+            assert len(got["branches"]) >= 2
+
+    def test_cross_check_reads_the_same_numbers(self):
+        # The oracle's Heisenberg side is <phi|sigma phi>, the absolute
+        # expectation answer itself.
+        rng = np.random.default_rng(7)
+        gates = [random_gate(rng, 4) for _ in range(12)]
+        timeline = certify(run_gates(init_network(4), gates))
+        run = oracle.evolve(timeline[0].psi, gates, 4)
+        final = timeline[-1]
+        for a in range(1, 5):
+            for c in COMPONENTS:
+                answer = runner._answer_query(
+                    timeline, {"kind": "expectation", "qubit": a,
+                               "component": c})["value"]
+                fixed = linalg.embed(linalg.PAULIS[c], a, 4)
+                psi_t = run.states[-1]
+                assert abs(answer - np.vdot(psi_t, fixed @ psi_t).real) <= 1e-12
+                assert answer == np.vdot(final.phi, final.ket(a, c)).real
+
+
+NUMBER = r"-?\d+(?:\.\d+)?(?:e[+-]?\d+)?"
+
+
+def raised(timeline, query):
+    with pytest.raises(Exception) as info:
+        runner._answer_query(timeline, query)
+    return type(info.value), str(info.value)
+
+
+class TestSameErrors:
+    """Each error fires on the same input through phi and through the
+    dense path, with the same message."""
+
+    def both(self, timeline, query):
+        """The error through phi, which must be the dense path's: numbers
+        within 1e-12 (a register label read from eigh is an integer up to
+        roundoff)."""
+        kind, message = raised(certify(timeline), query)
+        dense_kind, dense_message = raised(uncertified(timeline), query)
+        assert dense_kind is kind
+        assert re.sub(NUMBER, "#", dense_message) == re.sub(NUMBER, "#",
+                                                            message)
+        assert [float(v) for v in re.findall(NUMBER, message)] == (
+            pytest.approx([float(v) for v in re.findall(NUMBER, dense_message)],
+                          abs=1e-12))
+        return kind, message
+
+    def test_unentangled_record(self):
+        timeline = run_gates(init_network(2), [Gate.h(2)])
+        kind, message = self.both(timeline, {
+            "kind": "foliate", "record": ref(1, "z", 1), "qubits": [2, 1]})
+        assert kind is NonCommuting
+        assert "q_1x: commutator norm 1.000e+00" in message
+
+    @pytest.mark.parametrize("own", ["x", "y"])
+    def test_record_own_component(self, own):
+        timeline = acceptance.section3_timeline()
+        record = {"x": "z", "y": "x"}[own]
+        kind, message = self.both(timeline, {
+            "kind": "foliate", "record": ref(1, record, 2), "qubits": [2, 1]})
+        assert kind is NonCommuting
+        assert f"q_1{own}" in message
+
+    def test_branch_not_sharp(self):
+        timeline = run_gates(init_network(3), [
+            Gate.h(3), Gate.cnot(3, 1), Gate.h(2)])
+        kind, message = self.both(timeline, {
+            "kind": "classical", "register": [1, 2], "reference": [3]})
+        assert kind is BranchNotSharp
+        assert message.startswith("branch 0: register value")
+
+    def test_merged_register_clusters(self):
+        # An eigengap of 2 merges the reference register's eigenvalues, one
+        # apart, into one cluster: one branch, in which M is not sharp.
+        tol = DEFAULT_TOL.override(eigengap=2.0)
+        timeline = run_gates(init_network(4, tol), [
+            Gate.h(3), Gate.h(4), Gate.cnot(3, 1), Gate.cnot(4, 2)])
+        kind, message = self.both(timeline, {
+            "kind": "classical", "register": [1, 2], "reference": [3, 4]})
+        assert kind is BranchNotSharp
+        assert message.startswith("branch 1.5: register value 1.5 ")
+
+    def test_sharp_register(self):
+        timeline = run_gates(init_network(3), [Gate.h(3), Gate.cnot(3, 1)])
+        kind, message = self.both(timeline, {
+            "kind": "classical", "register": [2], "reference": [3]})
+        assert kind is PreconditionFailed
+        assert message.startswith("register M is sharp")
+
+    def test_zero_weight_branch(self):
+        timeline = run_gates(init_network(2), [Gate.cnot(1, 2)])
+        kind, message = self.both(timeline, {
+            "kind": "expectation", "qubit": 2, "component": "z",
+            "frame": {**ref(1, "z", 1), "label": -1}})
+        assert kind is ZeroWeightBranch
+        assert message == "branch -1.0 of 'q_1z at t=1' has weight 0.000e+00"
+
+    @pytest.mark.parametrize("query", [
+        {"kind": "expectation", "qubit": 2, "component": "z",
+         "frame": {**ref(1, "z", 2), "label": 1}},
+        {"kind": "foliate", "record": ref(1, "z", 2), "qubits": [2]},
+        {"kind": "classical", "register": [2], "reference": [1]},
+    ], ids=["frame", "foliate", "classical"])
+    def test_nan_weight(self, query):
+        timeline = acceptance.section3_timeline()
+        last = timeline[-1]
+        timeline = timeline[:-1] + [NetworkState(
+            last.n, last.t, last.u, np.full_like(last.psi, np.nan))]
+        kind, message = self.both(timeline, query)
+        assert kind is ZeroWeightBranch
+        assert "weight nan" in message
+
+    def test_nan_discrepancy(self):
+        timeline = acceptance.section3_timeline()
+        last = timeline[-1]
+        timeline = timeline[:-1] + [NetworkState(
+            last.n, last.t, last.u, np.full_like(last.psi, np.nan))]
+        kind, message = self.both(timeline, {"kind": "entanglement",
+                                             "qubits": [1, 2]})
+        assert kind is ToleranceViolation
+        assert message == "entanglement discrepancy of qubits 1 and 2 is nan"
+
+
+class TestCertificateFallback:
+    QUERIES = [
+        {"kind": "autonomy", "gate": Gate.rz(1, 0.4),
+         "records": [ref(1, "z", 2), ref(2, "z", 2)]},
+        {"kind": "autonomy", "gate": Gate.cnot(1, 2),
+         "records": [ref(1, "z", 2), ref(2, "z", 2)]},
+        {"kind": "foliate", "record": ref(1, "z", 2), "qubits": [2]},
+    ]
+
+    @pytest.fixture
+    def norms(self, monkeypatch):
+        calls = []
+        inner = linalg.commutator_norm
+
+        def counted(a, b):
+            calls.append(inner(a, b))
+            return calls[-1]
+        monkeypatch.setattr(linalg, "commutator_norm", counted)
+        return calls
+
+    def perturbed(self, size):
+        """The measurement run with U_T scaled by 1 + size: its commutators
+        stay roundoff, while its Gram defects grow with size. tol.general
+        is raised above the record's involution defect (4 size)."""
+        timeline = acceptance.section3_timeline()
+        last = timeline[-1]
+        tol = last.tol.override(general=1e-8)
+        return timeline[:-1] + [NetworkState(last.n, last.t,
+                                             (1 + size) * last.u, last.psi,
+                                             tol)]
+
+    @pytest.mark.parametrize("query", QUERIES, ids=["rz", "cnot", "foliate"])
+    def test_dense_norm_above_the_commute_bound(self, norms, query):
+        exact = runner._answer_query(certify(acceptance.section3_timeline()),
+                                     query)
+        timeline = self.perturbed(2e-10)
+        cert = network.algebra_certificate(timeline[-1])
+        assert cert > timeline[-1].tol.commute
+        assert not timeline[-1].certified
+        del norms[:]
+        got = runner._answer_query(timeline, query)
+        if query["kind"] == "autonomy":
+            assert got["classification"] == exact["classification"]
+            reported = got["commutator_norm"]
+            # A violation stops the loop; otherwise the worst norm counts.
+            want = (norms[-1] if got["classification"] == "DESTROYING"
+                    else max(norms))
+        else:
+            assert got["valid"] == exact["valid"]
+            reported, want = got["max_commutator"], max(norms)
+        assert len(norms) == len(query.get("records", COMPONENTS))
+        assert reported == want != cert
+
+    def test_certificate_read_within_the_bound(self, norms):
+        timeline = certify(acceptance.section3_timeline())
+        cert = network.algebra_certificate(timeline[-1])
+        got = runner._answer_query(timeline, self.QUERIES[0])
+        assert got["classification"] == "PRESERVING"
+        assert got["commutator_norm"] == cert and norms == []
+
+    @pytest.mark.parametrize("name", ["general", "commute"])
+    def test_certified_within_both_bounds(self, name):
+        last = self.perturbed(1e-12)[-1]
+        cert = network.algebra_certificate(last)
+        for bound, certified in ((cert * 2, True), (cert / 2, False)):
+            tol = DEFAULT_TOL.override(**{name: bound})
+            state = NetworkState(last.n, last.t, last.u, last.psi, tol)
+            assert not state.certified
+            assert network.algebra_certificate(state) == cert
+            assert state.certified is certified
+
+
+class TestLocalHelpers:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_apply_pauli_is_the_embedded_pauli(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(2 ** n, 5)) + 1j * rng.normal(size=(2 ** n, 5))
+        for a in range(1, n + 1):
+            for c in COMPONENTS:
+                want = linalg.embed(linalg.PAULIS[c], a, n) @ stack
+                assert np.array_equal(network.apply_pauli(stack, a, c), want)
+                assert np.array_equal(network.apply_pauli(stack[:, 0], a, c),
+                                      want[:, 0])
+
+    @pytest.mark.parametrize("gate", [
+        Gate.not_(2), Gate.h(2), Gate.rz(2, 0.3), Gate.cnot(1, 2),
+        Gate.cnot(2, 1), Gate.ccnot(1, 3, 2), Gate.ccnot(2, 3, 1),
+        Gate.f(1, 2, 0.5, 0.5, 0.5, -0.5), Gate("I")],
+        ids=lambda g: f"{g.kind}{g.operands}")
+    def test_gate_commutes_matches_the_dense_commutator(self, gate):
+        for a in (1, 2, 3):
+            for c in COMPONENTS:
+                dense = linalg.commutator_norm(
+                    oracle.gate_matrix(gate, 3),
+                    linalg.embed(linalg.PAULIS[c], a, 3))
+                assert network.gate_commutes(gate, a, c) == (dense == 0)
+
+    def test_ket_form_needs_matching_shapes(self):
+        state = init_network(2)
+        with pytest.raises(network.DimMismatch):
+            network.correlation(state, state.ket(1, "z"), state.component(1, "z"))
+
+    def test_frames_of_a_record_read_through_phi(self):
+        timeline = certify(acceptance.section3_timeline())
+        final = timeline[-1]
+        plus, minus = relative.record_pvm(final, network.Record(final, 1, "z"))
+        assert np.ndim(plus.projector) == 1
+        assert plus.weight == pytest.approx(0.5) and minus.weight == pytest.approx(0.5)
+        dense = relative.make_pvm(final, 0.5 * (linalg.identity(4)
+                                                + final.component(1, "z")))
+        assert [f.weight for f in dense] == pytest.approx(
+            [plus.weight, minus.weight], abs=1e-15)

@@ -6,8 +6,8 @@ import pytest
 from heisim import acceptance, linalg, network
 from heisim.errors import NonCommuting, WrongGateKind, ZeroWeightBranch
 from heisim.linalg import COMPONENTS, SIGMA_Z, max_abs
-from heisim.network import (Gate, NetworkState, apply_gate, init_network,
-                            run_gates)
+from heisim.network import (Gate, NetworkState, Record, apply_gate,
+                            init_network, run_gates)
 from heisim.relative import (RelativeFrame, autonomy_check,
                              branch_evolution_factor, foliate, make_pvm,
                              make_pvm_spectral, relative_descriptors,
@@ -252,7 +252,7 @@ class TestBranchEvolutionFactor:
 
 class TestFoliate:
     def test_valid_foliation(self, measured):
-        report = foliate(measured, measured.projector(1, "z"), [2])
+        report = foliate(measured, Record(measured, 1, "z"), [2])
         assert report.valid
         assert report.completeness_residual <= 1e-10
         assert report.max_commutator <= 1e-9
@@ -261,12 +261,25 @@ class TestFoliate:
     def test_max_commutator_is_largest_norm(self, measured):
         # A record tilted by 1e-11 towards q_1x q_2x is an involution that
         # commutes with qubit 2's descriptors within tol.commute, not exactly.
+        # It is q_1z of a state whose U is rotated by exp(-i t/2 s_1y s_2x).
         d1, d2 = measured.descriptor(1), measured.descriptor(2)
-        record = np.cos(1e-11) * d1.z + np.sin(1e-11) * d1.x @ d2.x
-        report = foliate(measured, linalg.pauli_projector(record, +1), [2])
-        direct = max(linalg.commutator_norm(f.projector, mat)
-                     for f in report.frames for _, mat in d2.components())
+        generator = linalg.embed(linalg.SIGMA_Y, 1, 2) @ linalg.embed(
+            linalg.SIGMA_X, 2, 2)
+        tilt = (np.cos(-0.5e-11) * linalg.identity(4)
+                - 1j * np.sin(-0.5e-11) * generator)
+        tilted = NetworkState(2, 2, tilt @ measured.u, measured.psi)
+        record = tilted.descriptor(1).z
+        assert max_abs(record - (np.cos(1e-11) * d1.z
+                                 + np.sin(1e-11) * d1.x @ d2.x)) <= 1e-15
+        report = foliate(measured, Record(tilted, 1, "z"), [2])
+        plus, minus = (f.projector for f in report.frames)
+        direct = max(linalg.commutator_norm(plus, mat)
+                     for _, mat in d2.components())
         assert 0 < report.max_commutator == direct <= 1e-9
+        # [1 - P, q] = -[P, q]: P- has the same norms, up to roundoff.
+        assert max(linalg.commutator_norm(minus, mat)
+                   for _, mat in d2.components()) == pytest.approx(
+                       direct, rel=1e-4)
         assert report.valid
 
     def test_unentangled_cannot_be_foliated(self):
@@ -274,7 +287,7 @@ class TestFoliate:
         with pytest.raises(NonCommuting, match=(
                 r"^frame projector does not commute with q_1x: commutator "
                 r"norm 1\.000e\+00 \(invalid foliation")):
-            foliate(fresh, fresh.projector(1, "z"), [1])
+            foliate(fresh, Record(fresh, 1, "z"), [1])
 
 
 class TestChecksOncePerRecord:
@@ -322,7 +335,7 @@ class TestChecksOncePerRecord:
     def test_foliate_takes_three_norms_per_qubit(self, calls, qubits):
         ghz = run_gates(init_network(3), [Gate.h(1), Gate.cnot(1, 2),
                                           Gate.cnot(1, 3)])[-1]
-        report = foliate(ghz, ghz.projector(1, "z"), qubits)
+        report = foliate(ghz, Record(ghz, 1, "z"), qubits)
         assert report.valid
         assert calls == {"involution_defect": 1,
                          "commutator_norm": 3 * len(qubits)}
@@ -330,7 +343,7 @@ class TestChecksOncePerRecord:
     def test_unentangled_stops_at_first_norm(self, calls):
         fresh = init_network(2)
         with pytest.raises(NonCommuting, match="q_1x"):
-            foliate(fresh, fresh.projector(1, "z"), [1, 2])
+            foliate(fresh, Record(fresh, 1, "z"), [1, 2])
         assert calls == {"involution_defect": 1, "commutator_norm": 1}
 
 
