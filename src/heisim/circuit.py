@@ -142,6 +142,9 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
         if not 1 <= qubit <= n or component not in COMPONENTS:
             raise ValidationError(f"{context}: bad qubit/component")
         if "frame" in query:
+            if kind == "sharpness":
+                raise ValidationError(
+                    f"{context}: frame applies to expectation queries only")
             frame = query["frame"]
             check_ref(frame, "frame")
             label = _int_field(frame, "label", f"{context}.frame")

@@ -12,13 +12,14 @@ quant-ph/9906007). A built-in gate evaluated on the current descriptors is
 U_{t-1}† g U_{t-1}, where g is the same function of fresh generators, so
 U_t = g U_{t-1}. Descriptors are computed from U when something reads them.
 
-A state whose algebra certificate has been taken and lies within tol.general
-and tol.commute is *certified*; a run certifies its final state before the
-queries. A certified state answers from phi = U Psi and the local Paulis:
-<q_ac> = <phi|sigma_ac phi> and <q_ai q_bj> = <sigma_ai phi|sigma_bj phi>,
-the second within the certificate. An observable is then passed as its *ket*,
-the vector U A Psi (sigma_ac phi for a descriptor), where an uncertified
-state takes the 2^n x 2^n matrix A.
+A run answers from phi = U Psi and the local Paulis: <q_ac> =
+<phi|sigma_ac phi> and <q_ai q_bj> = <sigma_ai phi|sigma_bj phi>, the second
+within U's Gram defects. An observable is passed as its *ket*, the vector
+U A Psi (sigma_ac phi for a descriptor); the functions below also take the
+2^n x 2^n matrix A. A state whose algebra certificate has been taken and lies
+within tol.general and tol.commute is *certified*: its involution defects and
+the commutators of its records that vanish locally read the certificate
+instead of a dense norm.
 """
 
 from __future__ import annotations
@@ -149,9 +150,6 @@ class Descriptor:
     def component(self, name: str) -> np.ndarray:
         return self.state.component(self.qubit, name)
 
-    def components(self):
-        return tuple((c, self.component(c)) for c in COMPONENTS)
-
 
 @dataclass(frozen=True, eq=False)
 class NetworkState:
@@ -251,17 +249,22 @@ class NetworkState:
             self._cache[key] = defect
         return defect
 
-    def projector(self, qubit: int, name: str) -> np.ndarray:
-        """P+ = 1/2(1 + q_{qubit,name}), the +1 eigenprojector of a record.
-
-        The involution q^2 = 1 within tol.general is checked against the
-        defect ``involution_defect`` keeps, not the matrix: rebuilding P+ is
-        O(4^n), keeping it would hold one more 2^n x 2^n matrix per record.
-        """
+    def check_involution(self, qubit: int, name: str) -> None:
+        """NotInvolution unless q_{qubit,name}^2 = 1 within tol.general, as
+        a record needs; judged on the defect ``involution_defect`` keeps."""
         defect = self.involution_defect(qubit, name)
         if linalg.exceeds(defect, self.tol.general):
             raise NotInvolution(f"involution defect {defect:.3e} > "
                                 f"{self.tol.general:.3e}")
+
+    def projector(self, qubit: int, name: str) -> np.ndarray:
+        """P+ = 1/2(1 + q_{qubit,name}), the +1 eigenprojector of a record,
+        after ``check_involution``.
+
+        Rebuilt on each call, O(4^n): keeping it would hold one more
+        2^n x 2^n matrix per record.
+        """
+        self.check_involution(qubit, name)
         return 0.5 * (linalg.identity(self.dim) + self.component(qubit, name))
 
 
@@ -275,9 +278,20 @@ class Record:
     name: str
 
     def local_to(self, state: NetworkState) -> bool:
-        """Whether ``state`` reads this record through phi: it is the
-        state's own record and the state is certified."""
+        """Whether the certificate of ``state`` bounds this record's
+        commutators that vanish locally: it is the state's own record and
+        the state is certified."""
         return self.state is state and state.certified
+
+    def ket(self, state: NetworkState) -> np.ndarray:
+        """U_T P+ Psi, the ket of the record's projector P+ = 1/2(1 + q) read
+        by the final state ``state`` (U_T): 1/2(phi + sigma phi) for a record
+        of ``state`` itself. A record of step s gives
+        1/2(phi + U_T U_s† sigma phi_s), two matrix-vector products."""
+        sigma_phi = self.state.ket(self.qubit, self.name)
+        if self.state is not state:
+            sigma_phi = state.u @ (self.state.u.conj().T @ sigma_phi)
+        return 0.5 * (state.phi + sigma_phi)
 
 
 def init_network(n: int, tol: Tolerances = DEFAULT_TOL) -> NetworkState:
@@ -469,27 +483,20 @@ def are_entangled(state: NetworkState, a: int, b: int) -> EntanglementWitness:
     """Correlation test: some component pair with <q_ai q_bj> != <q_ai><q_bj>.
 
     The discrepancy is the maximum over the nine pairs; each <q_ai q_bj> is
-    the product of a row vector and a column vector: Psi† q_ai and q_bj Psi,
-    or on a certified state (sigma_ai phi)† and sigma_bj phi.
+    the product of the kets (sigma_ai phi)† and sigma_bj phi.
     The witness is the first pair in x, y, z order within tol.entangle of
     it, so roundoff does not pick among tied pairs. A NaN discrepancy raises
     ToleranceViolation: it is no evidence either way.
     """
     if a == b:
         raise ValidationError("entanglement test needs two distinct qubits")
-    if state.certified:
-        ref = state.phi
-        rows = [(ci, state.ket(a, ci).conj()) for ci in COMPONENTS]
-        cols = [(cj, state.ket(b, cj)) for cj in COMPONENTS]
-    else:
-        ref = state.psi
-        bra = ref.conj()
-        rows = [(ci, bra @ mi) for ci, mi in state.descriptor(a).components()]
-        cols = [(cj, mj @ ref) for cj, mj in state.descriptor(b).components()]
-    means_b = [_scalar(state, np.vdot(ref, col)) for _, col in cols]
+    phi = state.phi
+    rows = [(ci, state.ket(a, ci).conj()) for ci in COMPONENTS]
+    cols = [(cj, state.ket(b, cj)) for cj in COMPONENTS]
+    means_b = [_scalar(state, np.vdot(phi, col)) for _, col in cols]
     pairs = []
     for ci, row in rows:
-        ei = _scalar(state, row @ ref)
+        ei = _scalar(state, row @ phi)
         for (cj, col), ej in zip(cols, means_b):
             pairs.append(((ci, cj), abs(_scalar(state, row @ col) - ei * ej)))
     best = linalg.worst(disc for _, disc in pairs)
@@ -590,7 +597,7 @@ def run_gates(state: NetworkState, gates) -> list[NetworkState]:
     """Apply a gate sequence, returning the full timeline (t=0 state included).
 
     ``timeline[s]`` holds the descriptors at step s, so a record of q_ac
-    taken at step s is ``timeline[s].component(a, c)``.
+    taken at step s is ``Record(timeline[s], a, c)``.
     """
     timeline = [state]
     for gate in gates:

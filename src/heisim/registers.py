@@ -53,21 +53,6 @@ def register_descriptor(state: NetworkState,
     return RegisterDescriptor(qubits, matrix)
 
 
-def product_sharpness_residual(state: NetworkState, bm: RegisterDescriptor,
-                               bs: RegisterDescriptor) -> float:
-    """|<(M S)^2> - <M S>^2| for the register product M S.
-
-    From matrix-vector products only: <M S> = Psi† M (S Psi) and
-    <(M S)^2> = (Psi† M S)(M S Psi).
-    """
-    psi = state.psi
-    column = bm.matrix @ (bs.matrix @ psi)
-    row = (psi.conj() @ bm.matrix) @ bs.matrix
-    mean = np.real(np.vdot(psi, column))
-    second = np.real(row @ column)
-    return abs(second - mean * mean)
-
-
 @dataclass(frozen=True)
 class ClassicalFunction:
     """A reversible function on m-bit values, given as a permutation table."""
@@ -269,8 +254,8 @@ def _register_values(state: NetworkState,
 def marginal_branches(state: NetworkState, m_qubits: Sequence[int],
                       s_qubits: Sequence[int]
                       ) -> tuple[list[BranchRegister], float]:
-    """``classical_branches`` and ``product_sharpness_residual`` of a
-    certified state, from the marginals of |phi|^2.
+    """``classical_branches`` of registers M and S, and the product
+    sharpness residual |<(M S)^2> - <M S>^2|, from the marginals of |phi|^2.
 
     In U's frame the registers U M U† and U S U† are diagonal, holding each
     basis state's register value, and S's spectrum is the integers

@@ -23,8 +23,8 @@ from .network import Gate, NetworkState, Record
 class RelativeFrame:
     """A branch selector: projector, its eigenvalue label, and its weight.
 
-    On a certified state the projector P is held as its ket U P Psi, the
-    final state phi projected onto the branch (see ``network``).
+    A run holds the projector P as its ket U P Psi, the final state phi
+    projected onto the branch (see ``network``); P itself is also accepted.
     """
 
     projector: np.ndarray
@@ -84,17 +84,10 @@ def make_pvm(state: NetworkState, plus: np.ndarray,
 
 def record_pvm(state: NetworkState, record: Record,
                source: str = "") -> tuple[RelativeFrame, RelativeFrame]:
-    """``make_pvm`` of a record read by ``state``.
-
-    A record of the certified state itself gives P+'s ket
-    1/2(phi + sigma phi): the certificate bounds its involution defect
-    within tol.general. Any other record gives the matrix and its check.
-    """
-    if record.local_to(state):
-        plus = 0.5 * (state.phi + state.ket(record.qubit, record.name))
-    else:
-        plus = record.state.projector(record.qubit, record.name)
-    return make_pvm(state, plus, source)
+    """``make_pvm`` of a record read by the final state ``state``, from
+    P+'s ket ``Record.ket``, after the record's involution check."""
+    record.state.check_involution(record.qubit, record.name)
+    return make_pvm(state, record.ket(state), source)
 
 
 def make_pvm_spectral(state: NetworkState, observable: np.ndarray,
@@ -244,7 +237,7 @@ def foliate(state: NetworkState, record: Record, qubits: Sequence[int],
     """
     frames = record_pvm(state, record, source)
     local = record.local_to(state)
-    plus = None if local else frames[0].projector
+    plus = None  # the dense P+, built for the first norm that needs it
 
     def norm(qubit: int, name: str) -> float:
         nonlocal plus

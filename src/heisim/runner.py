@@ -52,38 +52,28 @@ def _record(timeline: list[NetworkState],
     return network.Record(timeline[s], a, c), f"q_{a}{c} at t={s}"
 
 
-def _descriptor(state: NetworkState, qubit: int, name: str,
-                local: bool) -> np.ndarray:
-    """A final-step descriptor as its ket sigma phi when the answer reads
-    phi, else as its matrix."""
-    return state.ket(qubit, name) if local else state.component(qubit, name)
-
-
 def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
     """One query's answer against the final state of the timeline.
 
-    A certified final state answers from phi: every query but the frames
-    and records taken before the final step, which read matrices.
+    Every observable is read as its ket sigma phi and every record frame as
+    its ket (``Record.ket``), whatever the final state's certificate reads.
     """
     state = timeline[-1]
     kind = query["kind"]
     if kind == "expectation":
-        qubit, name = query["qubit"], query["component"]
+        obs = state.ket(query["qubit"], query["component"])
         if "frame" in query:
             record, source = _record(timeline, query["frame"])
             plus, minus = relative.record_pvm(state, record, source)
             frame = plus if query["frame"]["label"] == 1 else minus
-            obs = _descriptor(state, qubit, name, record.local_to(state))
             value = relative.relative_expectation(state, obs, frame)
             return {"kind": kind, "value": np.real(value),
                     "frame_label": query["frame"]["label"],
                     "frame_weight": frame.weight}
-        obs = _descriptor(state, qubit, name, state.certified)
         return {"kind": kind, "value": np.real(network.expectation(state, obs))}
     if kind == "sharpness":
-        obs = _descriptor(state, query["qubit"], query["component"],
-                          state.certified)
-        value = network.is_sharp(state, obs)
+        value = network.is_sharp(state, state.ket(query["qubit"],
+                                                  query["component"]))
         return {"kind": kind, "sharp": value is not None, "value": value}
     if kind == "entanglement":
         a, b = query["qubits"]
@@ -94,12 +84,11 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
     if kind == "foliate":
         record, source = _record(timeline, query["record"])
         report = relative.foliate(state, record, query["qubits"], source)
-        local = record.local_to(state)
         live = relative.live_frames(report.frames, state.tol)
         rel_exp = {
             str(q): {f"{frame.label:g}": [
                 np.real(relative.relative_expectation(
-                    state, _descriptor(state, q, c, local), frame))
+                    state, state.ket(q, c), frame))
                 for c in COMPONENTS] for frame in live}
             for q in query["qubits"]}
         return {"kind": kind,
@@ -116,14 +105,8 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
                 "violated_index": result.violated_index,
                 "commutator_norm": result.commutator_norm}
     if kind == "classical":
-        if state.certified:
-            branches, residual = registers.marginal_branches(
-                state, query["register"], query["reference"])
-        else:
-            bm = registers.register_descriptor(state, query["register"])
-            bs = registers.register_descriptor(state, query["reference"])
-            branches = registers.classical_branches(state, bm, bs)
-            residual = registers.product_sharpness_residual(state, bm, bs)
+        branches, residual = registers.marginal_branches(
+            state, query["register"], query["reference"])
         return {"kind": kind,
                 "branches": [{"label": b.frame.label,
                               "weight": b.frame.weight,

@@ -1,10 +1,10 @@
-"""Final-step answers read from phi = U_T Psi and the local Paulis.
+"""Answers read from phi = U_T Psi and the local Paulis.
 
-A run certifies its final state before the queries; the answers of that
-state must agree with the dense operator path (kept here as an in-test
-reference built from 2^n x 2^n matrices and numpy's eigh), raise the same
-errors on the same inputs, and fall back to dense norms when the
-certificate does not cover them.
+Every answer reads kets of the final frame, records taken before the final
+step and uncertified final states included. The answers must agree with the
+dense operator path (kept here as an in-test reference built from 2^n x 2^n
+matrices and numpy's eigh), raise the same errors on the same inputs, and
+fall back to dense norms when the certificate does not cover them.
 """
 
 import re
@@ -12,7 +12,8 @@ import re
 import numpy as np
 import pytest
 
-from heisim import acceptance, linalg, network, oracle, relative, runner
+from heisim import (acceptance, linalg, network, oracle, registers, relative,
+                    runner)
 from heisim.errors import (BranchNotSharp, NonCommuting, PreconditionFailed,
                            ToleranceViolation, ZeroWeightBranch)
 from heisim.linalg import COMPONENTS, DEFAULT_TOL
@@ -26,7 +27,8 @@ def certify(timeline):
 
 
 def uncertified(timeline):
-    """The same run with a fresh final state, which reads matrices."""
+    """The same run with a fresh final state, whose certificate is not
+    taken: every check takes its dense norm."""
     last = timeline[-1]
     return timeline[:-1] + [NetworkState(last.n, last.t, last.u, last.psi,
                                          last.tol)]
@@ -47,18 +49,21 @@ def ref(qubit, name, step):
 
 def dense_answer(timeline, query):
     """A query's answer from descriptor matrices U† sigma U of the final
-    state, dense products and numpy's eigh."""
+    state and of each record's step, dense products and numpy's eigh."""
     state = timeline[-1]
     tol, psi, one = state.tol, state.psi, linalg.identity(state.dim)
 
     def q(qubit, name):
         return state.component(qubit, name)
 
+    def record(r):
+        return timeline[r["step"]].component(r["qubit"], r["component"])
+
     def mean(m):
         return np.vdot(psi, m @ psi)
 
     def projector(r, sign=1):
-        return 0.5 * (one + sign * q(r["qubit"], r["component"]))
+        return 0.5 * (one + sign * record(r))
 
     kind = query["kind"]
     if kind == "expectation":
@@ -110,7 +115,7 @@ def dense_answer(timeline, query):
     if kind == "autonomy":
         g = oracle.gate_matrix(query["gate"], state.n)
         unitary = state.u.conj().T @ g @ state.u
-        norms = [linalg.commutator_norm(unitary, q(r["qubit"], r["component"]))
+        norms = [linalg.commutator_norm(unitary, record(r))
                  for r in query["records"]]
         for idx, norm in enumerate(norms):
             if norm > tol.commute:
@@ -196,6 +201,53 @@ def random_queries(rng, timeline):
     return queries
 
 
+def split_circuit(rng, n, depth):
+    """A random circuit of 2·depth gates whose ``kept`` qubits no gate after
+    step depth touches: their records at that step commute with the later
+    descriptors of every other qubit, as final-step records do, so they can
+    be foliated."""
+    kept = {int(q) + 1 for q in rng.permutation(n)[:max(1, n // 3)]}
+    gates = [random_gate(rng, n) for _ in range(depth)]
+    while len(gates) < 2 * depth:
+        gate = random_gate(rng, n)
+        if not kept & set(gate.operands):
+            gates.append(gate)
+    return gates, kept
+
+
+def early_record_queries(rng, timeline, split, kept):
+    """Framed expectations on records of every qubit at random steps before
+    the final one, foliations by the ``kept`` qubits' records at ``split``,
+    and autonomy checks of records before the final step."""
+    n, final = timeline[-1].n, len(timeline) - 1
+    queries = []
+    for r in range(1, n + 1):
+        for _ in range(3):
+            name, step = COMPONENTS[rng.integers(3)], int(rng.integers(final))
+            state = timeline[step]
+            plus = 0.5 * (1 + network.expectation(state,
+                                                  state.component(r, name)))
+            if min(plus, 1 - plus) > 1e-6:  # both branches live
+                for label in (1, -1):
+                    queries.append({"kind": "expectation",
+                                    "qubit": int(rng.integers(1, n + 1)),
+                                    "component": COMPONENTS[rng.integers(3)],
+                                    "frame": {**ref(r, name, step),
+                                              "label": label}})
+    for r in sorted(kept):
+        others = [b for b in range(1, n + 1) if b != r]
+        queries.append({"kind": "foliate",
+                        "record": ref(r, COMPONENTS[rng.integers(3)], split),
+                        "qubits": [int(b) for b in rng.permutation(others)]})
+    for _ in range(n):
+        records = [ref(int(rng.integers(1, n + 1)),
+                       COMPONENTS[rng.integers(3)], int(rng.integers(final)))
+                   for _ in range(int(rng.integers(1, n + 1)))]
+        queries.append({"kind": "autonomy", "gate": random_gate(rng, n),
+                        "records": records})
+    return queries
+
+
 class TestAgainstDensePath:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_every_answer(self, n):
@@ -213,6 +265,23 @@ class TestAgainstDensePath:
                          ("autonomy", "DESTROYING"), ("foliate", None),
                          ("entanglement", None), ("sharpness", None),
                          ("expectation", None)}
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_records_before_the_final_step(self, n):
+        # A record of step s < T reads U_T P+ Psi = 1/2(phi + U_T U_s† sigma
+        # phi_s): its frame weights and relative expectations agree with
+        # the dense projector 1/2(1 + q_rc(s)).
+        rng = np.random.default_rng(700 + n)
+        kinds = set()
+        for depth in (3, 12):
+            gates, kept = split_circuit(rng, n, depth)
+            timeline = certify(run_gates(init_network(n), gates))
+            for query in early_record_queries(rng, timeline, depth, kept):
+                got = runner._answer_query(timeline, query)
+                want = dense_answer(timeline, query)
+                assert mismatches(want, got) == [], query
+                kinds.add(query["kind"])
+        assert kinds == {"expectation", "foliate", "autonomy"}
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_classical_answers(self, n):
@@ -438,6 +507,60 @@ class TestCertificateFallback:
             assert not state.certified
             assert network.algebra_certificate(state) == cert
             assert state.certified is certified
+
+
+class TestOneAnswerPath:
+    """Answers read kets of the final frame: no descriptor matrix of the
+    final state, no register matrix and no eigh, certified or not."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """(name, state) of every NetworkState.component call, and (name,
+        None) of every register_descriptor and eigh call."""
+        calls = []
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls.append((name, args[0] if name == "component" else None))
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
+
+        counted(NetworkState, "component")
+        counted(registers, "register_descriptor")
+        counted(np.linalg, "eigh")
+        return calls
+
+    def test_record_before_the_final_step(self, reads):
+        # q_1z at step 1 is U_1† sigma_z U_1 = sigma_x after H on qubit 1.
+        timeline = certify(acceptance.section3_timeline())
+        query = {"kind": "expectation", "qubit": 2, "component": "z",
+                 "frame": {**ref(1, "z", 1), "label": 1}}
+        got = runner._answer_query(timeline, query)
+        assert [state for name, state in reads
+                if state is timeline[-1]] == []
+        assert mismatches(dense_answer(timeline, query), got) == []
+        assert got["frame_weight"] == pytest.approx(0.5)
+
+    def test_uncertified_final_state(self, reads):
+        tol = DEFAULT_TOL.override(general=1e-30)
+        timeline = run_gates(init_network(3, tol), [
+            Gate.h(3), Gate.rz(3, 0.7), Gate.h(3), Gate.cnot(3, 1),
+            Gate.h(2)])
+        network.algebra_certificate(timeline[-1])
+        assert not timeline[-1].certified
+        queries = [
+            {"kind": "expectation", "qubit": 1, "component": "z"},
+            {"kind": "sharpness", "qubit": 2, "component": "x"},
+            {"kind": "entanglement", "qubits": [1, 3]},
+            {"kind": "classical", "register": [1], "reference": [3]}]
+        answers = [runner._answer_query(timeline, q) for q in queries]
+        assert reads == []
+        for query, got in zip(queries, answers):
+            assert mismatches(dense_answer(timeline, query), got) == [], query
+        assert answers[1]["sharp"] and answers[2]["entangled"]
+        assert len(answers[3]["branches"]) == 2
 
 
 class TestLocalHelpers:

@@ -353,8 +353,10 @@ def dense_sharp(state, observable):
 def dense_entanglement(state, a, b):
     """are_entangled through the nine dense products q_ai q_bj."""
     pairs = []
-    for ci, mi in state.descriptor(a).components():
-        for cj, mj in state.descriptor(b).components():
+    for ci in COMPONENTS:
+        mi = state.descriptor(a).component(ci)
+        for cj in COMPONENTS:
+            mj = state.descriptor(b).component(cj)
             disc = abs(expectation(state, mi @ mj)
                        - expectation(state, mi) * expectation(state, mj))
             pairs.append(((ci, cj), disc))
@@ -394,7 +396,7 @@ class TestMatrixFreeAnswers:
         for depth in (2, 5, 20):
             state = random_circuit_state(rng, n, depth)
             observables = [m for d in state.descriptors
-                           for _, m in d.components()]
+                           for m in [d.component(c) for c in COMPONENTS]]
             # Products of components of distinct qubits are Hermitian too.
             observables += [
                 state.descriptor(a).z @ state.descriptor(a % n + 1).z

@@ -154,3 +154,18 @@ def test_validate_and_run_agree(text):
     if hasattr(yaml, "CSafeLoader"):
         assert (_parse_with(yaml.SafeLoader, text)
                 == _parse_with(yaml.CSafeLoader, text))
+
+
+def test_framed_sharpness_is_rejected_by_both():
+    # A frame conditions expectation queries only: on sharpness it would be
+    # accepted and ignored, so both commands reject it.
+    doc = {"format_version": 1, "qubits": 2,
+           "gates": [{"step": 0, "kind": "H", "operands": [1]},
+                     {"step": 1, "kind": "CNOT", "operands": [1, 2]}],
+           "records": [{"step": 2, "qubit": 1, "component": "z"}],
+           "queries": [{"kind": "sharpness", "qubit": 2, "component": "z"}]}
+    text = yaml.safe_dump(doc)
+    assert _status("validate", text) == _status("run", text) == 0
+    doc["queries"][0]["frame"] = {**doc["records"][0], "label": 1}
+    text = yaml.safe_dump(doc)
+    assert _status("validate", text) == _status("run", text) == 1

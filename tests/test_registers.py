@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from heisim import acceptance, network, oracle, relative
+from heisim import network, oracle, relative
 from heisim.errors import (BadSubset, BranchNotSharp, NotHermitian,
                            NotReversible, PreconditionFailed, SynthesisError,
                            ZeroWeightBranch)
@@ -11,8 +11,7 @@ from heisim.linalg import max_abs
 from heisim.network import Gate, NetworkState, apply_gate, init_network
 from heisim.registers import (ClassicalFunction, RegisterDescriptor,
                               _branch_value, classical_branches,
-                              compile_classical,
-                              product_sharpness_residual, register_descriptor,
+                              compile_classical, register_descriptor,
                               verify_classical_step)
 from heisim.relative import RelativeFrame
 
@@ -225,29 +224,6 @@ class TestClassicalBranches:
         nan_register = np.full((4, 4), np.nan, dtype=complex)
         with pytest.raises(BranchNotSharp, match="register value nan"):
             _branch_value(state, nan_register, frame)
-
-
-class TestProductSharpnessResidual:
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_matches_dense_square(self, n):
-        # |<(M S)^2> - <M S>^2| through the dense product (M S)^2, for
-        # registers over random disjoint qubit subsets.
-        rng = np.random.default_rng(90 + n)
-        for depth in (3, 20):
-            state = init_network(n)
-            for _ in range(depth):
-                state = apply_gate(state, acceptance._random_gate(rng, n))
-            for _ in range(3):
-                qubits = [int(q) + 1 for q in rng.permutation(n)]
-                cut = int(rng.integers(1, n))
-                bm = register_descriptor(state, qubits[:cut])
-                bs = register_descriptor(state, qubits[cut:])
-                product = bm.matrix @ bs.matrix
-                mean = np.real(network.expectation(state, product))
-                second = np.real(network.expectation(state, product @ product))
-                want = abs(second - mean * mean)
-                got = product_sharpness_residual(state, bm, bs)
-                assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
 class TestVerifyClassicalStep:

@@ -272,13 +272,15 @@ class TestFoliate:
         assert max_abs(record - (np.cos(1e-11) * d1.z
                                  + np.sin(1e-11) * d1.x @ d2.x)) <= 1e-15
         report = foliate(measured, Record(tilted, 1, "z"), [2])
-        plus, minus = (f.projector for f in report.frames)
+        plus = tilted.projector(1, "z")
+        minus = linalg.identity(4) - plus
         direct = max(linalg.commutator_norm(plus, mat)
-                     for _, mat in d2.components())
+                     for mat in [d2.component(c) for c in COMPONENTS])
         assert 0 < report.max_commutator == direct <= 1e-9
         # [1 - P, q] = -[P, q]: P- has the same norms, up to roundoff.
         assert max(linalg.commutator_norm(minus, mat)
-                   for _, mat in d2.components()) == pytest.approx(
+                   for mat in [d2.component(c) for c in COMPONENTS]
+                   ) == pytest.approx(
                        direct, rel=1e-4)
         assert report.valid
 
@@ -363,7 +365,8 @@ class TestMatrixFreeAnswers:
                     if frame.weight <= state.tol.weight:
                         continue
                     for qubit in range(1, n + 1):
-                        for _, obs in state.descriptor(qubit).components():
+                        for obs in [state.descriptor(qubit).component(c)
+                                    for c in COMPONENTS]:
                             got = relative_expectation(state, obs, frame)
                             want = network.expectation(
                                 state, obs @ frame.projector) / frame.weight
