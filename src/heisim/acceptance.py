@@ -7,12 +7,14 @@ a fixed seed gives byte-identical selftest output.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import linalg, network, oracle, registers, relative
 from .errors import NonCommuting, ZeroWeightBranch
 from .linalg import COMPONENTS, max_abs
-from .network import Gate, apply_gate, init_network
+from .network import Gate, Record, apply_gate, init_network
 
 
 def _random_gate(rng, n: int) -> Gate:
@@ -42,13 +44,28 @@ def _random_f_params(rng) -> tuple[float, float, float, float]:
     return (float(alpha), float(beta), float(gamma), float(delta))
 
 
+def _run(n: int, gates) -> list:
+    """The timeline of a run: as ``runner.execute`` does before its queries,
+    the final state's algebra certificate is taken, so the record checks
+    below are the run's checks."""
+    timeline = network.run_gates(init_network(n), gates)
+    network.algebra_certificate(timeline[-1])
+    return timeline
+
+
+def _triples(state) -> list:
+    """Every qubit's (x, y, z) descriptor matrices."""
+    return [[state.component(a, c) for c in COMPONENTS]
+            for a in range(1, state.n + 1)]
+
+
 def section3_timeline():
     """The two-qubit measurement fixture: H on qubit 1, then CNOT 1 -> 2.
 
     The z-records of both qubits are taken at the final step, so they are
     the final state's z descriptors.
     """
-    return network.run_gates(init_network(2), [Gate.h(1), Gate.cnot(1, 2)])
+    return _run(2, [Gate.h(1), Gate.cnot(1, 2)])
 
 
 def criterion_1(seed: int) -> dict:
@@ -61,7 +78,7 @@ def criterion_1(seed: int) -> dict:
         state = init_network(n)
         for _ in range(depth):
             state = apply_gate(state, _random_gate(rng, n))
-        residual = network.algebra_residual(state.descriptors)
+        residual = network.algebra_residual(_triples(state))
         worst = linalg.worst((worst, residual))
     return {"name": "algebra-conservation", "passed": worst <= 1e-8,
             "detail": f"max residual {worst:.3e} (bound 1e-08)"}
@@ -74,13 +91,10 @@ def criterion_2(seed: int) -> dict:
     mx, my, mz = linalg.embed_pauli(2, 2)
     expected_s = (sz @ mx, -sy @ mx, sx)
     expected_m = (mx, my @ sx, mz @ sx)
-    worst = 0.0
-    for got, want in zip((final.descriptor(1).x, final.descriptor(1).y,
-                          final.descriptor(1).z), expected_s):
-        worst = linalg.worst((worst, max_abs(got - want)))
-    for got, want in zip((final.descriptor(2).x, final.descriptor(2).y,
-                          final.descriptor(2).z), expected_m):
-        worst = linalg.worst((worst, max_abs(got - want)))
+    worst = linalg.worst(
+        max_abs(got - want) for triple, expected in
+        zip(_triples(final), (expected_s, expected_m))
+        for got, want in zip(triple, expected))
 
     run = oracle.evolve(init_network(2).psi, [Gate.h(1), Gate.cnot(1, 2)], 2)
     bell = np.zeros(4, dtype=complex)
@@ -97,10 +111,10 @@ def criterion_2(seed: int) -> dict:
 def criterion_3(seed: int) -> dict:
     """Branch values: absolute 0, conditional +-1, weights 1/2."""
     final = section3_timeline()[-1]
-    mz = final.descriptor(2).z
+    mz = final.ket(2, "z")
     absolute = network.expectation(final, mz)
-    plus, minus = relative.make_pvm(final, final.projector(1, "z"),
-                                    "q_1z at t=2")
+    plus, minus = relative.record_pvm(final, Record(final, 1, "z"),
+                                      "q_1z at t=2")
     errs = [abs(absolute),
             abs(relative.relative_expectation(final, mz, plus) - 1.0),
             abs(relative.relative_expectation(final, mz, minus) + 1.0),
@@ -116,15 +130,15 @@ def criterion_4(seed: int) -> dict:
     worst_alg = 0.0
     worst_sum = 0.0
     for holder, record_qubit in ((2, 1), (1, 2)):
-        frames = relative.make_pvm(final, final.projector(record_qubit, "z"),
-                                   f"q_{record_qubit}z at t=2")
-        rds = relative.relative_descriptors(final, holder, frames)
+        rds = relative.relative_descriptors(final, holder,
+                                            Record(final, record_qubit, "z"))
         for rd in rds:
-            residual = network.algebra_residual([rd], unit=rd.unit)
+            residual = network.algebra_residual([(rd.x, rd.y, rd.z)],
+                                                unit=rd.unit)
             worst_alg = linalg.worst((worst_alg, residual))
         for c in COMPONENTS:
             total = sum(rd.component(c) for rd in rds)
-            absolute = final.descriptor(holder).component(c)
+            absolute = final.component(holder, c)
             worst_sum = linalg.worst((worst_sum, max_abs(total - absolute)))
     passed = worst_alg <= 1e-9 and worst_sum <= 1e-10
     return {"name": "relative-pauli-algebra", "passed": passed,
@@ -140,32 +154,26 @@ def criterion_5(seed: int) -> dict:
     matrices = {}
     recovered = []
     for theta in thetas:
-        timeline = network.run_gates(
-            init_network(2), [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta)])
+        timeline = _run(2, [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta)])
         final = timeline[-1]
         for q in (1, 2):
             for c in COMPONENTS:
-                value = network.expectation(final,
-                                            final.descriptor(q).component(c))
+                value = network.expectation(final, final.ket(q, c))
                 worst_abs = linalg.worst((worst_abs, abs(np.real(value))))
         # The q_1z record is taken at step 2, before the rotation.
-        plus, minus = relative.make_pvm(final, timeline[2].projector(1, "z"),
-                                        "q_1z at t=2")
+        plus, minus = relative.record_pvm(final, Record(timeline[2], 1, "z"),
+                                          "q_1z at t=2")
         for frame, target_z in ((plus, 1.0), (minus, -1.0)):
             values = [np.real(relative.relative_expectation(
-                final, final.descriptor(2).component(c), frame))
-                for c in COMPONENTS]
+                final, final.ket(2, c), frame)) for c in COMPONENTS]
             worst_rel = linalg.worst((worst_rel, abs(values[0]),
                                       abs(values[1]), abs(values[2] - target_z)))
         if theta in (thetas[0], thetas[4]):  # 0 and pi/2
-            matrices[theta] = [final.descriptor(2).component(c)
-                               for c in COMPONENTS]
-        extended = network.run_gates(
-            init_network(2),
-            [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta), Gate.cnot(1, 2)])
-        fin2 = extended[-1]
+            matrices[theta] = _triples(final)[1]
+        fin2 = _run(2, [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta),
+                        Gate.cnot(1, 2)])[-1]
         recovered.append(float(np.real(
-            network.expectation(fin2, fin2.descriptor(1).x))))
+            network.expectation(fin2, fin2.ket(1, "x")))))
     distance = max(max_abs(a - b) for a, b in
                    zip(matrices[thetas[0]], matrices[thetas[4]]))
     spread = max(recovered) - min(recovered)
@@ -181,32 +189,30 @@ def criterion_6(seed: int) -> dict:
     """Autonomy classification and branch-factor evolution equality."""
     rng = np.random.default_rng(seed + 6)
     final = section3_timeline()[-1]
-    snapshots = [final.descriptor(1).z, final.descriptor(2).z]
+    records = [Record(final, 1, "z"), Record(final, 2, "z")]
     worst_path = 0.0
     ok = True
     for _ in range(20):
         gate = Gate.f(2, 1, *_random_f_params(rng))
-        result = relative.autonomy_check(final, gate, snapshots)
+        result = relative.autonomy_check(final, gate, records)
         ok = ok and result.preserving
         # Two evaluation routes per branch: evolve absolutely then project,
         # or conjugate the relative copy with the branch factor.
-        frames = relative.make_pvm(final, final.projector(2, "z"),
-                                   "q_2z at t=2")
         evolved = apply_gate(final, gate)
-        rds = relative.relative_descriptors(final, 1, frames)
-        for frame, rd in zip(frames, rds):
-            factor = relative.branch_evolution_factor(final, gate, frame)
+        rds = relative.relative_descriptors(final, 1, records[1])
+        for sign, rd in zip((1.0, -1.0), rds):
+            factor = relative.branch_evolution_factor(final, gate, sign)
             for c in COMPONENTS:
-                path_a = evolved.descriptor(1).component(c) @ frame.projector
+                path_a = evolved.component(1, c) @ rd.unit
                 path_b = factor.conj().T @ rd.component(c) @ factor
                 worst_path = linalg.worst((worst_path,
                                            max_abs(path_a - path_b)))
-    second_cnot = relative.autonomy_check(final, Gate.cnot(1, 2), snapshots)
+    second_cnot = relative.autonomy_check(final, Gate.cnot(1, 2), records)
     ok = ok and not second_cnot.preserving
     for _ in range(10):
         qubit = int(rng.choice([1, 2]))
         rot = Gate.rz(qubit, float(rng.uniform(0, 2 * np.pi)))
-        ok = ok and relative.autonomy_check(final, rot, snapshots).preserving
+        ok = ok and relative.autonomy_check(final, rot, records).preserving
     passed = ok and worst_path <= 1e-9
     return {"name": "autonomy-classification", "passed": passed,
             "detail": f"classifications {'ok' if ok else 'WRONG'}, "
@@ -222,15 +228,15 @@ def criterion_7(seed: int) -> dict:
         n = int(rng.choice([2, 3]))
         depth = int(rng.integers(1, 21))
         gates = [_random_gate(rng, n) for _ in range(depth)]
-        timeline = network.run_gates(init_network(n), gates)
+        timeline = _run(n, gates)
         run = oracle.evolve(timeline[0].psi, gates, n)
         cross = oracle.cross_validate(run, timeline)
         worst = linalg.worst((worst, cross.max_residual))
         final = timeline[-1]
         psi_t = run.states[-1]
         for a in range(1, n + 1):
-            frames = relative.make_pvm(final, final.projector(a, "z"),
-                                       "final z")
+            frames = relative.record_pvm(final, Record(final, a, "z"),
+                                         "final z")
             fixed_z = linalg.embed(linalg.SIGMA_Z, a, n)
             for frame in frames:
                 fixed_proj = linalg.pauli_projector(fixed_z, int(frame.label))
@@ -244,13 +250,13 @@ def criterion_7(seed: int) -> dict:
 
 
 def _classical_scenario(n, prep, m_qubits, s_qubits, functions):
-    """Run a branchwise classical computation and its pure-classical twin."""
-    state = init_network(n)
-    for gate in prep:
-        state = apply_gate(state, gate)
-    bs = registers.register_descriptor(state, s_qubits)
-    bm = registers.register_descriptor(state, m_qubits)
-    branches = registers.classical_branches(state, bm, bs)
+    """Run a branchwise classical computation and its pure-classical twin.
+
+    The reference PVM is taken once; its frames' kets are moved along with
+    each step, so every step reads the same branches.
+    """
+    state = network.run_gates(init_network(n), prep)[-1]
+    branches, _ = registers.classical_branches(state, m_qubits, s_qubits)
     frames = [b.frame for b in branches]
     expected = {b.frame.label: b.value for b in branches}
     mismatches = 0
@@ -268,6 +274,8 @@ def _classical_scenario(n, prep, m_qubits, s_qubits, functions):
             expected[row.label] = func(expected[row.label])
             if row.value_after != expected[row.label]:
                 mismatches += 1
+        frames = [replace(f, ket=network.transport(f.ket, state, after))
+                  for f in frames]
         state = after
     return mismatches
 
@@ -291,21 +299,15 @@ def criterion_8(seed: int) -> dict:
     mismatches = one_bit + two_bit
 
     # Cross-boundary interaction must be detected.
-    state = init_network(2)
-    for gate in (Gate.h(2), Gate.cnot(2, 1)):
-        state = apply_gate(state, gate)
-    bs = registers.register_descriptor(state, (2,))
-    bm = registers.register_descriptor(state, (1,))
-    frames = [b.frame for b in registers.classical_branches(state, bm, bs)]
+    state = network.run_gates(init_network(2),
+                              [Gate.h(2), Gate.cnot(2, 1)])[-1]
+    branches, _ = registers.classical_branches(state, (1,), (2,))
     boundary_gate = Gate.cnot(2, 1)
     after = apply_gate(state, boundary_gate)
-    try:
-        report = registers.verify_classical_step(
-            state, after, (1,), registers.ClassicalFunction.identity(1),
-            frames, step_gates=[boundary_gate])
-        detected = report.interaction_flagged or not report.ok
-    except Exception:
-        detected = True
+    report = registers.verify_classical_step(
+        state, after, (1,), registers.ClassicalFunction.identity(1),
+        [b.frame for b in branches], step_gates=[boundary_gate])
+    detected = report.interaction_flagged
     passed = mismatches == 0 and detected
     return {"name": "quasi-classical-ensemble", "passed": passed,
             "detail": f"branch mismatches {mismatches}, "
@@ -314,16 +316,16 @@ def criterion_8(seed: int) -> dict:
 
 def criterion_9(seed: int) -> dict:
     """Guards: sharp records cannot be foliated; zero weights raise, never NaN."""
-    fresh = init_network(2)
-    plus, minus = relative.make_pvm(fresh, fresh.projector(1, "z"),
-                                    "q_1z at t=0")
+    fresh = _run(2, [])[-1]
+    record = Record(fresh, 1, "z")
+    _, minus = relative.record_pvm(fresh, record, "q_1z at t=0")
     try:
-        relative.relative_descriptors(fresh, 1, (plus, minus))
+        relative.relative_descriptors(fresh, 1, record)
         sharp_guard = False
     except NonCommuting:
         sharp_guard = True
     try:
-        relative.relative_expectation(fresh, fresh.descriptor(2).z, minus)
+        relative.relative_expectation(fresh, fresh.ket(2, "z"), minus)
         zero_guard = False
     except ZeroWeightBranch:
         zero_guard = True

@@ -22,8 +22,20 @@ FORMAT_VERSION = 1
 # same objects; only the scanner and parser differ.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-QUERY_KINDS = ("expectation", "sharpness", "entanglement", "foliate",
-               "autonomy", "classical")
+# The fields each mapping may hold. Any other field is an error, so that a
+# misspelt or misplaced option is never ignored.
+_DOCUMENT_FIELDS = {"format_version", "qubits", "gates", "records", "queries"}
+_GATE_FIELDS = {"step", "kind", "operands", "params"}
+_RECORD_FIELDS = {"qubit", "component", "step"}
+_QUERY_FIELDS = {
+    "expectation": {"kind", "qubit", "component", "frame"},
+    "sharpness": {"kind", "qubit", "component"},
+    "entanglement": {"kind", "qubits"},
+    "foliate": {"kind", "qubits", "record"},
+    "autonomy": {"kind", "gate", "records"},
+    "classical": {"kind", "register", "reference"},
+}
+QUERY_KINDS = tuple(_QUERY_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,12 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _check_fields(mapping: dict, allowed: set, context: str) -> None:
+    for key in mapping:
+        if key not in allowed:
+            raise ValidationError(f"{context}: unknown field {key!r}")
+
+
 def _is_int(value) -> bool:
     """An integer, and not a YAML boolean (which Python counts as one)."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -79,6 +97,7 @@ def _qubit_list(mapping: dict, key: str, context: str, n: int) -> list:
 def _parse_gate(entry: dict, context: str, n: int) -> tuple[int, Gate]:
     if not isinstance(entry, dict):
         raise ValidationError(f"{context}: expected a mapping")
+    _check_fields(entry, _GATE_FIELDS, context)
     step = _int_field(entry, "step", context)
     kind = str(_require(entry, "kind", context)).upper()
     operands = entry.get("operands", [])
@@ -102,10 +121,11 @@ def _parse_gate(entry: dict, context: str, n: int) -> tuple[int, Gate]:
     return step, gate
 
 
-def _parse_record_ref(entry: dict, context: str, n: int,
-                      max_step: int) -> RecordRef:
+def _parse_record_ref(entry: dict, context: str, n: int, max_step: int,
+                      fields: set = _RECORD_FIELDS) -> RecordRef:
     if not isinstance(entry, dict):
         raise ValidationError(f"{context}: expected a mapping")
+    _check_fields(entry, fields, context)
     qubit = _int_field(entry, "qubit", context)
     component = str(_require(entry, "component", context))
     step = _int_field(entry, "step", context)
@@ -127,10 +147,12 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
     kind = str(_require(query, "kind", context))
     if kind not in QUERY_KINDS:
         raise ValidationError(f"{context}: unknown query kind {kind!r}")
+    _check_fields(query, _QUERY_FIELDS[kind], context)
     recorded_keys = {r.key for r in records}
 
-    def check_ref(entry, label):
-        ref = _parse_record_ref(entry, f"{context}.{label}", n, max_step)
+    def check_ref(entry, label, fields=_RECORD_FIELDS):
+        ref = _parse_record_ref(entry, f"{context}.{label}", n, max_step,
+                                fields)
         if ref.key not in recorded_keys:
             raise ValidationError(
                 f"{context}.{label}: no matching record marker for {ref.key}")
@@ -142,11 +164,8 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
         if not 1 <= qubit <= n or component not in COMPONENTS:
             raise ValidationError(f"{context}: bad qubit/component")
         if "frame" in query:
-            if kind == "sharpness":
-                raise ValidationError(
-                    f"{context}: frame applies to expectation queries only")
             frame = query["frame"]
-            check_ref(frame, "frame")
+            check_ref(frame, "frame", _RECORD_FIELDS | {"label"})
             label = _int_field(frame, "label", f"{context}.frame")
             if label not in (1, -1):
                 raise ValidationError(f"{context}.frame: label must be +-1")
@@ -161,6 +180,7 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
         gate = _require(query, "gate", context)
         if not isinstance(gate, dict):
             raise ValidationError(f"{context}: gate must be a mapping")
+        _check_fields(gate, _GATE_FIELDS - {"step"}, f"{context}.gate")
         _, gate = _parse_gate({"step": 0, **gate}, f"{context}.gate", n)
         query = {**query, "gate": gate}
         refs = _require(query, "records", context)
@@ -192,6 +212,7 @@ def parse_circuit(text: str) -> CircuitFile:
         raise ParseError(f"invalid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("circuit document must be a mapping")
+    _check_fields(doc, _DOCUMENT_FIELDS, "document")
     version = _int_field(doc, "format_version", "document")
     if version != FORMAT_VERSION:
         raise ValidationError(f"unsupported format_version {version}")

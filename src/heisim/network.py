@@ -14,12 +14,12 @@ U_t = g U_{t-1}. Descriptors are computed from U when something reads them.
 
 A run answers from phi = U Psi and the local Paulis: <q_ac> =
 <phi|sigma_ac phi> and <q_ai q_bj> = <sigma_ai phi|sigma_bj phi>, the second
-within U's Gram defects. An observable is passed as its *ket*, the vector
-U A Psi (sigma_ac phi for a descriptor); the functions below also take the
-2^n x 2^n matrix A. A state whose algebra certificate has been taken and lies
-within tol.general and tol.commute is *certified*: its involution defects and
-the commutators of its records that vanish locally read the certificate
-instead of a dense norm.
+within U's Gram defects. An observable is passed only as its *ket*, the
+vector U A Psi (sigma_ac phi for a descriptor, ``NetworkState.ket``); a
+descriptor matrix is ``NetworkState.component``. A state whose algebra
+certificate has been taken and lies within tol.general and tol.commute is
+*certified*: its involution defects and the commutators of its records that
+vanish locally read the certificate instead of a dense norm.
 """
 
 from __future__ import annotations
@@ -125,33 +125,6 @@ class Gate:
 
 
 @dataclass(frozen=True, eq=False)
-class Descriptor:
-    """The (x, y, z) observable triple of one qubit at one time step.
-
-    A view on the network state: each component is computed from the state's
-    accumulated unitary when first read.
-    """
-
-    state: "NetworkState"
-    qubit: int
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.state.component(self.qubit, "x")
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.state.component(self.qubit, "y")
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.state.component(self.qubit, "z")
-
-    def component(self, name: str) -> np.ndarray:
-        return self.state.component(self.qubit, name)
-
-
-@dataclass(frozen=True, eq=False)
 class NetworkState:
     """Immutable network snapshot: accumulated unitary and fixed state.
 
@@ -174,15 +147,6 @@ class NetworkState:
     @property
     def dim(self) -> int:
         return 2 ** self.n
-
-    @property
-    def descriptors(self) -> tuple[Descriptor, ...]:
-        return tuple(Descriptor(self, a) for a in range(1, self.n + 1))
-
-    def descriptor(self, qubit: int) -> Descriptor:
-        if not 1 <= qubit <= self.n:
-            raise ValidationError(f"qubit {qubit} out of range 1..{self.n}")
-        return Descriptor(self, qubit)
 
     def _check_component(self, qubit: int, name: str) -> None:
         if not 1 <= qubit <= self.n:
@@ -268,6 +232,16 @@ class NetworkState:
         return 0.5 * (linalg.identity(self.dim) + self.component(qubit, name))
 
 
+def transport(ket: np.ndarray, source: NetworkState,
+              target: NetworkState) -> np.ndarray:
+    """U_target U_source† ket: a ket of ``source``'s frame read in the frame
+    of ``target``, two matrix-vector products (none when they are one
+    state)."""
+    if source is target:
+        return ket
+    return target.u @ (source.u.conj().T @ ket)
+
+
 @dataclass(frozen=True)
 class Record:
     """A record marker: the descriptor q_{qubit,name} of the state of its
@@ -287,10 +261,9 @@ class Record:
         """U_T P+ Psi, the ket of the record's projector P+ = 1/2(1 + q) read
         by the final state ``state`` (U_T): 1/2(phi + sigma phi) for a record
         of ``state`` itself. A record of step s gives
-        1/2(phi + U_T U_s† sigma phi_s), two matrix-vector products."""
-        sigma_phi = self.state.ket(self.qubit, self.name)
-        if self.state is not state:
-            sigma_phi = state.u @ (self.state.u.conj().T @ sigma_phi)
+        1/2(phi + U_T U_s† sigma phi_s) (``transport``)."""
+        sigma_phi = transport(self.state.ket(self.qubit, self.name),
+                              self.state, state)
         return 0.5 * (state.phi + sigma_phi)
 
 
@@ -413,16 +386,12 @@ def apply_gate(state: NetworkState, gate: Gate) -> NetworkState:
     return NetworkState(state.n, state.t + 1, u, state.psi, state.tol)
 
 
-def _are_kets(state: NetworkState, *observables: np.ndarray) -> bool:
-    """True when the observables are kets (2^n vectors), False when they are
-    2^n x 2^n matrices; DimMismatch for anything else or a mix."""
-    shapes = {np.shape(observable) for observable in observables}
-    if shapes == {(state.dim,)}:
-        return True
-    if shapes != {(state.dim, state.dim)}:
-        raise DimMismatch(f"observable shapes {sorted(shapes)}: expected all "
-                          f"({state.dim}, {state.dim}) or all ({state.dim},)")
-    return False
+def _check_kets(state: NetworkState, *kets: np.ndarray) -> None:
+    """DimMismatch unless every observable is a ket, a 2^n vector."""
+    for ket in kets:
+        if np.shape(ket) != (state.dim,):
+            raise DimMismatch(f"observable of shape {np.shape(ket)}: "
+                              f"expected the ket of shape ({state.dim},)")
 
 
 def _scalar(state: NetworkState, value):
@@ -434,40 +403,32 @@ def _scalar(state: NetworkState, value):
 
 
 def expectation(state: NetworkState, observable: np.ndarray):
-    """<Psi| A |Psi> against the fixed state; real float when A is Hermitian.
-
-    A ket U A Psi gives <phi| U A Psi>, the same number.
-    """
-    if _are_kets(state, observable):
-        return _scalar(state, np.vdot(state.phi, observable))
-    return _scalar(state, np.vdot(state.psi, observable @ state.psi))
+    """<Psi| A |Psi> = <phi| U A Psi> from the ket U A Psi of A; a real float
+    when A is Hermitian."""
+    _check_kets(state, observable)
+    return _scalar(state, np.vdot(state.phi, observable))
 
 
 def correlation(state: NetworkState, a: np.ndarray, b: np.ndarray):
-    """<Psi| A B |Psi> = (Psi† A)(B Psi), two matrix-vector products.
-
-    Equal to ``expectation(state, a @ b)`` without the O(8^n) product; the
-    real/imaginary rule is expectation's. Neither matrix need be Hermitian.
-    Two kets give <U A Psi|U B Psi>, which is <A B> for a Hermitian A and a
-    unitary U.
-    """
-    if _are_kets(state, a, b):
-        return _scalar(state, np.vdot(a, b))
-    return _scalar(state, (state.psi.conj() @ a) @ (b @ state.psi))
+    """<Psi| A B |Psi> = <U A Psi|U B Psi> from the kets of a Hermitian A
+    and of B; the real/imaginary rule is expectation's."""
+    _check_kets(state, a, b)
+    return _scalar(state, np.vdot(a, b))
 
 
 def is_sharp(state: NetworkState, observable: np.ndarray) -> Optional[float]:
-    """The sharp value of a Hermitian observable, or None when it has none.
+    """The sharp value of a Hermitian observable, given as its ket, or None
+    when it has none.
 
     Sharp means <A>^2 = <A^2> within tol.sharp, i.e. the fixed state is an
-    eigenstate of A. A matrix is checked to be Hermitian; a ket stands for a
-    descriptor U† sigma U, which is.
+    eigenstate of A. A NaN defect raises ToleranceViolation: it is no
+    evidence either way.
     """
-    if not _are_kets(state, observable):
-        linalg.check_hermitian(observable, state.tol.hermitian)
     mean = expectation(state, observable)
-    second = correlation(state, observable, observable)
-    if abs(mean * mean - second) <= state.tol.sharp:
+    defect = abs(mean * mean - correlation(state, observable, observable))
+    if math.isnan(defect):
+        raise ToleranceViolation("sharpness defect is nan")
+    if defect <= state.tol.sharp:
         return float(np.real(mean))
     return None
 
@@ -515,11 +476,12 @@ _EPS = {("x", "y"): ("z", 1), ("y", "x"): ("z", -1),
         ("z", "x"): ("y", 1), ("x", "z"): ("y", -1)}
 
 
-def algebra_residual(descriptors, unit: Optional[np.ndarray] = None) -> float:
-    """Max residual of the Pauli relations over (x, y, z) triples.
+def algebra_residual(triples, unit: Optional[np.ndarray] = None) -> float:
+    """Max residual of the Pauli relations over (x, y, z) matrix triples.
 
-    Checks q_i q_j = delta_ij unit + i eps_ijk q_k per triple; ``descriptors``
-    are a network's descriptors or relative descriptors. ``unit`` defaults to
+    Checks q_i q_j = delta_ij unit + i eps_ijk q_k per triple; the triples
+    are a network's descriptor components or a relative descriptor's
+    branch copies. ``unit`` defaults to
     the identity; any other unit (a branch projector) must also absorb into
     each component from either side. Components of distinct triples must
     commute. NaN anywhere gives NaN.
@@ -527,7 +489,7 @@ def algebra_residual(descriptors, unit: Optional[np.ndarray] = None) -> float:
     Dense, O(n^2 8^n): ``selftest`` takes it, and a run reports
     ``algebra_certificate``, which bounds it.
     """
-    mats = [{c: d.component(c) for c in COMPONENTS} for d in descriptors]
+    mats = [dict(zip(COMPONENTS, triple)) for triple in triples]
     if not mats:
         return 0.0
     one = linalg.identity(mats[0]["x"].shape[0]) if unit is None else unit

@@ -5,6 +5,10 @@ sum_k 2^k * P_{-1}(q_{kz}), whose eigenvalues enumerate the classical memory
 states of the subset (z-value -1 marks bit value 1, so a fresh network encodes
 the all-zeros register). Entangling the register with a reference register
 foliates it into an ensemble of classical computers, one per reference value.
+
+In U's frame a register U R U† is diagonal, holding each basis state's
+register value, so every register moment is a sum of |phi_x|^2 grouped by
+the register bits: no register matrix and no eigh.
 """
 
 from __future__ import annotations
@@ -21,17 +25,6 @@ from .network import Gate, NetworkState
 from .relative import RelativeFrame
 
 
-@dataclass(frozen=True)
-class RegisterDescriptor:
-    """Binary-register observable over an ordered qubit subset.
-
-    ``qubits`` is least-significant first: qubits[k] carries weight 2^k.
-    """
-
-    qubits: tuple[int, ...]
-    matrix: np.ndarray
-
-
 def _register_qubits(state: NetworkState,
                      qubits: Sequence[int]) -> tuple[int, ...]:
     qubits = tuple(qubits)
@@ -41,16 +34,6 @@ def _register_qubits(state: NetworkState,
         if not 1 <= q <= state.n:
             raise BadSubset(f"register qubit {q} out of range 1..{state.n}")
     return qubits
-
-
-def register_descriptor(state: NetworkState,
-                        qubits: Sequence[int]) -> RegisterDescriptor:
-    qubits = _register_qubits(state, qubits)
-    one = linalg.identity(state.dim)
-    matrix = np.zeros((state.dim, state.dim), dtype=complex)
-    for k, q in enumerate(qubits):
-        matrix = matrix + (2 ** k) * (one - state.projector(q, "z"))
-    return RegisterDescriptor(qubits, matrix)
 
 
 @dataclass(frozen=True)
@@ -187,25 +170,17 @@ class ClassicalStepReport:
     ok: bool
 
 
-def _branch_value(state: NetworkState, reg_matrix: np.ndarray,
-                  frame: RelativeFrame) -> tuple[int, float]:
-    """Sharp register value in a branch, judged against the relative state.
+def _sharp_value(state: NetworkState, frame: RelativeFrame, ket: np.ndarray,
+                 values: np.ndarray) -> tuple[int, float]:
+    """The register value and variance of a branch, from the |ket|^2
+    marginals of the register ``values`` over the branch weight.
 
     Raises BranchNotSharp when the variance, or the distance of the mean from
     the nearest integer, exceeds tol.sharp (NaN exceeds it).
     """
-    psi_rel = relative.relative_heisenberg_state(state, frame)
-    column = reg_matrix @ psi_rel
-    mean = float(np.real(np.vdot(psi_rel, column)))
-    second = float(np.real(np.vdot(psi_rel, reg_matrix @ column)))
-    return _sharp_value(state, frame, mean, second)
-
-
-def _sharp_value(state: NetworkState, frame: RelativeFrame, mean: float,
-                 second: float) -> tuple[int, float]:
-    """The branch's register value and variance from its first two
-    moments; BranchNotSharp as in ``_branch_value``."""
-    variance = second - mean * mean
+    branch = np.abs(ket) ** 2
+    mean = branch @ values / frame.weight
+    variance = branch @ values ** 2 / frame.weight - mean * mean
     defect = linalg.worst((abs(variance), abs(mean - np.round(mean))))
     if linalg.exceeds(defect, state.tol.sharp):
         raise BranchNotSharp(
@@ -221,52 +196,32 @@ def _require_unsharp(state: NetworkState, name: str, sharp: bool) -> None:
             f"entangled register")
 
 
-def classical_branches(state: NetworkState, bm: RegisterDescriptor,
-                       bs: RegisterDescriptor) -> list[BranchRegister]:
-    """Foliate register M by the eigenvalue PVM of reference register S.
-
-    Preconditions: both registers non-sharp (a sharp reference means the
-    registers are not entangled the way a measurement record requires), and
-    every nonzero-weight branch register sharp with respect to its relative
-    state. The product-sharpness residual is not enforced (see notes: it is
-    nonzero even for a perfectly correlated pair).
-    """
-    for name, reg in (("M", bm), ("S", bs)):
-        _require_unsharp(state, name,
-                         network.is_sharp(state, reg.matrix) is not None)
-    frames = relative.make_pvm_spectral(state, bs.matrix, source="reference register")
-    branches = []
-    for frame in relative.live_frames(frames, state.tol):
-        value, variance = _branch_value(state, bm.matrix, frame)
-        branches.append(BranchRegister(frame, value, variance))
-    return branches
-
-
-def _register_values(state: NetworkState,
-                     qubits: Sequence[int]) -> np.ndarray:
-    """Each basis state's register value sum_k 2^k b_k, with b_k the bit of
-    qubits[k] (qubit 1 is the most significant bit of the index)."""
+def register_descriptor(state: NetworkState,
+                        qubits: Sequence[int]) -> np.ndarray:
+    """A register in U's frame: each basis state's register value
+    sum_k 2^k b_k, with b_k the bit of qubits[k] (least significant first;
+    qubit 1 is the most significant bit of the index)."""
     index = np.arange(state.dim)
     return sum(((index >> (state.n - q)) & 1) << k
                for k, q in enumerate(_register_qubits(state, qubits)))
 
 
-def marginal_branches(state: NetworkState, m_qubits: Sequence[int],
-                      s_qubits: Sequence[int]
-                      ) -> tuple[list[BranchRegister], float]:
-    """``classical_branches`` of registers M and S, and the product
-    sharpness residual |<(M S)^2> - <M S>^2|, from the marginals of |phi|^2.
+def classical_branches(state: NetworkState, m_qubits: Sequence[int],
+                       s_qubits: Sequence[int]
+                       ) -> tuple[list[BranchRegister], float]:
+    """Foliate register M by the eigenvalue PVM of reference register S, and
+    the product sharpness residual |<(M S)^2> - <M S>^2|.
 
-    In U's frame the registers U M U† and U S U† are diagonal, holding each
-    basis state's register value, and S's spectrum is the integers
-    0..2^k - 1. So every mean, weight and variance is a sum of |phi_x|^2
-    grouped by register bits: no register matrix and no eigh. The
-    eigenvalue clusters, preconditions, errors and NaN rules are those of
-    ``classical_branches``. Each frame holds its ket: phi on its branch.
+    Preconditions: both registers non-sharp (a sharp reference means the
+    registers are not entangled the way a measurement record requires), and
+    every nonzero-weight branch register sharp with respect to its relative
+    state. The product-sharpness residual is reported, not enforced: it is
+    nonzero even for a perfectly correlated pair. S's spectrum is the
+    integers 0..2^k - 1; each frame holds its ket, phi on its branch.
     """
     prob = np.abs(state.phi) ** 2
-    m = _register_values(state, m_qubits)
-    s = _register_values(state, s_qubits)
+    m = register_descriptor(state, m_qubits)
+    s = register_descriptor(state, s_qubits)
     for name, values in (("M", m), ("S", s)):
         mean = prob @ values
         _require_unsharp(state, name,
@@ -285,10 +240,7 @@ def marginal_branches(state: NetworkState, m_qubits: Sequence[int],
                                     float(prob @ inside)))
     branches = []
     for frame in relative.live_frames(frames, state.tol):
-        branch = np.abs(frame.projector) ** 2
-        value, variance = _sharp_value(state, frame,
-                                       branch @ m / frame.weight,
-                                       branch @ m ** 2 / frame.weight)
+        value, variance = _sharp_value(state, frame, frame.ket, m)
         branches.append(BranchRegister(frame, value, variance))
     product = m * s
     mean = prob @ product
@@ -302,9 +254,12 @@ def verify_classical_step(before: NetworkState, after: NetworkState,
                           ) -> ClassicalStepReport:
     """Check that each branch register evolved as value -> func(value).
 
-    ``frames`` are fixed snapshots (reference-register PVM at the record
-    time). When ``step_gates`` is given, any gate coupling register qubits to
-    the outside flags the step as an interaction with the reference side.
+    ``frames`` are fixed snapshots, the reference-register PVM at the record
+    time, as kets of ``before`` (``classical_branches(before, ...)``). The
+    value after the step is read from each ket moved to ``after``
+    (``network.transport``). When ``step_gates`` is given, any gate coupling
+    register qubits to the outside flags the step as an interaction with the
+    reference side.
     """
     m_set = set(m_qubits)
     interaction = False
@@ -313,13 +268,13 @@ def verify_classical_step(before: NetworkState, after: NetworkState,
             ops = set(g.operands)
             if ops & m_set and ops - m_set:
                 interaction = True
-    reg_before = register_descriptor(before, m_qubits)
-    reg_after = register_descriptor(after, m_qubits)
+    values = register_descriptor(before, m_qubits)
     rows = []
     all_ok = True
     for frame in relative.live_frames(frames, before.tol):
-        vb, _ = _branch_value(before, reg_before.matrix, frame)
-        va, _ = _branch_value(after, reg_after.matrix, frame)
+        vb, _ = _sharp_value(before, frame, frame.ket, values)
+        va, _ = _sharp_value(after, frame, network.transport(
+            frame.ket, before, after), values)
         expected = func(vb)
         ok = va == expected
         all_ok = all_ok and ok

@@ -3,6 +3,10 @@
 A measurement record defines a PVM of projectors; multiplying a qubit's
 descriptors by a commuting projector yields the branch ("relative") copy of
 that qubit, a fully-fledged qubit whose unit element is the projector itself.
+A frame holds its projector P as the ket U P Psi, the final state phi
+projected onto the branch (see ``network``); the dense copies of
+``relative_descriptors`` and ``branch_evolution_factor`` build P themselves
+from a record.
 """
 
 from __future__ import annotations
@@ -21,13 +25,10 @@ from .network import Gate, NetworkState, Record
 
 @dataclass(frozen=True)
 class RelativeFrame:
-    """A branch selector: projector, its eigenvalue label, and its weight.
+    """A branch selector: the ket U P Psi of its projector P, its eigenvalue
+    label, and its weight <P>."""
 
-    A run holds the projector P as its ket U P Psi, the final state phi
-    projected onto the branch (see ``network``); P itself is also accepted.
-    """
-
-    projector: np.ndarray
+    ket: np.ndarray
     label: float
     source: str
     weight: float
@@ -67,19 +68,13 @@ class AutonomyResult:
 
 def make_pvm(state: NetworkState, plus: np.ndarray,
              source: str = "") -> tuple[RelativeFrame, RelativeFrame]:
-    """Two-frame PVM of an involution record, from its projector
-    P+ = 1/2(1 + q) or that projector's ket.
-
-    ``NetworkState.projector`` gives P+ and checks the record's involution;
-    P- is 1 - P+, and its ket phi - P+'s ket.
-    """
-    minus = (state.phi if np.ndim(plus) == 1
-             else linalg.identity(state.dim)) - plus
-    frames = []
-    for sign, proj in ((1.0, plus), (-1.0, minus)):
-        weight = float(np.real(network.expectation(state, proj)))
-        frames.append(RelativeFrame(proj, sign, source, weight))
-    return tuple(frames)
+    """Two-frame PVM of an involution record, from the ket of its projector
+    P+ = 1/2(1 + q); P- = 1 - P+ has the ket phi - P+'s ket."""
+    plus_weight = float(np.real(network.expectation(state, plus)))
+    minus = state.phi - plus
+    return (RelativeFrame(plus, 1.0, source, plus_weight),
+            RelativeFrame(minus, -1.0, source,
+                          float(np.real(network.expectation(state, minus)))))
 
 
 def record_pvm(state: NetworkState, record: Record,
@@ -92,12 +87,14 @@ def record_pvm(state: NetworkState, record: Record,
 
 def make_pvm_spectral(state: NetworkState, observable: np.ndarray,
                       source: str = "") -> tuple[RelativeFrame, ...]:
-    """One frame per (clustered) eigenvalue of a general Hermitian record."""
+    """One frame per (clustered) eigenvalue of a general Hermitian record
+    matrix, each holding its ket U P Psi."""
     decomp = linalg.spectral(observable, state.tol)
     frames = []
     for lam, proj in zip(decomp.eigenvalues, decomp.projectors):
-        weight = float(np.real(network.expectation(state, proj)))
-        frames.append(RelativeFrame(proj, lam, source, weight))
+        ket = state.u @ (proj @ state.psi)
+        weight = float(np.real(network.expectation(state, ket)))
+        frames.append(RelativeFrame(ket, lam, source, weight))
     return tuple(frames)
 
 
@@ -134,71 +131,63 @@ def _max_commutator(state: NetworkState, qubit: int, norm) -> float:
     return linalg.worst(norms)
 
 
-def relative_descriptors(state: NetworkState, qubit: int,
-                         frames: tuple[RelativeFrame, RelativeFrame]
+def _record_projectors(record: Record) -> tuple[np.ndarray, np.ndarray]:
+    """The dense (P+, 1 - P+) of a record, P+ = 1/2(1 + q)."""
+    plus = record.state.projector(record.qubit, record.name)
+    return plus, linalg.identity(record.state.dim) - plus
+
+
+def relative_descriptors(state: NetworkState, qubit: int, record: Record
                          ) -> tuple[RelativeDescriptor, RelativeDescriptor]:
-    """Both branch copies of one qubit under a ``make_pvm`` pair (P+, 1 - P+):
-    descriptor components times each frame projector.
+    """Both branch copies of one qubit under a record's PVM (P+, 1 - P+):
+    descriptor components times each projector, dense.
 
     The projectors must commute with every component, otherwise the products
     are not Hermitian and the foliation attempt is physically meaningless.
     [1 - P, q] = -[P, q], so the norms against P+ serve both frames.
     """
+    plus, minus = _record_projectors(record)
     _max_commutator(state, qubit, lambda name: linalg.commutator_norm(
-        frames[0].projector, state.component(qubit, name)))
-    d = state.descriptor(qubit)
-    return tuple(RelativeDescriptor(d.x @ f.projector, d.y @ f.projector,
-                                    d.z @ f.projector, f.projector)
-                 for f in frames)
+        plus, state.component(qubit, name)))
+    mats = [state.component(qubit, name) for name in COMPONENTS]
+    return tuple(RelativeDescriptor(*(m @ p for m in mats), p)
+                 for p in (plus, minus))
 
 
 def relative_expectation(state: NetworkState, observable: np.ndarray,
                          frame: RelativeFrame):
-    """Branch-conditional expectation <A P> / <P>."""
-    weight = np.real(network.expectation(state, frame.projector))
+    """Branch-conditional expectation <A P> / <P>, from the kets of A and
+    of the frame."""
+    weight = np.real(network.expectation(state, frame.ket))
     if linalg.negligible(weight, state.tol.weight):
         raise ZeroWeightBranch(
             f"branch {frame.label} of {frame.source!r} has weight {weight:.3e}")
-    return network.correlation(state, observable, frame.projector) / weight
-
-
-def relative_heisenberg_state(state: NetworkState,
-                              frame: RelativeFrame) -> np.ndarray:
-    """Normalized projection P|Psi>/||P|Psi>|| of the fixed state."""
-    projected = frame.projector @ state.psi
-    norm = float(np.linalg.norm(projected))
-    if linalg.negligible(norm * norm, state.tol.weight):
-        raise ZeroWeightBranch(
-            f"branch {frame.label} of {frame.source!r} has squared norm "
-            f"{norm * norm:.3e}")
-    return projected / norm
+    return network.correlation(state, observable, frame.ket) / weight
 
 
 def autonomy_check(state: NetworkState, gate: Gate,
-                   snapshots: Sequence) -> AutonomyResult:
-    """Classify a gate against the current foliation's record snapshots.
+                   records: Sequence[Record]) -> AutonomyResult:
+    """Classify a gate against the current foliation's records.
 
     PRESERVING iff the gate unitary (evaluated on current descriptors)
-    commutes with every recorded snapshot; otherwise DESTROYING with the
-    first violated snapshot and the commutator norm.
+    commutes with every record; otherwise DESTROYING with the first violated
+    record and the commutator norm.
 
-    A snapshot is a descriptor matrix or a ``Record``. A record of the
-    certified state itself whose sigma commutes exactly with the gate's
-    local matrix (``network.gate_commutes``) takes the algebra certificate
-    as its norm; every other snapshot takes the dense norm.
+    A record of the certified state itself whose sigma commutes exactly with
+    the gate's local matrix (``network.gate_commutes``) takes the algebra
+    certificate as its norm; every other record takes the dense norm.
     """
     u = None
     worst = 0.0
-    for idx, snap in enumerate(snapshots):
-        if (isinstance(snap, Record) and snap.local_to(state)
-                and network.gate_commutes(gate, snap.qubit, snap.name)):
+    for idx, record in enumerate(records):
+        if (record.local_to(state)
+                and network.gate_commutes(gate, record.qubit, record.name)):
             cnorm = network.algebra_certificate(state)
         else:
-            if isinstance(snap, Record):
-                snap = snap.state.component(snap.qubit, snap.name)
             if u is None:
                 u = network.build_gate_unitary(state, gate)
-            cnorm = linalg.commutator_norm(u, snap)
+            cnorm = linalg.commutator_norm(
+                u, record.state.component(record.qubit, record.name))
         worst = linalg.worst((worst, cnorm))
         if linalg.exceeds(cnorm, state.tol.commute):
             return AutonomyResult(False, idx, cnorm)
@@ -206,20 +195,22 @@ def autonomy_check(state: NetworkState, gate: Gate,
 
 
 def branch_evolution_factor(state: NetworkState, gate: Gate,
-                            frame: RelativeFrame) -> np.ndarray:
-    """Branch-restricted unitary of a diagonal two-qubit F gate.
+                            sign: float) -> np.ndarray:
+    """Branch-restricted unitary of a diagonal two-qubit F gate, dense.
 
-    The frame must come from the z-record PVM of the gate's first operand;
-    for label s the factor is (alpha + s*beta) * P + (gamma + s*delta) * q_bz P,
-    acting on the relative copy of the second operand.
+    The branch is the ``sign`` frame of the z-record of the gate's first
+    operand a, with projector P = 1/2(1 + s q_az); for s = +-1 the factor is
+    (alpha + s*beta) * P + (gamma + s*delta) * q_bz P, acting on the
+    relative copy of the second operand b.
     """
     if gate.kind != "F":
         raise WrongGateKind(f"branch factor defined for F gates, got {gate.kind}")
     alpha, beta, gamma, delta = gate.params
-    s = 1.0 if frame.label > 0 else -1.0
-    _, b = gate.operands
-    qbz = state.descriptor(b).z
-    proj = frame.projector
+    s = 1.0 if sign > 0 else -1.0
+    a, b = gate.operands
+    plus, minus = _record_projectors(Record(state, a, "z"))
+    proj = plus if s > 0 else minus
+    qbz = state.component(b, "z")
     return (alpha + s * beta) * proj + (gamma + s * delta) * (qbz @ proj)
 
 

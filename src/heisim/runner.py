@@ -105,7 +105,7 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
                 "violated_index": result.violated_index,
                 "commutator_norm": result.commutator_norm}
     if kind == "classical":
-        branches, residual = registers.marginal_branches(
+        branches, residual = registers.classical_branches(
             state, query["register"], query["reference"])
         return {"kind": kind,
                 "branches": [{"label": b.frame.label,

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from heisim import acceptance
+from heisim import acceptance, registers
 
 
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA,
@@ -26,3 +26,20 @@ def test_selftest_deterministic():
     assert first.stdout == second.stdout
     assert first.stdout.decode().strip().endswith(
         "9/9 criteria passed (seed=7)")
+
+
+def test_criterion_8_does_not_pass_on_a_bug(monkeypatch):
+    """An error inside the interaction check is a bug, not a detection."""
+    verify = registers.verify_classical_step
+
+    def broken(*args, step_gates=None, **kwargs):
+        if step_gates is not None:
+            raise TypeError("broken interaction check")
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(registers, "verify_classical_step", broken)
+    try:
+        result = acceptance.criterion_8(seed=0)
+    except TypeError:
+        return
+    assert not result["passed"], result["detail"]

@@ -47,7 +47,7 @@ queries:
   - kind: autonomy
     gate: {kind: NOT, operands: [3]}
     records: [*rec, {step: 2, qubit: 2, component: x}]
-  - {kind: classical, register: [1], reference: [2, 3], note: ~}
+  - {kind: classical, register: [1], reference: [2, 3]}
 ...
 """
 
@@ -222,12 +222,50 @@ class TestQueryValidation:
         with pytest.raises(ValidationError):
             parse_circuit(self.build(query))
 
+    @pytest.mark.parametrize("query, field", [
+        # A frame meant to condition the answer, misspelt: the answer would
+        # be unconditional.
+        ("{kind: expectation, qubit: 2, component: z, "
+         "frames: {qubit: 1, component: z, step: 2, label: 1}}", "frames"),
+        ("{kind: entanglement, qubits: [1, 2], "
+         "frame: {qubit: 1, component: z, step: 2, label: 1}}", "frame"),
+        ("{kind: sharpness, qubit: 2, component: z, "
+         "frame: {qubit: 1, component: z, step: 2, label: 1}}", "frame"),
+        ("{kind: autonomy, gate: {kind: CNOT, operands: [1, 2], step: 9}, "
+         "records: [{qubit: 1, component: z, step: 2}]}", "step"),
+        ("{kind: autonomy, gate: {kind: CNOT, operands: [1, 2]}, "
+         "records: [{qubit: 1, component: z, step: 2, label: 1}]}", "label"),
+    ])
+    def test_unknown_query_fields_rejected(self, query, field):
+        with pytest.raises(ValidationError,
+                           match=f"unknown field '{field}'"):
+            parse_circuit(self.build(query))
+
     def test_classical_query_fields(self):
         good = parse_circuit(self.build(
             "{kind: classical, register: [1], reference: [2]}"))
         assert good.queries[0]["kind"] == "classical"
         with pytest.raises(ValidationError):
             parse_circuit(self.build("{kind: classical, register: [1]}"))
+
+
+class TestUnknownFields:
+    def test_top_level_typo_drops_no_gate(self):
+        # "gate:" for "gates:" would otherwise run the circuit with no gates.
+        text = MINIMAL.replace("gates:", "gate:").replace(
+            "step: 2, qubit: 1", "step: 0, qubit: 1")
+        with pytest.raises(ValidationError,
+                           match="document: unknown field 'gate'"):
+            parse_circuit(text)
+
+    def test_gate_and_record_entries(self):
+        with pytest.raises(ValidationError,
+                           match=r"gates\[0\]: unknown field 'operand'"):
+            parse_circuit(MINIMAL.replace("operands: [1]}", "operand: [1]}"))
+        with pytest.raises(ValidationError,
+                           match=r"records\[0\]: unknown field 'label'"):
+            parse_circuit(MINIMAL.replace("component: z}",
+                                          "component: z, label: 1}"))
 
 
 class TestLoadCircuit:

@@ -12,8 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from heisim import (acceptance, linalg, network, oracle, registers, relative,
-                    runner)
+from heisim import acceptance, linalg, network, oracle, relative, runner
 from heisim.errors import (BranchNotSharp, NonCommuting, PreconditionFailed,
                            ToleranceViolation, ZeroWeightBranch)
 from heisim.linalg import COMPONENTS, DEFAULT_TOL
@@ -43,6 +42,12 @@ def random_gate(rng, n):
 
 def ref(qubit, name, step):
     return {"qubit": qubit, "component": name, "step": step}
+
+
+def dense_weight(state, qubit, name):
+    """<P+> of the record q_{qubit,name} of ``state``, from its matrix."""
+    q = state.component(qubit, name)
+    return 0.5 * (1 + np.vdot(state.psi, q @ state.psi).real)
 
 
 # The dense operator path --------------------------------------------------
@@ -180,7 +185,7 @@ def random_queries(rng, timeline):
                 queries.append({"kind": "entanglement", "qubits": [a, b]})
     for r in range(1, n + 1):
         name = COMPONENTS[rng.integers(3)]
-        plus = 0.5 * (1 + network.expectation(state, state.component(r, name)))
+        plus = dense_weight(state, r, name)
         others = [b for b in range(1, n + 1) if b != r]
         if min(plus, 1 - plus) > 1e-6:  # both branches live
             for label in (1, -1):
@@ -225,8 +230,7 @@ def early_record_queries(rng, timeline, split, kept):
         for _ in range(3):
             name, step = COMPONENTS[rng.integers(3)], int(rng.integers(final))
             state = timeline[step]
-            plus = 0.5 * (1 + network.expectation(state,
-                                                  state.component(r, name)))
+            plus = dense_weight(state, r, name)
             if min(plus, 1 - plus) > 1e-6:  # both branches live
                 for label in (1, -1):
                     queries.append({"kind": "expectation",
@@ -510,27 +514,51 @@ class TestCertificateFallback:
 
 
 class TestOneAnswerPath:
-    """Answers read kets of the final frame: no descriptor matrix of the
-    final state, no register matrix and no eigh, certified or not."""
+    """Answers read kets of the final frame: no descriptor matrix or record
+    projector of the final state and no eigh, certified or not."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """(name, state) of every NetworkState.component call, and (name,
-        None) of every register_descriptor and eigh call."""
+        """(name, state) of every NetworkState.component and
+        NetworkState.projector call, and (name, None) of every eigh call."""
         calls = []
 
         def counted(owner, name):
             inner = getattr(owner, name)
 
             def call(*args, **kwargs):
-                calls.append((name, args[0] if name == "component" else None))
+                calls.append((name, args[0] if owner is NetworkState
+                              else None))
                 return inner(*args, **kwargs)
             monkeypatch.setattr(owner, name, call)
 
         counted(NetworkState, "component")
-        counted(registers, "register_descriptor")
+        counted(NetworkState, "projector")
         counted(np.linalg, "eigh")
         return calls
+
+    @pytest.mark.parametrize("criterion", [acceptance.criterion_3,
+                                           acceptance.criterion_7,
+                                           acceptance.criterion_8])
+    def test_selftest_reads_the_answer_path(self, reads, criterion):
+        # With the final state certified, as a run certifies it, these
+        # criteria read the same kets and |phi|^2 marginals as a run.
+        assert criterion(0)["passed"]
+        assert reads == []
+
+    @pytest.mark.parametrize("call", [
+        lambda s, m: network.expectation(s, m),
+        lambda s, m: network.correlation(s, s.ket(1, "z"), m),
+        lambda s, m: network.is_sharp(s, m),
+        lambda s, m: relative.make_pvm(s, m),
+        lambda s, m: relative.relative_expectation(
+            s, m, relative.record_pvm(s, network.Record(s, 1, "z"))[0]),
+    ], ids=["expectation", "correlation", "is_sharp", "make_pvm",
+            "relative_expectation"])
+    def test_a_matrix_is_no_observable(self, call):
+        final = acceptance.section3_timeline()[-1]
+        with pytest.raises(network.DimMismatch):
+            call(final, final.component(2, "z"))
 
     def test_record_before_the_final_step(self, reads):
         # q_1z at step 1 is U_1† sigma_z U_1 = sigma_x after H on qubit 1.
@@ -597,9 +625,8 @@ class TestLocalHelpers:
         timeline = certify(acceptance.section3_timeline())
         final = timeline[-1]
         plus, minus = relative.record_pvm(final, network.Record(final, 1, "z"))
-        assert np.ndim(plus.projector) == 1
+        assert np.ndim(plus.ket) == 1
         assert plus.weight == pytest.approx(0.5) and minus.weight == pytest.approx(0.5)
-        dense = relative.make_pvm(final, 0.5 * (linalg.identity(4)
-                                                + final.component(1, "z")))
-        assert [f.weight for f in dense] == pytest.approx(
+        dense = dense_weight(final, 1, "z")
+        assert [dense, 1 - dense] == pytest.approx(
             [plus.weight, minus.weight], abs=1e-15)

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 from heisim import acceptance, linalg, network
-from heisim.errors import (DimMismatch, NotHermitian, SizeLimit,
-                           ToleranceViolation, ValidationError)
+from heisim.errors import (DimMismatch, SizeLimit, ToleranceViolation,
+                           ValidationError)
 from heisim.linalg import COMPONENTS, SIGMA_X, SIGMA_Y, SIGMA_Z, max_abs
 from heisim.network import (Gate, apply_gate, are_entangled,
                             build_gate_unitary, correlation, expectation,
                             f_unitarity_defect, init_network, is_sharp,
                             run_gates)
+
+triples = acceptance._triples
+
+
+def dense_expectation(state, observable):
+    """<Psi| A |Psi> of a 2^n x 2^n matrix, computed here as the reference."""
+    return np.vdot(state.psi, observable @ state.psi)
 
 
 def measurement_timeline():
@@ -22,27 +29,27 @@ def measurement_timeline():
 
 class TestInitNetwork:
     def test_single_qubit_generators(self):
-        d = init_network(1).descriptor(1)
-        assert np.allclose(d.x, SIGMA_X)
-        assert np.allclose(d.y, SIGMA_Y)
-        assert np.allclose(d.z, SIGMA_Z)
+        x, y, z = triples(init_network(1))[0]
+        assert np.allclose(x, SIGMA_X)
+        assert np.allclose(y, SIGMA_Y)
+        assert np.allclose(z, SIGMA_Z)
 
     def test_two_qubit_generators(self):
         state = init_network(2)
         one = linalg.identity(2)
-        d1, d2 = state.descriptor(1), state.descriptor(2)
-        assert np.allclose(d1.x, np.kron(SIGMA_X, one))
-        assert np.allclose(d1.y, np.kron(SIGMA_Y, one))
-        assert np.allclose(d1.z, np.kron(SIGMA_Z, one))
-        assert np.allclose(d2.x, np.kron(one, SIGMA_X))
-        assert np.allclose(d2.y, np.kron(one, SIGMA_Y))
-        assert np.allclose(d2.z, np.kron(one, SIGMA_Z))
+        (x1, y1, z1), (x2, y2, z2) = triples(state)
+        assert np.allclose(x1, np.kron(SIGMA_X, one))
+        assert np.allclose(y1, np.kron(SIGMA_Y, one))
+        assert np.allclose(z1, np.kron(SIGMA_Z, one))
+        assert np.allclose(x2, np.kron(one, SIGMA_X))
+        assert np.allclose(y2, np.kron(one, SIGMA_Y))
+        assert np.allclose(z2, np.kron(one, SIGMA_Z))
 
     def test_all_z_sharp_at_one(self):
         state = init_network(3)
         for a in (1, 2, 3):
-            assert expectation(state, state.descriptor(a).z) == pytest.approx(1.0)
-            assert is_sharp(state, state.descriptor(a).z) == pytest.approx(1.0)
+            assert expectation(state, state.ket(a, "z")) == pytest.approx(1.0)
+            assert is_sharp(state, state.ket(a, "z")) == pytest.approx(1.0)
 
     def test_heisenberg_state_is_first_basis_vector(self):
         state = init_network(2)
@@ -146,12 +153,12 @@ class TestBuildGateUnitary:
 class TestApplyGate:
     def test_not_action(self):
         state = init_network(2)
-        before = state.descriptor(1)
+        bx, by, bz = triples(state)[0]
         after = apply_gate(state, Gate.not_(1))
-        d = after.descriptor(1)
-        assert max_abs(d.x - before.x) <= 1e-12
-        assert max_abs(d.y + before.y) <= 1e-12
-        assert max_abs(d.z + before.z) <= 1e-12
+        x, y, z = triples(after)[0]
+        assert max_abs(x - bx) <= 1e-12
+        assert max_abs(y + by) <= 1e-12
+        assert max_abs(z + bz) <= 1e-12
         assert after.t == 1
 
     def test_not_locality(self):
@@ -159,29 +166,28 @@ class TestApplyGate:
         after = apply_gate(state, Gate.not_(2))
         for q in (1, 3):
             for c in COMPONENTS:
-                delta = max_abs(after.descriptor(q).component(c)
-                                - state.descriptor(q).component(c))
+                delta = max_abs(after.component(q, c) - state.component(q, c))
                 assert delta <= 1e-12
 
     def test_hadamard_action(self):
         state = init_network(2)
-        before = state.descriptor(1)
-        d = apply_gate(state, Gate.h(1)).descriptor(1)
-        assert max_abs(d.x - before.z) <= 1e-12
-        assert max_abs(d.y + before.y) <= 1e-12
-        assert max_abs(d.z - before.x) <= 1e-12
+        bx, by, bz = triples(state)[0]
+        x, y, z = triples(apply_gate(state, Gate.h(1)))[0]
+        assert max_abs(x - bz) <= 1e-12
+        assert max_abs(y + by) <= 1e-12
+        assert max_abs(z - bx) <= 1e-12
 
     def test_rz_action_random_angles(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             theta = float(rng.uniform(0, 2 * np.pi))
             state = init_network(2)
-            before = state.descriptor(2)
-            d = apply_gate(state, Gate.rz(2, theta)).descriptor(2)
+            bx, by, bz = triples(state)[1]
+            x, y, z = triples(apply_gate(state, Gate.rz(2, theta)))[1]
             cos, sin = np.cos(theta), np.sin(theta)
-            assert max_abs(d.x - (cos * before.x - sin * before.y)) <= 1e-12
-            assert max_abs(d.y - (cos * before.y + sin * before.x)) <= 1e-12
-            assert max_abs(d.z - before.z) <= 1e-12
+            assert max_abs(x - (cos * bx - sin * by)) <= 1e-12
+            assert max_abs(y - (cos * by + sin * bx)) <= 1e-12
+            assert max_abs(z - bz) <= 1e-12
 
     def test_measurement_fixture_descriptors(self):
         # Closed forms of both qubits' descriptors after H then CNOT,
@@ -194,7 +200,7 @@ class TestApplyGate:
             (2, "x"): mx, (2, "y"): my @ sx, (2, "z"): mz @ sx,
         }
         for (q, c), want in expected.items():
-            assert max_abs(final.descriptor(q).component(c) - want) <= 1e-10
+            assert max_abs(final.component(q, c) - want) <= 1e-10
 
     def test_cnot_at_t1_reproduces_fixture(self):
         state = apply_gate(init_network(2), Gate.h(1))
@@ -220,13 +226,13 @@ class TestApplyGate:
                         Gate.rz(qubits[0], float(rng.uniform(0, 2 * np.pi)))
                         )[kind]
                 state = apply_gate(state, gate)
-            assert network.algebra_residual(state.descriptors) <= 1e-8
+            assert network.algebra_residual(triples(state)) <= 1e-8
 
 
 class TestExpectation:
     def test_meter_z_zero_after_measurement(self):
         final = measurement_timeline()[-1]
-        assert expectation(final, final.descriptor(2).z) == pytest.approx(
+        assert expectation(final, final.ket(2, "z")) == pytest.approx(
             0.0, abs=1e-10)
 
     def test_bell_rz_all_expectations_vanish(self):
@@ -236,7 +242,7 @@ class TestExpectation:
                 state = apply_gate(state, gate)
             for q in (1, 2):
                 for c in COMPONENTS:
-                    value = expectation(state, state.descriptor(q).component(c))
+                    value = expectation(state, state.ket(q, c))
                     assert abs(value) <= 1e-10
 
     def test_dim_mismatch(self):
@@ -247,21 +253,27 @@ class TestExpectation:
 class TestIsSharp:
     def test_fresh_z_sharp(self):
         state = init_network(1)
-        assert is_sharp(state, state.descriptor(1).z) == pytest.approx(1.0)
+        assert is_sharp(state, state.ket(1, "z")) == pytest.approx(1.0)
 
     def test_not_sharp_after_hadamard(self):
         state = apply_gate(init_network(1), Gate.h(1))
-        assert is_sharp(state, state.descriptor(1).z) is None
+        assert is_sharp(state, state.ket(1, "z")) is None
 
     def test_descriptor_product_sharp_after_measurement(self):
+        # The ket of q_1z q_2z is sigma_1z sigma_2z phi.
         final = measurement_timeline()[-1]
-        product = final.descriptor(1).z @ final.descriptor(2).z
+        product = network.apply_pauli(final.ket(2, "z"), 1, "z")
         assert is_sharp(final, product) == pytest.approx(1.0)
 
-    def test_rejects_non_hermitian(self):
-        state = init_network(1)
-        with pytest.raises(NotHermitian):
-            is_sharp(state, np.array([[0, 1], [0, 0]], dtype=complex))
+    def test_nan_is_a_tolerance_violation(self):
+        # NaN is no evidence either way: it must not read as "not sharp".
+        final = measurement_timeline()[-1]
+        broken = network.NetworkState(2, final.t, final.u,
+                                      np.full_like(final.psi, np.nan))
+        with pytest.raises(ToleranceViolation,
+                           match="sharpness defect is nan") as caught:
+            is_sharp(broken, broken.ket(1, "z"))
+        assert caught.value.exit_status == 2
 
 
 class TestEntanglement:
@@ -274,9 +286,9 @@ class TestEntanglement:
         assert witness.entangled
         assert witness.discrepancy == pytest.approx(1.0)
         # The (z, z) pair witnesses the correlation directly.
-        zz = expectation(final, final.descriptor(1).z @ final.descriptor(2).z)
-        z1 = expectation(final, final.descriptor(1).z)
-        z2 = expectation(final, final.descriptor(2).z)
+        zz = correlation(final, final.ket(1, "z"), final.ket(2, "z"))
+        z1 = expectation(final, final.ket(1, "z"))
+        z2 = expectation(final, final.ket(2, "z"))
         assert abs(zz - z1 * z2) == pytest.approx(1.0)
 
     def test_tied_witness_is_first_in_xyz_order(self):
@@ -314,7 +326,8 @@ def random_complex(rng, dim):
 class TestCorrelation:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_expectation_of_the_product(self, n):
-        # Non-Hermitian factors against a random normalized fixed state.
+        # A Hermitian A and a non-Hermitian B against a random normalized
+        # fixed state, passed as their kets A Psi and B Psi (U = 1).
         rng = np.random.default_rng(50 + n)
         dim = 2 ** n
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -322,15 +335,15 @@ class TestCorrelation:
                                      psi / np.linalg.norm(psi))
         for _ in range(10):
             a, b = random_complex(rng, dim), random_complex(rng, dim)
-            want = expectation(state, a @ b)
-            got = correlation(state, a, b)
+            a = a + a.conj().T
+            want = dense_expectation(state, a @ b)
+            got = correlation(state, a @ state.psi, b @ state.psi)
             assert isinstance(got, complex)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_real_when_the_product_is_hermitian(self):
         final = measurement_timeline()[-1]
-        d1, d2 = final.descriptor(1), final.descriptor(2)
-        value = correlation(final, d1.z, d2.z)
+        value = correlation(final, final.ket(1, "z"), final.ket(2, "z"))
         assert isinstance(value, float)
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -343,8 +356,8 @@ class TestCorrelation:
 
 def dense_sharp(state, observable):
     """is_sharp through the dense square of the observable."""
-    mean = expectation(state, observable)
-    second = expectation(state, observable @ observable)
+    mean = dense_expectation(state, observable)
+    second = dense_expectation(state, observable @ observable)
     if abs(mean * mean - second) <= state.tol.sharp:
         return float(np.real(mean))
     return None
@@ -354,11 +367,12 @@ def dense_entanglement(state, a, b):
     """are_entangled through the nine dense products q_ai q_bj."""
     pairs = []
     for ci in COMPONENTS:
-        mi = state.descriptor(a).component(ci)
+        mi = state.component(a, ci)
         for cj in COMPONENTS:
-            mj = state.descriptor(b).component(cj)
-            disc = abs(expectation(state, mi @ mj)
-                       - expectation(state, mi) * expectation(state, mj))
+            mj = state.component(b, cj)
+            disc = abs(dense_expectation(state, mi @ mj)
+                       - dense_expectation(state, mi)
+                       * dense_expectation(state, mj))
             pairs.append(((ci, cj), disc))
     best = max(disc for _, disc in pairs)
     if best > state.tol.entangle:
@@ -395,14 +409,16 @@ class TestMatrixFreeAnswers:
         sharp = unsharp = 0
         for depth in (2, 5, 20):
             state = random_circuit_state(rng, n, depth)
-            observables = [m for d in state.descriptors
-                           for m in [d.component(c) for c in COMPONENTS]]
+            # Each observable as its ket and as its dense matrix.
+            observables = [(state.ket(a, c), state.component(a, c))
+                           for a in range(1, n + 1) for c in COMPONENTS]
             # Products of components of distinct qubits are Hermitian too.
             observables += [
-                state.descriptor(a).z @ state.descriptor(a % n + 1).z
+                (network.apply_pauli(state.ket(a % n + 1, "z"), a, "z"),
+                 state.component(a, "z") @ state.component(a % n + 1, "z"))
                 for a in range(1, n + 1)]
-            for obs in observables:
-                got, want = is_sharp(state, obs), dense_sharp(state, obs)
+            for ket, obs in observables:
+                got, want = is_sharp(state, ket), dense_sharp(state, obs)
                 if want is None:
                     assert got is None
                     unsharp += 1
@@ -417,14 +433,14 @@ class TestAlgebraResidual:
         state = init_network(2)
         broken = network.NetworkState(2, 1, np.full((4, 4), np.nan, complex),
                                       state.psi)
-        assert np.isnan(network.algebra_residual(broken.descriptors))
+        assert np.isnan(network.algebra_residual(triples(broken)))
 
     def test_unit_replaces_identity(self):
         # q_2x q_2x = 1, which differs from a projector unit by 1.
         state = init_network(2)
-        unit = linalg.pauli_projector(state.descriptor(1).z, +1)
-        assert network.algebra_residual(state.descriptors) == 0.0
-        assert network.algebra_residual(state.descriptors[1:],
+        unit = linalg.pauli_projector(state.component(1, "z"), +1)
+        assert network.algebra_residual(triples(state)) == 0.0
+        assert network.algebra_residual(triples(state)[1:],
                                         unit=unit) == pytest.approx(1.0)
 
 
@@ -450,7 +466,7 @@ class TestAlgebraCertificate:
         assert network.algebra_certificate(state) <= 1e-12
         for eps in (1e-12, 1e-9, 1e-6, 1e-3):
             noisy = perturbed(state, eps, rng)
-            dense = network.algebra_residual(noisy.descriptors)
+            dense = network.algebra_residual(triples(noisy))
             assert network.algebra_certificate(noisy) >= dense > 0
 
     def test_bound_holds_up_to_the_dense_check_roundoff(self):
@@ -463,7 +479,7 @@ class TestAlgebraCertificate:
             state = random_circuit_state(rng, n, int(rng.integers(1, 30)))
             cert = network.algebra_certificate(state)
             assert cert <= 1e-12
-            assert (network.algebra_residual(state.descriptors)
+            assert (network.algebra_residual(triples(state))
                     <= cert + state.dim * np.finfo(float).eps)
 
     def test_nan_u_gives_nan(self):
@@ -485,6 +501,6 @@ class TestRecordsAndTimeline:
         # gates, which change q_1z, leave it unchanged.
         timeline = run_gates(init_network(2),
                              [Gate.h(1), Gate.cnot(1, 2), Gate.h(1)])
-        want = apply_gate(init_network(2), Gate.h(1)).descriptor(1).z
+        want = apply_gate(init_network(2), Gate.h(1)).component(1, "z")
         assert max_abs(timeline[1].component(1, "z") - want) == 0
         assert max_abs(timeline[-1].component(1, "z") - want) > 0.1

@@ -6,7 +6,7 @@ import pytest
 from heisim import linalg, relative
 from heisim.errors import CircuitMismatch, NonUnitary
 from heisim.linalg import COMPONENTS, SIGMA_X, SIGMA_Z, max_abs
-from heisim.network import Gate, init_network, run_gates
+from heisim.network import Gate, Record, init_network, run_gates
 from heisim.oracle import cross_validate, evolve, gate_matrix
 
 
@@ -207,7 +207,7 @@ class TestCrossValidate:
         timeline = run_gates(init_network(2), gates)
         final = timeline[-1]
         run = evolve(timeline[0].psi, gates, 2)
-        frames = relative.make_pvm(final, final.projector(1, "z"))
+        frames = relative.record_pvm(final, Record(final, 1, "z"))
         fixed_z = linalg.embed(SIGMA_Z, 1, 2)
         for frame in frames:
             fixed_proj = linalg.pauli_projector(fixed_z, int(frame.label))

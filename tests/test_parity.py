@@ -1,13 +1,16 @@
 """Property test: `heisim validate` and `heisim run` accept the same documents.
 
 Documents are generated valid, then possibly mutated: a field replaced by a
-value of another type or range, a field deleted, or the text cut short. For
+value of another type or range, a field deleted, a field added where it does
+not belong, or the text cut short. For
 each one, `validate` exits 0 exactly when `run` does not exit 1 (run may
 still exit 2 or 3 on a valid document), neither exits 4, and the two YAML
-loaders give the same circuit or the same kind of error.
+loaders give the same circuit or the same kind of error. A document that
+holds a field no mapping of the format knows exits 1 from both.
 """
 
 import contextlib
+import copy
 import io
 from unittest import mock
 
@@ -31,6 +34,10 @@ ODD_NUMBERS = (-1, 0, 4, 11, 2 ** 70, 10 ** 400, 1.5, 1e300, float("nan"),
                float("inf"), True)
 ODD_VALUES = ODD_NUMBERS + (None, "x", "cnot", "", [], [1, 1], [1], [0.5], {},
                             {"qubit": 1})
+# Field names to add to a mapping: misplaced ones, which another mapping of
+# the format knows, and UNKNOWN ones, which none knows.
+UNKNOWN = ("frames", "note")
+ODD_FIELDS = ("frame", "step", "label", "gate", "records") + UNKNOWN
 
 
 @st.composite
@@ -90,6 +97,15 @@ def valid_documents(draw):
             "queries": draw(st.lists(query, max_size=3))}
 
 
+def _mappings(node):
+    """``node`` and every mapping below it, depth first."""
+    if isinstance(node, dict):
+        yield node
+    for value in (node.values() if isinstance(node, dict)
+                  else node if isinstance(node, list) else ()):
+        yield from _mappings(value)
+
+
 def _positions(node):
     """(container, key) of every value below ``node``, depth first."""
     items = (node.items() if isinstance(node, dict)
@@ -103,6 +119,11 @@ def _positions(node):
 def documents(draw):
     doc = draw(valid_documents())
     for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 2)) == 2:  # a field added to some mapping
+            mapping = draw(st.sampled_from(list(_mappings(doc))))
+            mapping[draw(st.sampled_from(ODD_FIELDS))] = copy.deepcopy(draw(
+                st.sampled_from((1, {"qubit": 1}, []))))
+            continue
         positions = list(_positions(doc))
         if draw(st.booleans()):  # a scalar, most of which sit deep down
             positions = [(parent, key) for parent, key in positions
@@ -113,11 +134,13 @@ def documents(draw):
         elif isinstance(parent[key], (int, float)):
             parent[key] = draw(st.sampled_from(ODD_NUMBERS))
         else:
-            parent[key] = draw(st.sampled_from(ODD_VALUES))
+            parent[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
     text = yaml.safe_dump(doc, default_flow_style=None)
+    unknown = any(set(UNKNOWN) & set(m) for m in _mappings(doc))
     if draw(st.integers(0, 9)) == 9:
         text = text[:draw(st.integers(0, len(text)))]
-    return text
+        unknown = False
+    return text, unknown
 
 
 def _status(command: str, text: str) -> int:
@@ -145,12 +168,15 @@ def _parse_with(loader, text):
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(text=documents())
-def test_validate_and_run_agree(text):
+@given(case=documents())
+def test_validate_and_run_agree(case):
+    text, unknown = case
     validated = _status("validate", text)
     ran = _status("run", text)
     assert validated in (0, 1) and ran in (0, 1, 2, 3), (validated, ran)
     assert (validated == 0) == (ran != 1), (validated, ran)
+    if unknown:
+        assert validated == ran == 1, text
     if hasattr(yaml, "CSafeLoader"):
         assert (_parse_with(yaml.SafeLoader, text)
                 == _parse_with(yaml.CSafeLoader, text))

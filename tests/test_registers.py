@@ -1,18 +1,19 @@
 """Tests for register observables, reversible synthesis, branchwise computation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from heisim import network, oracle, relative
-from heisim.errors import (BadSubset, BranchNotSharp, NotHermitian,
-                           NotReversible, PreconditionFailed, SynthesisError,
+from heisim import linalg, network, oracle
+from heisim.errors import (BadSubset, BranchNotSharp, NotReversible,
+                           PreconditionFailed, SynthesisError,
                            ZeroWeightBranch)
 from heisim.linalg import max_abs
 from heisim.network import Gate, NetworkState, apply_gate, init_network
-from heisim.registers import (ClassicalFunction, RegisterDescriptor,
-                              _branch_value, classical_branches,
-                              compile_classical, register_descriptor,
-                              verify_classical_step)
+from heisim.registers import (ClassicalFunction, _sharp_value,
+                              classical_branches, compile_classical,
+                              register_descriptor, verify_classical_step)
 from heisim.relative import RelativeFrame
 
 
@@ -34,41 +35,51 @@ def run_fixed_gates(psi, gates, n):
     return psi
 
 
+def sharp_register_value(state, qubits) -> float:
+    """The register's mean over |phi|^2, checked to have zero variance."""
+    prob = np.abs(state.phi) ** 2
+    values = register_descriptor(state, qubits)
+    mean = prob @ values
+    assert prob @ values ** 2 - mean * mean == pytest.approx(0.0, abs=1e-12)
+    return mean
+
+
 class TestRegisterDescriptor:
     def test_fresh_register_sharp_zero(self):
         state = init_network(3)
-        reg = register_descriptor(state, (1, 2, 3))
-        assert network.is_sharp(state, reg.matrix) == pytest.approx(0.0)
+        assert sharp_register_value(state, (1, 2, 3)) == pytest.approx(0.0)
 
     def test_not_sets_bit(self):
         state = apply_gate(init_network(2), Gate.not_(1))
-        reg = register_descriptor(state, (1,))
-        assert network.is_sharp(state, reg.matrix) == pytest.approx(1.0)
+        assert sharp_register_value(state, (1,)) == pytest.approx(1.0)
 
     def test_not_both_gives_three(self):
         state = init_network(2)
         for gate in (Gate.not_(1), Gate.not_(2)):
             state = apply_gate(state, gate)
-        reg = register_descriptor(state, (1, 2))
-        assert network.is_sharp(state, reg.matrix) == pytest.approx(3.0)
+        assert sharp_register_value(state, (1, 2)) == pytest.approx(3.0)
 
     def test_spectrum_matches_basis_enumeration(self):
         # Brute-force oracle: the register is diagonal in the computational
         # basis with the bit-pattern values of each basis state.
         state = init_network(3)
         qubits = (2, 3)
-        reg = register_descriptor(state, qubits)
-        expected = np.array(
-            [basis_register_value(i, 3, qubits) for i in range(8)],
-            dtype=complex)
-        assert max_abs(reg.matrix - np.diag(expected)) <= 1e-10
+        expected = [basis_register_value(i, 3, qubits) for i in range(8)]
+        assert list(register_descriptor(state, qubits)) == expected
 
     def test_integer_spectrum_after_gates(self):
+        # The dense register sum_k 2^k P_{-1}(q_kz) of the evolved state is
+        # U† diag(values) U: integer spectrum, diagonal in U's frame.
         state = init_network(2)
         for gate in (Gate.h(1), Gate.cnot(1, 2)):
             state = apply_gate(state, gate)
-        reg = register_descriptor(state, (1, 2))
-        eigenvalues = np.linalg.eigvalsh(reg.matrix)
+        qubits = (1, 2)
+        dense = sum(2 ** k * (linalg.identity(4) - state.projector(q, "z"))
+                    for k, q in enumerate(qubits))
+        values = register_descriptor(state, qubits)
+        u = state.u
+        assert max_abs(dense - u.conj().T @ np.diag(values) @ u) <= 1e-10
+        eigenvalues = np.linalg.eigvalsh(dense)
         assert max(abs(v - round(v)) for v in eigenvalues) <= 1e-8
         assert set(round(v) for v in eigenvalues) <= {0, 1, 2, 3}
 
@@ -171,9 +182,7 @@ def entangled_two_bit():
 class TestClassicalBranches:
     def test_one_bit_branches(self):
         state = entangled_pair()
-        bm = register_descriptor(state, (1,))
-        bs = register_descriptor(state, (2,))
-        branches = classical_branches(state, bm, bs)
+        branches, _ = classical_branches(state, (1,), (2,))
         values = {round(b.frame.label): b.value for b in branches}
         assert values == {0: 0, 1: 1}
         for b in branches:
@@ -182,9 +191,7 @@ class TestClassicalBranches:
 
     def test_four_equal_branches(self):
         state = entangled_two_bit()
-        bm = register_descriptor(state, (1, 2))
-        bs = register_descriptor(state, (3, 4))
-        branches = classical_branches(state, bm, bs)
+        branches, _ = classical_branches(state, (1, 2), (3, 4))
         assert len(branches) == 4
         for b in branches:
             assert b.frame.weight == pytest.approx(0.25, abs=1e-10)
@@ -192,18 +199,8 @@ class TestClassicalBranches:
 
     def test_unentangled_precondition(self):
         state = init_network(2)
-        bm = register_descriptor(state, (1,))
-        bs = register_descriptor(state, (2,))
         with pytest.raises(PreconditionFailed):
-            classical_branches(state, bm, bs)
-
-    def test_nan_register_matrix_rejected(self):
-        state = entangled_pair()
-        bm = register_descriptor(state, (1,))
-        bs = register_descriptor(state, (2,))
-        broken = RegisterDescriptor(bm.qubits, np.full_like(bm.matrix, np.nan))
-        with pytest.raises(NotHermitian):
-            classical_branches(state, broken, bs)
+            classical_branches(state, (1,), (2,))
 
     def test_nan_branch_value_not_sharp(self):
         # A NaN fixed state passes the non-sharp precondition and gives NaN
@@ -211,26 +208,23 @@ class TestClassicalBranches:
         state = entangled_pair()
         nan_state = NetworkState(state.n, state.t, state.u,
                                  np.full_like(state.psi, np.nan), state.tol)
-        bm = register_descriptor(nan_state, (1,))
-        bs = register_descriptor(nan_state, (2,))
         with pytest.raises(ZeroWeightBranch, match="weight nan"):
-            classical_branches(nan_state, bm, bs)
+            classical_branches(nan_state, (1,), (2,))
 
     def test_nan_register_value_not_sharp(self):
         # A NaN register on a live branch gives a NaN value, which must not
         # pass the sharpness test.
         state = entangled_pair()
-        frame = relative.make_pvm(state, state.projector(2, "z"))[0]
-        nan_register = np.full((4, 4), np.nan, dtype=complex)
+        frame = classical_branches(state, (1,), (2,))[0][0].frame
+        nan_register = np.full(4, np.nan)
         with pytest.raises(BranchNotSharp, match="register value nan"):
-            _branch_value(state, nan_register, frame)
+            _sharp_value(state, frame, frame.ket, nan_register)
 
 
 class TestVerifyClassicalStep:
     def frames_for(self, state, s_qubits, m_qubits):
-        bm = register_descriptor(state, m_qubits)
-        bs = register_descriptor(state, s_qubits)
-        return [b.frame for b in classical_branches(state, bm, bs)]
+        branches, _ = classical_branches(state, m_qubits, s_qubits)
+        return [b.frame for b in branches]
 
     def run_step(self, state, func, m_qubits):
         gates = compile_classical(func, m_qubits)
@@ -275,6 +269,9 @@ class TestVerifyClassicalStep:
             for row in report.branches:
                 expected[round(row.label)] = func(expected[round(row.label)])
                 assert row.value_after == expected[round(row.label)]
+            # The frames are kets of the state before each step.
+            frames = [replace(f, ket=network.transport(f.ket, state, after))
+                      for f in frames]
             state = after
 
     def test_cross_boundary_interaction_flagged(self):
@@ -289,12 +286,12 @@ class TestVerifyClassicalStep:
         assert not report.ok
 
     def test_nan_frame_not_sharp(self):
-        # A NaN projector gives the branch a NaN norm, which is stopped
-        # before the register value is read.
+        # A NaN ket gives the branch a NaN register value, which is not
+        # sharp.
         state = entangled_pair()
-        frame = RelativeFrame(np.full((4, 4), np.nan, dtype=complex), 1.0,
+        frame = RelativeFrame(np.full(4, np.nan, dtype=complex), 1.0,
                               "nan", 0.5)
-        with pytest.raises(ZeroWeightBranch, match="squared norm nan"):
+        with pytest.raises(BranchNotSharp, match="register value nan"):
             verify_classical_step(state, state, (1,),
                                   ClassicalFunction.identity(1), [frame])
 
@@ -303,8 +300,7 @@ class TestVerifyClassicalStep:
         # as a live branch.
         state = entangled_pair()
         good = self.frames_for(state, (2,), (1,))[0]
-        frame = RelativeFrame(good.projector, good.label, good.source,
-                              float("nan"))
+        frame = replace(good, weight=float("nan"))
         with pytest.raises(ZeroWeightBranch, match="weight nan"):
             verify_classical_step(state, state, (1,),
                                   ClassicalFunction.identity(1), [frame])
@@ -316,12 +312,10 @@ class TestVerifyClassicalStep:
         rotated = apply_gate(base, Gate.rz(1, np.pi / 2))
         tables = []
         for state in (base, rotated):
-            bm = register_descriptor(state, (1,))
-            bs = register_descriptor(state, (2,))
-            branches = classical_branches(state, bm, bs)
+            branches, _ = classical_branches(state, (1,), (2,))
             tables.append({round(b.frame.label):
                            (b.value, round(b.frame.weight, 9))
                            for b in branches})
         assert tables[0] == tables[1]
-        distance = max_abs(base.descriptor(1).x - rotated.descriptor(1).x)
+        distance = max_abs(base.component(1, "x") - rotated.component(1, "x"))
         assert distance > 0.1

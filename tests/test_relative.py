@@ -9,9 +9,9 @@ from heisim.linalg import COMPONENTS, SIGMA_Z, max_abs
 from heisim.network import (Gate, NetworkState, Record, apply_gate,
                             init_network, run_gates)
 from heisim.relative import (RelativeFrame, autonomy_check,
-                             branch_evolution_factor, foliate, make_pvm,
-                             make_pvm_spectral, relative_descriptors,
-                             relative_expectation, relative_heisenberg_state)
+                             branch_evolution_factor, foliate,
+                             make_pvm_spectral, record_pvm,
+                             relative_descriptors, relative_expectation)
 
 
 @pytest.fixture
@@ -27,29 +27,34 @@ def nan_state(state):
                         np.full_like(state.psi, np.nan), state.tol)
 
 
+def z_record_pvm(state, qubit):
+    """The two frames of the z-record of ``qubit`` of ``state`` itself."""
+    return record_pvm(state, Record(state, qubit, "z"))
+
+
 class TestMakePvm:
     def test_equal_weights_after_measurement(self, measured):
-        plus, minus = make_pvm(measured, measured.projector(1, "z"))
+        plus, minus = z_record_pvm(measured, 1)
         assert plus.weight == pytest.approx(0.5, abs=1e-10)
         assert minus.weight == pytest.approx(0.5, abs=1e-10)
         assert plus.label == 1.0 and minus.label == -1.0
 
     def test_sharp_record_degenerate_weights(self):
         fresh = init_network(2)
-        plus, minus = make_pvm(fresh, fresh.projector(1, "z"))
+        plus, minus = z_record_pvm(fresh, 1)
         assert plus.weight == pytest.approx(1.0)
         assert minus.weight == pytest.approx(0.0, abs=1e-12)
 
     def test_completeness(self, measured):
-        plus, minus = make_pvm(measured, measured.projector(1, "z"))
-        total = plus.projector + minus.projector
-        assert max_abs(total - linalg.identity(4)) <= 1e-10
+        # P+ + P- = 1: the two kets sum to phi.
+        plus, minus = z_record_pvm(measured, 1)
+        assert max_abs(plus.ket + minus.ket - measured.phi) <= 1e-10
 
     def test_spectral_pvm_one_frame_per_eigenvalue(self):
         # Integer-spectrum observable: a two-bit register over fresh qubits.
         state = init_network(2)
-        obs = (1 * linalg.pauli_projector(state.descriptor(1).z, -1)
-               + 2 * linalg.pauli_projector(state.descriptor(2).z, -1))
+        obs = (1 * linalg.pauli_projector(state.component(1, "z"), -1)
+               + 2 * linalg.pauli_projector(state.component(2, "z"), -1))
         frames = make_pvm_spectral(state, obs)
         assert sorted(f.label for f in frames) == pytest.approx([0, 1, 2, 3])
         assert sum(f.weight for f in frames) == pytest.approx(1.0)
@@ -58,46 +63,38 @@ class TestMakePvm:
 class TestRelativeDescriptor:
     def test_invariants_in_both_branches(self, measured):
         for record_qubit, holder in ((1, 2), (2, 1)):
-            frames = make_pvm(measured, measured.projector(record_qubit, "z"))
-            for rd in relative_descriptors(measured, holder, frames):
+            record = Record(measured, record_qubit, "z")
+            for rd in relative_descriptors(measured, holder, record):
                 for mat in map(rd.component, COMPONENTS):
                     assert linalg.hermiticity_defect(mat) <= 1e-10
                     assert max_abs(mat @ mat - rd.unit) <= 1e-9
-                assert network.algebra_residual([rd], unit=rd.unit) <= 1e-9
-
-    def test_identity_frame_gives_absolute(self, measured):
-        # P+ = 1: the multiverse frame and an empty P- = 0.
-        multiverse, empty = relative_descriptors(
-            measured, 2, make_pvm(measured, linalg.identity(4)))
-        for c in COMPONENTS:
-            assert max_abs(multiverse.component(c)
-                           - measured.descriptor(2).component(c)) <= 1e-12
-            assert max_abs(empty.component(c)) == 0.0
+                assert network.algebra_residual([(rd.x, rd.y, rd.z)],
+                                                unit=rd.unit) <= 1e-9
 
     def test_sum_over_frames_reconstructs_absolute(self, measured):
-        frames = make_pvm(measured, measured.projector(1, "z"))
-        rds = relative_descriptors(measured, 2, frames)
+        rds = relative_descriptors(measured, 2, Record(measured, 1, "z"))
         for c in COMPONENTS:
             total = sum(rd.component(c) for rd in rds)
-            assert max_abs(total - measured.descriptor(2).component(c)) <= 1e-10
+            assert max_abs(total - measured.component(2, c)) <= 1e-10
 
     def test_unentangled_rejected(self):
         fresh = init_network(2)
         with pytest.raises(NonCommuting):
-            relative_descriptors(fresh, 1,
-                                 make_pvm(fresh, fresh.projector(1, "z")))
+            relative_descriptors(fresh, 1, Record(fresh, 1, "z"))
 
     def test_nan_projector_rejected(self, measured):
-        # A NaN commutator norm must not pass the commute check.
-        frames = make_pvm(measured, np.full((4, 4), np.nan, dtype=complex))
+        # A NaN commutator norm must not pass the commute check: here the
+        # descriptors of the holder are NaN.
+        broken = NetworkState(2, 2, np.full((4, 4), np.nan, dtype=complex),
+                              measured.psi)
         with pytest.raises(NonCommuting, match="commutator norm nan"):
-            relative_descriptors(measured, 2, frames)
+            relative_descriptors(broken, 2, Record(measured, 1, "z"))
 
 
 class TestRelativeExpectation:
     def test_branch_values(self, measured):
-        mz = measured.descriptor(2).z
-        plus, minus = make_pvm(measured, measured.projector(1, "z"))
+        mz = measured.ket(2, "z")
+        plus, minus = z_record_pvm(measured, 1)
         assert relative_expectation(measured, mz, plus) == pytest.approx(
             1.0, abs=1e-10)
         assert relative_expectation(measured, mz, minus) == pytest.approx(
@@ -114,68 +111,33 @@ class TestRelativeExpectation:
         fixed_mz = linalg.embed(SIGMA_Z, 2, 2)
         oracle_value = float(np.real(np.vdot(branch, fixed_mz @ branch)))
         assert oracle_value == pytest.approx(-1.0)
-        _, minus = make_pvm(measured, measured.projector(1, "z"))
-        heis = relative_expectation(measured, measured.descriptor(2).z, minus)
+        _, minus = z_record_pvm(measured, 1)
+        heis = relative_expectation(measured, measured.ket(2, "z"), minus)
         assert heis == pytest.approx(oracle_value, abs=1e-10)
 
     def test_identity_frame_equals_absolute(self, measured):
-        mz = measured.descriptor(2).z
-        multiverse = RelativeFrame(linalg.identity(4), 1.0, "multiverse", 1.0)
+        # P = 1 has the ket phi.
+        mz = measured.ket(2, "z")
+        multiverse = RelativeFrame(measured.phi, 1.0, "multiverse", 1.0)
         assert relative_expectation(measured, mz, multiverse) \
             == pytest.approx(network.expectation(measured, mz), abs=1e-12)
 
     def test_zero_weight_branch_raises(self):
         fresh = init_network(2)
-        _, minus = make_pvm(fresh, fresh.projector(1, "z"))
+        _, minus = z_record_pvm(fresh, 1)
         with pytest.raises(ZeroWeightBranch):
-            relative_expectation(fresh, fresh.descriptor(2).z, minus)
+            relative_expectation(fresh, fresh.ket(2, "z"), minus)
 
     def test_nan_weight_raises(self, measured):
-        plus, _ = make_pvm(measured, measured.projector(1, "z"))
+        plus, _ = z_record_pvm(measured, 1)
         with pytest.raises(ZeroWeightBranch, match="weight nan"):
-            relative_expectation(nan_state(measured), measured.descriptor(2).z,
+            relative_expectation(nan_state(measured), measured.ket(2, "z"),
                                  plus)
-
-
-class TestRelativeHeisenbergState:
-    def test_identity_frame_unchanged(self, measured):
-        multiverse = RelativeFrame(linalg.identity(4), 1.0, "multiverse", 1.0)
-        psi = relative_heisenberg_state(measured, multiverse)
-        assert max_abs(psi - measured.psi) <= 1e-12
-
-    def test_nan_norm_raises(self, measured):
-        plus, _ = make_pvm(measured, measured.projector(1, "z"))
-        with pytest.raises(ZeroWeightBranch, match="squared norm nan"):
-            relative_heisenberg_state(nan_state(measured), plus)
-
-    def test_branch_norms(self, measured):
-        plus, minus = make_pvm(measured, measured.projector(1, "z"))
-        for frame in (plus, minus):
-            projected = frame.projector @ measured.psi
-            assert np.linalg.norm(projected) ** 2 == pytest.approx(
-                0.5, abs=1e-10)
-            assert np.linalg.norm(
-                relative_heisenberg_state(measured, frame)) == pytest.approx(1.0)
-
-    def test_consistent_with_relative_expectation(self, measured):
-        rng = np.random.default_rng(23)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a = 0.5 * (a + a.conj().T)
-        plus, _ = make_pvm(measured, measured.projector(1, "z"))
-        psi_rel = relative_heisenberg_state(measured, plus)
-        # Restrict to the block-diagonal (projector-commuting) part so both
-        # conditioning routes are comparing the same observable.
-        proj = plus.projector
-        rest = np.eye(4) - proj
-        commuting = proj @ a @ proj + rest @ a @ rest
-        direct = float(np.real(np.vdot(psi_rel, commuting @ psi_rel)))
-        cond = relative_expectation(measured, commuting, plus)
-        assert cond == pytest.approx(direct, abs=1e-10)
 
 
 class TestAutonomy:
     def snapshots(self, state):
-        return [state.descriptor(1).z, state.descriptor(2).z]
+        return [Record(state, 1, "z"), Record(state, 2, "z")]
 
     def test_f_gate_preserving(self, measured):
         gate = Gate.f(1, 2, 0.5, 0.5, 0.5, -0.5)
@@ -198,14 +160,13 @@ class TestAutonomy:
 
 class TestBranchEvolutionFactor:
     def test_identity_f_gives_unit(self, measured):
-        plus, _ = make_pvm(measured, measured.projector(1, "z"))
         gate = Gate.f(1, 2, 1.0, 0.0, 0.0, 0.0)
-        factor = branch_evolution_factor(measured, gate, plus)
-        assert max_abs(factor - plus.projector) <= 1e-10
+        factor = branch_evolution_factor(measured, gate, 1.0)
+        assert max_abs(factor - measured.projector(1, "z")) <= 1e-10
 
     def test_two_path_equality(self, measured):
         rng = np.random.default_rng(31)
-        frames = make_pvm(measured, measured.projector(1, "z"))
+        rds = relative_descriptors(measured, 2, Record(measured, 1, "z"))
         for _ in range(5):
             signs = rng.choice([-1.0, 1.0], size=4)
             alpha = (signs[0] + signs[1] + signs[2] + signs[3]) / 4
@@ -214,18 +175,16 @@ class TestBranchEvolutionFactor:
             delta = (signs[0] - signs[1] - signs[2] + signs[3]) / 4
             gate = Gate.f(1, 2, alpha, beta, gamma, delta)
             evolved = apply_gate(measured, gate)
-            for frame, rd in zip(frames,
-                                 relative_descriptors(measured, 2, frames)):
-                factor = branch_evolution_factor(measured, gate, frame)
+            for sign, rd in zip((1.0, -1.0), rds):
+                factor = branch_evolution_factor(measured, gate, sign)
                 for c in COMPONENTS:
-                    path_a = evolved.descriptor(2).component(c) @ frame.projector
+                    path_a = evolved.component(2, c) @ rd.unit
                     path_b = factor.conj().T @ rd.component(c) @ factor
                     assert max_abs(path_a - path_b) <= 1e-9
 
     def test_wrong_gate_kind(self, measured):
-        plus, _ = make_pvm(measured, measured.projector(1, "z"))
         with pytest.raises(WrongGateKind):
-            branch_evolution_factor(measured, Gate.h(1), plus)
+            branch_evolution_factor(measured, Gate.h(1), 1.0)
 
     def test_branch_hidden_rotation(self):
         # A z-rotation of the meter after the measurement leaves every
@@ -237,16 +196,15 @@ class TestBranchEvolutionFactor:
                 init_network(2),
                 [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta)])
             final = timeline[-1]
-            frames = make_pvm(final, timeline[2].projector(1, "z"))
+            frames = record_pvm(final, Record(timeline[2], 1, "z"))
             for frame, target in zip(frames, (1.0, -1.0)):
                 values = [float(np.real(relative_expectation(
-                    final, final.descriptor(2).component(c), frame)))
-                    for c in COMPONENTS]
+                    final, final.ket(2, c), frame))) for c in COMPONENTS]
                 assert values[0] == pytest.approx(0.0, abs=1e-10)
                 assert values[1] == pytest.approx(0.0, abs=1e-10)
                 assert values[2] == pytest.approx(target, abs=1e-10)
             if theta in (0.0, np.pi / 2):
-                kept[theta] = final.descriptor(2).x
+                kept[theta] = final.component(2, "x")
         assert max_abs(kept[0.0] - kept[np.pi / 2]) > 0.1
 
 
@@ -262,25 +220,24 @@ class TestFoliate:
         # A record tilted by 1e-11 towards q_1x q_2x is an involution that
         # commutes with qubit 2's descriptors within tol.commute, not exactly.
         # It is q_1z of a state whose U is rotated by exp(-i t/2 s_1y s_2x).
-        d1, d2 = measured.descriptor(1), measured.descriptor(2)
+        (x1, _, z1), d2 = acceptance._triples(measured)
         generator = linalg.embed(linalg.SIGMA_Y, 1, 2) @ linalg.embed(
             linalg.SIGMA_X, 2, 2)
         tilt = (np.cos(-0.5e-11) * linalg.identity(4)
                 - 1j * np.sin(-0.5e-11) * generator)
         tilted = NetworkState(2, 2, tilt @ measured.u, measured.psi)
-        record = tilted.descriptor(1).z
-        assert max_abs(record - (np.cos(1e-11) * d1.z
-                                 + np.sin(1e-11) * d1.x @ d2.x)) <= 1e-15
+        record = tilted.component(1, "z")
+        assert max_abs(record - (np.cos(1e-11) * z1
+                                 + np.sin(1e-11) * x1 @ d2[0])) <= 1e-15
         report = foliate(measured, Record(tilted, 1, "z"), [2])
         plus = tilted.projector(1, "z")
         minus = linalg.identity(4) - plus
         direct = max(linalg.commutator_norm(plus, mat)
-                     for mat in [d2.component(c) for c in COMPONENTS])
+                     for mat in d2)
         assert 0 < report.max_commutator == direct <= 1e-9
         # [1 - P, q] = -[P, q]: P- has the same norms, up to roundoff.
         assert max(linalg.commutator_norm(minus, mat)
-                   for mat in [d2.component(c) for c in COMPONENTS]
-                   ) == pytest.approx(
+                   for mat in d2) == pytest.approx(
                        direct, rel=1e-4)
         assert report.valid
 
@@ -313,25 +270,24 @@ class TestChecksOncePerRecord:
         return counts
 
     def test_make_pvm_checks_involution_once(self, measured, calls):
-        make_pvm(measured, measured.projector(1, "z"))
+        z_record_pvm(measured, 1)
         assert calls == {"involution_defect": 1, "commutator_norm": 0}
 
     def test_state_checks_each_record_once(self, measured, calls):
         # The verdict is kept per (qubit, component), not the projector.
         for _ in range(3):
             for qubit in (1, 2):
-                q = measured.descriptor(qubit).z
+                q = measured.component(qubit, "z")
                 assert max_abs(measured.projector(qubit, "z")
                                - 0.5 * (linalg.identity(4) + q)) == 0
         assert calls == {"involution_defect": 2, "commutator_norm": 0}
         assert len(measured._components) == 2
 
     def test_both_copies_take_three_norms(self, measured, calls):
-        frames = make_pvm(measured, measured.projector(1, "z"))
-        plus, minus = relative_descriptors(measured, 2, frames)
+        plus, minus = relative_descriptors(measured, 2,
+                                           Record(measured, 1, "z"))
         assert calls == {"involution_defect": 1, "commutator_norm": 3}
-        assert plus.unit is frames[0].projector
-        assert minus.unit is frames[1].projector
+        assert max_abs(plus.unit + minus.unit - linalg.identity(4)) == 0
 
     @pytest.mark.parametrize("qubits", [[2], [3, 2]])
     def test_foliate_takes_three_norms_per_qubit(self, calls, qubits):
@@ -352,24 +308,28 @@ class TestChecksOncePerRecord:
 class TestMatrixFreeAnswers:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_relative_expectation_matches_dense(self, n):
-        # <A P> / <P> through the dense product A P, over every live frame of
-        # every z-record and every component of every qubit.
+        # <A P> / <P> through the dense product A P, computed here, over
+        # every live frame of every z-record and every component of every
+        # qubit.
         rng = np.random.default_rng(80 + n)
         checked = 0
         for depth in (3, 20):
             state = run_gates(init_network(n), [
                 acceptance._random_gate(rng, n) for _ in range(depth)])[-1]
             for record in range(1, n + 1):
-                frames = make_pvm(state, state.projector(record, "z"))
-                for frame in frames:
+                plus = state.projector(record, "z")
+                frames = z_record_pvm(state, record)
+                for frame, proj in zip(frames,
+                                       (plus, linalg.identity(state.dim) - plus)):
                     if frame.weight <= state.tol.weight:
                         continue
                     for qubit in range(1, n + 1):
-                        for obs in [state.descriptor(qubit).component(c)
-                                    for c in COMPONENTS]:
-                            got = relative_expectation(state, obs, frame)
-                            want = network.expectation(
-                                state, obs @ frame.projector) / frame.weight
+                        for c in COMPONENTS:
+                            got = relative_expectation(
+                                state, state.ket(qubit, c), frame)
+                            product = state.component(qubit, c) @ proj
+                            want = np.vdot(state.psi, product @ state.psi
+                                           ) / frame.weight
                             assert abs(got - want) <= 1e-12
                             checked += 1
         assert checked > 0

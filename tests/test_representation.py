@@ -14,9 +14,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heisim import linalg, network, oracle
+from heisim import acceptance, linalg, network, oracle
 from heisim.linalg import COMPONENTS, PAULIS, max_abs
 from heisim.network import Gate, apply_gate, init_network, run_gates
+
+triples = acceptance._triples
 
 ARITY = {"I": 0, "NOT": 1, "H": 1, "RZ": 1, "CNOT": 2, "F": 2, "CCNOT": 3}
 
@@ -108,13 +110,13 @@ def test_random_circuits_match_full_conjugation():
                 checked_kinds.add(gate.kind)
                 ref.apply(ref.gate_unitary(gate))
             for (q, c), want in ref.mats.items():
-                assert max_abs(state.descriptor(q).component(c) - want) <= 1e-10
+                assert max_abs(state.component(q, c) - want) <= 1e-10
             if step < len(gates):
                 got = network.build_gate_unitary(state, gates[step])
                 assert max_abs(got - ref.gate_unitary(gates[step])) <= 1e-10
         # The run's certificate bounds the dense algebra residual.
         cert = network.algebra_certificate(timeline[-1])
-        assert network.algebra_residual(timeline[-1].descriptors) <= cert
+        assert network.algebra_residual(triples(timeline[-1])) <= cert
         assert cert <= 1e-12
     assert checked_kinds == set(network.GATE_KINDS)
 
@@ -124,7 +126,7 @@ def test_deep_circuit_algebra_residual():
     state = init_network(3)
     for _ in range(3000):
         state = apply_gate(state, random_gate(rng, 3))
-    residual = network.algebra_residual(state.descriptors)
+    residual = network.algebra_residual(triples(state))
     assert residual <= network.algebra_certificate(state) <= 1e-12
 
 
@@ -160,6 +162,6 @@ def test_picture_equivalence_property(circuit):
     final, psi = timeline[-1], run.states[-1]
     for a in range(1, n + 1):
         for c in COMPONENTS:
-            heis = network.expectation(final, final.descriptor(a).component(c))
+            heis = network.expectation(final, final.ket(a, c))
             schr = np.vdot(psi, linalg.embed(PAULIS[c], a, n) @ psi)
             assert abs(heis - schr) <= 1e-9
