@@ -127,7 +127,45 @@ def check_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL.hermitian) -> None:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    return max_abs(u.conj().T @ u - identity(u.shape[0]))
+    """max_abs(U†U - 1), summed over products of nonzero entries only.
+
+    (U†U)_jk = sum_i conj(u_ij) u_ik. Its diagonal is the squared norm of
+    column j, so a zero column reads 1. An off-diagonal entry sums the
+    products of the nonzero entries u_ij, u_ik that share a row i; every
+    other term is an exact zero. ``np.nonzero`` lists the entries row by
+    row, so the pairs of a row are the entries k places apart, for
+    k = 1, 2, ... until no row has k + 1 entries.
+
+    Cost: an O(d^2) scan for the nonzeros, plus O(p) for the p pairs that
+    share a row, summed by ``np.bincount`` into a lazily zeroed d^2 array of
+    which only the pairs' pages are touched. A gate matrix has at most two
+    entries per row, so p <= d and the check is O(4^n) instead of a d x d
+    GEMM; a dense matrix has p = d^2(d - 1)/2. NaN counts as nonzero and
+    gives NaN, and an inf entry gives inf or NaN: both exceed every bound.
+    """
+    u = np.asarray(u)
+    dim = u.shape[0]
+    rows, cols = np.nonzero(u)
+    values = u[rows, cols]
+    keys, products = [], []
+    with np.errstate(invalid="ignore"):
+        norms = np.bincount(cols, weights=values.real ** 2 + values.imag ** 2,
+                            minlength=dim)
+        for k in range(1, len(rows)):
+            first = np.flatnonzero(rows[k:] == rows[:-k])
+            if not first.size:
+                break
+            second = first + k
+            keys.append(cols[first] * dim + cols[second])
+            products.append(values[first].conj() * values[second])
+        off = np.zeros(0)
+        if keys:
+            # Sum the products of each entry (j, k) of U†U, then read the
+            # sums back at the pairs' own keys.
+            keys, products = np.concatenate(keys), np.concatenate(products)
+            off = np.hypot(np.bincount(keys, weights=products.real)[keys],
+                           np.bincount(keys, weights=products.imag)[keys])
+        return max_abs(np.concatenate([norms - 1.0, off]))
 
 
 def check_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary) -> None:

@@ -4,6 +4,12 @@ Gates here are fixed matrices built from the initial-time generators and
 applied to an evolving state vector. This module deliberately shares no
 evolution code with the descriptor network: agreement between the two is the
 strongest correctness check the suite has.
+
+Each gate is a dense 2^n x 2^n matrix summed from embedded generators. The
+sigma_z control factors of CNOT, CCNOT and F are diagonal, so they scale
+columns instead of entering a matrix product: a gate costs O(4^n) to build.
+Its unitarity is checked on its nonzero entries (``linalg.unitarity_defect``),
+once per distinct gate in a run, so the only product per step is U psi.
 """
 
 from __future__ import annotations
@@ -40,20 +46,24 @@ def gate_matrix(gate: Gate, n: int) -> np.ndarray:
         control, target = gate.operands
         cz = linalg.embed(linalg.SIGMA_Z, control, n)
         tx = linalg.embed(linalg.SIGMA_X, target, n)
-        return 0.5 * (one + cz) + tx @ (0.5 * (one - cz))
+        # tx @ 1/2(1 - cz): the projector is diagonal, so scale tx's columns.
+        return 0.5 * (one + cz) + tx * (0.5 * (1 - cz.diagonal()))
     if gate.kind == "F":
         a, b = gate.operands
         alpha, beta, gamma, delta = gate.params
         za = linalg.embed(linalg.SIGMA_Z, a, n)
         zb = linalg.embed(linalg.SIGMA_Z, b, n)
-        return alpha * one + beta * za + gamma * zb + delta * (za @ zb)
+        zz = np.diag(za.diagonal() * zb.diagonal())  # za @ zb, both diagonal
+        return alpha * one + beta * za + gamma * zb + delta * zz
     # CCNOT
     c1, c2, target = gate.operands
-    p1 = 0.5 * (one - linalg.embed(linalg.SIGMA_Z, c1, n))
-    p2 = 0.5 * (one - linalg.embed(linalg.SIGMA_Z, c2, n))
+    # Diagonals of the control projectors 1/2(1 - cz); their product is the
+    # projector onto both controls set.
+    p1 = 0.5 * (1 - linalg.embed(linalg.SIGMA_Z, c1, n).diagonal())
+    p2 = 0.5 * (1 - linalg.embed(linalg.SIGMA_Z, c2, n).diagonal())
     tx = linalg.embed(linalg.SIGMA_X, target, n)
-    both = p1 @ p2
-    return one - both + tx @ both
+    both = p1 * p2
+    return one - np.diag(both) + tx * both
 
 
 @dataclass(frozen=True)
@@ -66,19 +76,26 @@ class SchrodingerRun:
 
 def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
            tol: Tolerances = DEFAULT_TOL) -> SchrodingerRun:
-    """Apply each gate's fixed matrix once per step, keeping every state."""
+    """Apply each gate's fixed matrix once per step, keeping every state.
+
+    Each distinct gate has its matrix checked for unitarity once per call,
+    at its first step, so a failure names the first step that fails.
+    """
     psi = np.asarray(initial, dtype=complex)
     if linalg.exceeds(abs(np.linalg.norm(psi) - 1.0), tol.norm):
         raise NonUnitary(f"initial state norm {np.linalg.norm(psi):.12f} != 1")
     states = [psi]
+    unitary: set[Gate] = set()
     for step, gate in enumerate(gates):
         u = gate_matrix(gate, n)
-        try:
-            linalg.check_unitary(u, tol.unitary)
-        except NonUnitary as exc:
-            operands = ", ".join(map(str, gate.operands))
-            raise NonUnitary(
-                f"step {step}: {gate.kind} on ({operands}): {exc}") from None
+        if gate not in unitary:
+            try:
+                linalg.check_unitary(u, tol.unitary)
+            except NonUnitary as exc:
+                operands = ", ".join(map(str, gate.operands))
+                raise NonUnitary(
+                    f"step {step}: {gate.kind} on ({operands}): {exc}") from None
+            unitary.add(gate)
         psi = u @ psi
         states.append(psi)
     return SchrodingerRun(n, tuple(states))

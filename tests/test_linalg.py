@@ -8,7 +8,7 @@ from heisim.errors import (NonUnitary, NotHermitian, NotInvolution,
 from heisim.linalg import (DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            check_unitary, embed, embed_pauli, exceeds,
                            identity, max_abs, negligible, pauli_projector,
-                           spectral, worst)
+                           spectral, unitarity_defect, worst)
 
 
 def random_hermitian(rng, dim):
@@ -197,3 +197,52 @@ class TestNanSafety:
 
     def test_zero_tolerance_allowed(self):
         assert DEFAULT_TOL.override(oracle=0.0).oracle == 0.0
+
+
+def dense_unitarity_defect(u):
+    """The U†U GEMM that unitarity_defect's sparse sum replaces."""
+    return max_abs(u.conj().T @ u - identity(u.shape[0]))
+
+
+class TestUnitarityDefect:
+    @pytest.mark.parametrize("dim", range(1, 33))
+    def test_matches_the_dense_product(self, dim):
+        rng = np.random.default_rng(700 + dim)
+        bound = 8 * dim * np.finfo(float).eps
+        gaussian = (rng.normal(size=(dim, dim))
+                    + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2 * dim)
+        sparse = gaussian * (rng.random((dim, dim)) < 0.3)
+        for u in (random_unitary(rng, dim), gaussian, sparse):
+            assert unitarity_defect(u) == pytest.approx(
+                dense_unitarity_defect(u), abs=bound)
+
+    def test_nan_gives_nan(self):
+        u = identity(4)
+        u[2, 1] = np.nan
+        assert np.isnan(unitarity_defect(u))
+        assert np.isnan(unitarity_defect(np.full((2, 2), np.nan,
+                                                 dtype=complex)))
+
+    @pytest.mark.parametrize("where", [(1, 1), (1, 2)])
+    def test_inf_exceeds_every_bound(self, where):
+        # On the diagonal the column norm is inf; off it, inf also meets the
+        # row's other entry in an off-diagonal product.
+        u = identity(4)
+        u[where] = np.inf
+        assert exceeds(unitarity_defect(u), 1e300)
+
+    @pytest.mark.parametrize("column", [0, 2, 3])
+    def test_zero_column_reads_one(self, column):
+        u = identity(4)
+        u[:, column] = 0
+        assert unitarity_defect(u) == 1.0
+
+    def test_identity_reads_zero(self):
+        assert unitarity_defect(identity(16)) == 0.0
+
+    def test_off_diagonal_products_of_one_row_count(self):
+        # Orthonormal rows, but columns 0 and 1 overlap in row 0 only.
+        u = np.array([[1, 1], [0, 0]], dtype=complex) / np.sqrt(2)
+        assert unitarity_defect(u) == pytest.approx(
+            dense_unitarity_defect(u), abs=1e-16)
+        assert unitarity_defect(u) == pytest.approx(0.5)

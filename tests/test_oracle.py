@@ -1,12 +1,15 @@
 """Tests for the independent state-vector oracle and picture cross-validation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from heisim import linalg, relative
 from heisim.errors import CircuitMismatch, NonUnitary
-from heisim.linalg import COMPONENTS, SIGMA_X, SIGMA_Z, max_abs
-from heisim.network import Gate, Record, init_network, run_gates
+from heisim.linalg import (COMPONENTS, SIGMA_X, SIGMA_Z, Tolerances,
+                           max_abs)
+from heisim.network import GATE_KINDS, Gate, Record, init_network, run_gates
 from heisim.oracle import cross_validate, evolve, gate_matrix
 
 
@@ -33,6 +36,13 @@ def per_step_reference(run, timeline):
     return per_step
 
 
+def f_gate(a, b, signs):
+    """The diagonal F gate with eigenvalues s0..s3."""
+    s0, s1, s2, s3 = signs
+    return Gate.f(a, b, (s0 + s1 + s2 + s3) / 4, (s0 + s1 - s2 - s3) / 4,
+                  (s0 - s1 + s2 - s3) / 4, (s0 - s1 - s2 + s3) / 4)
+
+
 def random_circuit(rng, n, depth):
     gates = []
     for _ in range(depth):
@@ -49,12 +59,7 @@ def random_circuit(rng, n, depth):
         elif kind == "CNOT":
             gates.append(Gate.cnot(q[0], q[1]))
         elif kind == "F":
-            # The diagonal gate with eigenvalues s0..s3 = +-1.
-            s0, s1, s2, s3 = rng.choice([-1.0, 1.0], size=4)
-            gates.append(Gate.f(q[0], q[1], (s0 + s1 + s2 + s3) / 4,
-                                (s0 + s1 - s2 - s3) / 4,
-                                (s0 - s1 + s2 - s3) / 4,
-                                (s0 - s1 - s2 + s3) / 4))
+            gates.append(f_gate(q[0], q[1], rng.choice([-1.0, 1.0], size=4)))
         else:
             gates.append(Gate.ccnot(q[0], q[1], q[2]))
     return gates
@@ -66,7 +71,71 @@ def bell_vector():
     return v
 
 
+def dense_gate_matrix(gate, n):
+    """The builder gate_matrix replaces: its sigma_z control factors enter
+    as dense matrix products."""
+    one = linalg.identity(2 ** n)
+    x = {q: linalg.embed(SIGMA_X, q, n) for q in range(1, n + 1)}
+    z = {q: linalg.embed(SIGMA_Z, q, n) for q in range(1, n + 1)}
+    if gate.kind == "I":
+        return one
+    if gate.kind == "NOT":
+        return x[gate.operands[0]]
+    if gate.kind == "H":
+        return (x[gate.operands[0]] + z[gate.operands[0]]) / np.sqrt(2)
+    if gate.kind == "RZ":
+        (theta,) = gate.params
+        return (np.cos(theta / 2) * one
+                - 1j * np.sin(theta / 2) * z[gate.operands[0]])
+    if gate.kind == "CNOT":
+        control, target = gate.operands
+        return (0.5 * (one + z[control])
+                + x[target] @ (0.5 * (one - z[control])))
+    if gate.kind == "F":
+        a, b = gate.operands
+        alpha, beta, gamma, delta = gate.params
+        return (alpha * one + beta * z[a] + gamma * z[b]
+                + delta * (z[a] @ z[b]))
+    c1, c2, target = gate.operands
+    both = (0.5 * (one - z[c1])) @ (0.5 * (one - z[c2]))
+    return one - both + x[target] @ both
+
+
+def every_gate(n):
+    """Every gate kind on every operand order of n qubits; F with each of
+    its 16 sign patterns, RZ at two angles."""
+    yield Gate("I")
+    for q in range(1, n + 1):
+        yield from (Gate.not_(q), Gate.h(q), Gate.rz(q, 0.7),
+                    Gate.rz(q, -2.3))
+    for a, b in itertools.permutations(range(1, n + 1), 2):
+        yield Gate.cnot(a, b)
+        for signs in itertools.product([1.0, -1.0], repeat=4):
+            yield f_gate(a, b, signs)
+    for operands in itertools.permutations(range(1, n + 1), 3):
+        yield Gate.ccnot(*operands)
+
+
 class TestGateMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_the_dense_product_builder(self, n):
+        kinds = set()
+        for gate in every_gate(n):
+            kinds.add(gate.kind)
+            assert np.array_equal(gate_matrix(gate, n),
+                                  dense_gate_matrix(gate, n)), gate
+        if n >= 3:
+            assert kinds == set(GATE_KINDS)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_sparse_unitarity_defect_matches_dense(self, n):
+        bound = 8 * 2 ** n * np.finfo(float).eps
+        for gate in every_gate(n):
+            u = gate_matrix(gate, n)
+            dense = max_abs(u.conj().T @ u - linalg.identity(2 ** n))
+            assert linalg.unitarity_defect(u) == pytest.approx(
+                dense, abs=bound), gate
+
     def test_not_matrix(self):
         assert np.allclose(gate_matrix(Gate.not_(2), 2),
                            np.kron(linalg.identity(2), SIGMA_X))
@@ -111,6 +180,40 @@ class TestEvolve:
     def test_unnormalized_initial_rejected(self):
         with pytest.raises(NonUnitary):
             evolve(2 * init_network(1).psi, [], 1)
+
+    def test_each_distinct_gate_is_checked_once_per_call(self, monkeypatch):
+        checked = []
+        check = linalg.check_unitary
+        monkeypatch.setattr(linalg, "check_unitary", lambda u, tol: (
+            checked.append(u.copy()), check(u, tol))[1])
+        gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(1), Gate.rz(2, 0.3),
+                 Gate.cnot(1, 2), Gate.rz(2, 0.9), Gate.h(1), Gate.rz(2, 0.3)]
+        psi = init_network(2).psi
+        run = evolve(psi, gates, 2)
+        distinct = [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, 0.3),
+                    Gate.rz(2, 0.9)]
+        assert len(checked) == len(distinct)
+        for u, gate in zip(checked, distinct):
+            assert np.array_equal(u, gate_matrix(gate, 2))
+        # The states are those of an unmemoised run.
+        want = psi
+        for gate, state in zip(gates, run.states[1:]):
+            want = gate_matrix(gate, 2) @ want
+            assert np.array_equal(state, want)
+        # The verdicts belong to one call: a second run checks again.
+        evolve(psi, gates, 2)
+        assert len(checked) == 2 * len(distinct)
+
+    def test_first_failing_step_is_named(self):
+        # Within the fixed 1e-10 that Gate takes for F, beyond 1e-13.
+        nearly = Gate.f(1, 2, 1.000000000001, 0.0, 0.0, 0.0)
+        gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(2), nearly,
+                 Gate.h(1), Gate.h(2), Gate.cnot(2, 1), nearly]
+        psi = init_network(2).psi
+        assert len(evolve(psi, gates, 2).states) == 9
+        with pytest.raises(NonUnitary, match=r"^step 3: F on \(1, 2\): "
+                           r"unitarity defect"):
+            evolve(psi, gates, 2, Tolerances(unitary=1e-13))
 
 
 class TestCrossValidate:
