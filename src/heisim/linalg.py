@@ -143,7 +143,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     GEMM; a dense matrix has p = d^2(d - 1)/2. NaN counts as nonzero and
     gives NaN, and an inf entry gives inf or NaN: both exceed every bound.
     """
-    u = np.asarray(u)
     dim = u.shape[0]
     rows, cols = np.nonzero(u)
     values = u[rows, cols]
