@@ -137,11 +137,10 @@ class NetworkState:
     u: np.ndarray
     psi: np.ndarray
     tol: Tolerances = DEFAULT_TOL
-    # Descriptor components computed so far, keyed by (qubit, component).
-    _components: dict = field(default_factory=dict, repr=False)
-    # Everything else computed once: "phi", "certificate", and the kets
-    # ("ket", qubit, component) and record involution defects ("defect",
-    # qubit, component) read so far.
+    # Everything computed once: "phi", "certificate", and the descriptor
+    # components ("component", qubit, component), kets ("ket", qubit,
+    # component) and record involution defects ("defect", qubit, component)
+    # read so far.
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -157,13 +156,13 @@ class NetworkState:
     def component(self, qubit: int, name: str) -> np.ndarray:
         """q_{qubit,name} = U† sigma U: sigma acts on the rows of U, then one
         matmul. Computed on first read and cached on the state."""
-        key = (qubit, name)
-        mat = self._components.get(key)
+        key = ("component", qubit, name)
+        mat = self._cache.get(key)
         if mat is None:
             self._check_component(qubit, name)
             mat = self.u.conj().T @ apply_pauli(self.u, qubit, name)
             mat.flags.writeable = False
-            self._components[key] = mat
+            self._cache[key] = mat
         return mat
 
     @property

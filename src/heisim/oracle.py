@@ -5,11 +5,11 @@ applied to an evolving state vector. This module deliberately shares no
 evolution code with the descriptor network: agreement between the two is the
 strongest correctness check the suite has.
 
-Each gate is a dense 2^n x 2^n matrix summed from embedded generators. The
-sigma_z control factors of CNOT, CCNOT and F are diagonal, so they scale
-columns instead of entering a matrix product: a gate costs O(4^n) to build.
-Its unitarity is checked on its nonzero entries (``linalg.unitarity_defect``),
-once per distinct gate in a run, so the only product per step is U psi.
+Every built-in gate is U = D0 + X_t D1: two diagonals made from sigma_z's
++-1 pattern and a flip of the target qubit's index bit. Each step applies U
+as a dense 2^n x 2^n matrix, scattered from those parts into one zeroed
+allocation, so the only product per step is U psi. Unitarity is read from
+the same parts in O(2^n), once per distinct gate in a run.
 """
 
 from __future__ import annotations
@@ -25,45 +25,76 @@ from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances
 from .network import Gate, NetworkState
 
 
-def gate_matrix(gate: Gate, n: int) -> np.ndarray:
-    """Fixed matrix of a gate on n qubits, built from initial generators."""
+def _gate_parts(gate: Gate, n: int
+                ) -> tuple[np.ndarray, int | None, np.ndarray | None]:
+    """A gate as U = D0 + X_t D1: the diagonals d0 and d1, and the target t
+    whose index bit X_t flips (None, with no d1, for a diagonal gate).
+
+    Each line is the gate's characteristic function of sigma_z's diagonals
+    z[q] = 1 - 2 b_q, the +-1 pattern of qubit q's bit of the basis index
+    (qubit 1 is the most significant bit).
+    """
     gate.validate(n)
-    dim = 2 ** n
-    one = linalg.identity(dim)
-    if gate.kind == "I":
-        return one
-    if gate.kind == "NOT":
-        return linalg.embed(linalg.SIGMA_X, gate.operands[0], n)
-    if gate.kind == "H":
-        x = linalg.embed(linalg.SIGMA_X, gate.operands[0], n)
-        z = linalg.embed(linalg.SIGMA_Z, gate.operands[0], n)
-        return (x + z) / np.sqrt(2)
-    if gate.kind == "RZ":
+    index = np.arange(2 ** n)
+    z = {q: 1.0 - 2 * ((index >> (n - q)) & 1) for q in gate.operands}
+    one = np.ones(2 ** n)
+    q, kind = gate.operands, gate.kind
+    if kind == "I":
+        return one, None, None
+    if kind == "NOT":
+        return 0 * one, q[0], one
+    if kind == "H":
+        return z[q[0]] / np.sqrt(2), q[0], one / np.sqrt(2)
+    if kind == "RZ":
         (theta,) = gate.params
-        z = linalg.embed(linalg.SIGMA_Z, gate.operands[0], n)
-        return np.cos(theta / 2) * one - 1j * np.sin(theta / 2) * z
-    if gate.kind == "CNOT":
-        control, target = gate.operands
-        cz = linalg.embed(linalg.SIGMA_Z, control, n)
-        tx = linalg.embed(linalg.SIGMA_X, target, n)
-        # tx @ 1/2(1 - cz): the projector is diagonal, so scale tx's columns.
-        return 0.5 * (one + cz) + tx * (0.5 * (1 - cz.diagonal()))
-    if gate.kind == "F":
-        a, b = gate.operands
+        return np.cos(theta / 2) - 1j * np.sin(theta / 2) * z[q[0]], None, None
+    if kind == "CNOT":
+        return 0.5 * (1 + z[q[0]]), q[1], 0.5 * (1 - z[q[0]])
+    if kind == "F":
         alpha, beta, gamma, delta = gate.params
-        za = linalg.embed(linalg.SIGMA_Z, a, n)
-        zb = linalg.embed(linalg.SIGMA_Z, b, n)
-        zz = np.diag(za.diagonal() * zb.diagonal())  # za @ zb, both diagonal
-        return alpha * one + beta * za + gamma * zb + delta * zz
-    # CCNOT
-    c1, c2, target = gate.operands
-    # Diagonals of the control projectors 1/2(1 - cz); their product is the
-    # projector onto both controls set.
-    p1 = 0.5 * (1 - linalg.embed(linalg.SIGMA_Z, c1, n).diagonal())
-    p2 = 0.5 * (1 - linalg.embed(linalg.SIGMA_Z, c2, n).diagonal())
-    tx = linalg.embed(linalg.SIGMA_X, target, n)
-    both = p1 * p2
-    return one - np.diag(both) + tx * both
+        za, zb = z[q[0]], z[q[1]]
+        return alpha + beta * za + gamma * zb + delta * (za * zb), None, None
+    # CCNOT: both controls set.
+    both = 0.25 * (1 - z[q[0]]) * (1 - z[q[1]])
+    return 1 - both, q[2], both
+
+
+def gate_matrix(gate: Gate, n: int) -> np.ndarray:
+    """Fixed 2^n x 2^n matrix of a gate, D0 + X_t D1 (see ``_gate_parts``):
+    one zeroed allocation and two index scatters."""
+    d0, target, d1 = _gate_parts(gate, n)
+    dim = len(d0)
+    u = np.zeros((dim, dim), dtype=complex)
+    j = np.arange(dim)
+    u[j, j] = d0
+    if target is not None:
+        u[j ^ (dim >> target), j] = d1
+    return u
+
+
+def _squared(v: np.ndarray) -> np.ndarray:
+    """|v|^2 as re^2 + im^2, with no square root to round."""
+    return v.real ** 2 + v.imag ** 2
+
+
+def _unitarity_defect(d0: np.ndarray, target: int | None,
+                      d1: np.ndarray | None) -> float:
+    """max_abs(U†U - 1) of U = D0 + X_t D1 from its parts, in O(2^n).
+
+    Column j of U holds d0_j at row j and d1_j at row j ^ b, b the target's
+    bit. So (U†U)_jj = |d0_j|^2 + |d1_j|^2, and its only other nonzero
+    entries are (j, j ^ b) = conj(d0_j) d1_{j^b} + conj(d1_j) d0_{j^b}.
+    NaN gives NaN.
+    """
+    if target is None:
+        return linalg.max_abs(_squared(d0) - 1.0)
+    flip = len(d0) >> target
+    lo = np.flatnonzero((np.arange(len(d0)) & flip) == 0)
+    hi = lo | flip
+    overlap = d0[lo].conj() * d1[hi] + d1[lo].conj() * d0[hi]
+    return linalg.max_abs(np.concatenate([
+        _squared(d0) + _squared(d1) - 1.0,
+        np.hypot(overlap.real, overlap.imag)]))
 
 
 @dataclass(frozen=True)
@@ -87,16 +118,15 @@ def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
     states = [psi]
     unitary: set[Gate] = set()
     for step, gate in enumerate(gates):
-        u = gate_matrix(gate, n)
         if gate not in unitary:
-            try:
-                linalg.check_unitary(u, tol.unitary)
-            except NonUnitary as exc:
+            defect = _unitarity_defect(*_gate_parts(gate, n))
+            if linalg.exceeds(defect, tol.unitary):
                 operands = ", ".join(map(str, gate.operands))
                 raise NonUnitary(
-                    f"step {step}: {gate.kind} on ({operands}): {exc}") from None
+                    f"step {step}: {gate.kind} on ({operands}): unitarity "
+                    f"defect {defect:.3e} > {tol.unitary:.3e}")
             unitary.add(gate)
-        psi = u @ psi
+        psi = gate_matrix(gate, n) @ psi
         states.append(psi)
     return SchrodingerRun(n, tuple(states))
 

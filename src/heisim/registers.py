@@ -189,7 +189,7 @@ def _sharp_value(state: NetworkState, frame: RelativeFrame, ket: np.ndarray,
     return int(round(mean)), variance
 
 
-def _require_unsharp(state: NetworkState, name: str, sharp: bool) -> None:
+def _require_unsharp(name: str, sharp: bool) -> None:
     if sharp:
         raise PreconditionFailed(
             f"register {name} is sharp; foliation requires a non-sharp "
@@ -224,8 +224,7 @@ def classical_branches(state: NetworkState, m_qubits: Sequence[int],
     s = register_descriptor(state, s_qubits)
     for name, values in (("M", m), ("S", s)):
         mean = prob @ values
-        _require_unsharp(state, name,
-                         abs(mean * mean - prob @ values ** 2)
+        _require_unsharp(name, abs(mean * mean - prob @ values ** 2)
                          <= state.tol.sharp)
     # Integer eigenvalues are 1 apart: all one cluster or each its own.
     labels = np.arange(2 ** len(s_qubits))

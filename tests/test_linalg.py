@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from heisim.errors import (NonUnitary, NotHermitian, NotInvolution,
-                           ValidationError)
-from heisim.linalg import (DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                           check_unitary, embed, embed_pauli, exceeds,
-                           identity, max_abs, negligible, pauli_projector,
-                           spectral, unitarity_defect, worst)
+from heisim.errors import NotHermitian, NotInvolution, ValidationError
+from heisim.linalg import (DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, embed,
+                           embed_pauli, exceeds, identity, max_abs,
+                           negligible, pauli_projector, spectral, worst)
+from heisim.oracle import _unitarity_defect as unitarity_defect
 
 
 def random_hermitian(rng, dim):
@@ -186,10 +185,6 @@ class TestNanSafety:
         assert negligible(0.0, 0.0)
         assert not negligible(1e-12, 0.0)
 
-    def test_nan_matrix_is_not_unitary(self):
-        with pytest.raises(NonUnitary):
-            check_unitary(np.full((2, 2), np.nan, dtype=complex))
-
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-12])
     def test_tolerances_must_be_finite_and_non_negative(self, value):
         with pytest.raises(ValidationError):
@@ -199,50 +194,79 @@ class TestNanSafety:
         assert DEFAULT_TOL.override(oracle=0.0).oracle == 0.0
 
 
-def dense_unitarity_defect(u):
-    """The U†U GEMM that unitarity_defect's sparse sum replaces."""
-    return max_abs(u.conj().T @ u - identity(u.shape[0]))
+def dense_unitarity_defect(d0, target, d1):
+    """max_abs(U†U - 1) of U = D0 + X_t D1, built with dense products."""
+    n = len(d0).bit_length() - 1
+    u = np.diag(d0).astype(complex)
+    if target is not None:
+        u = u + embed(SIGMA_X, target, n) @ np.diag(d1)
+    return max_abs(u.conj().T @ u - identity(2 ** n))
 
 
 class TestUnitarityDefect:
-    @pytest.mark.parametrize("dim", range(1, 33))
-    def test_matches_the_dense_product(self, dim):
-        rng = np.random.default_rng(700 + dim)
+    """The oracle's O(2^n) unitarity defect of a gate D0 + X_t D1, read from
+    its diagonals d0, d1 and target t, against the dense product U†U."""
+
+    @pytest.mark.parametrize("case", range(1, 33))
+    def test_matches_the_dense_product(self, case):
+        rng = np.random.default_rng(700 + case)
+        n = 1 + case % 5
+        dim, target = 2 ** n, int(rng.integers(1, n + 1))
         bound = 8 * dim * np.finfo(float).eps
-        gaussian = (rng.normal(size=(dim, dim))
-                    + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2 * dim)
-        sparse = gaussian * (rng.random((dim, dim)) < 0.3)
-        for u in (random_unitary(rng, dim), gaussian, sparse):
-            assert unitarity_defect(u) == pytest.approx(
-                dense_unitarity_defect(u), abs=bound)
+        # Unitary: each pair of basis states j, j ^ b, b the target's bit,
+        # spans a random 2 x 2 unitary block.
+        d0, d1 = np.zeros(dim, complex), np.zeros(dim, complex)
+        flip = dim >> target
+        for lo in range(dim):
+            if not lo & flip:
+                hi = lo | flip
+                (d0[lo], d1[hi]), (d1[lo], d0[hi]) = random_unitary(rng, 2)
+        gaussian = [(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+                    / np.sqrt(2) for _ in range(2)]
+        sparse = [part * (rng.random(dim) < 0.3) for part in gaussian]
+        for parts in ((d0, target, d1), (gaussian[0], target, gaussian[1]),
+                      (sparse[0], target, sparse[1]),
+                      (gaussian[0], None, None)):
+            assert unitarity_defect(*parts) == pytest.approx(
+                dense_unitarity_defect(*parts), abs=bound)
+        assert unitarity_defect(d0, target, d1) <= bound
 
     def test_nan_gives_nan(self):
-        u = identity(4)
-        u[2, 1] = np.nan
-        assert np.isnan(unitarity_defect(u))
-        assert np.isnan(unitarity_defect(np.full((2, 2), np.nan,
-                                                 dtype=complex)))
+        for where in range(4):
+            nan = np.ones(4, complex)
+            nan[where] = np.nan
+            assert np.isnan(unitarity_defect(nan, None, None))
+            assert np.isnan(unitarity_defect(nan, 2, np.zeros(4)))
+            assert np.isnan(unitarity_defect(np.zeros(4), 2, nan))
 
-    @pytest.mark.parametrize("where", [(1, 1), (1, 2)])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
     def test_inf_exceeds_every_bound(self, where):
-        # On the diagonal the column norm is inf; off it, inf also meets the
-        # row's other entry in an off-diagonal product.
-        u = identity(4)
-        u[where] = np.inf
-        assert exceeds(unitarity_defect(u), 1e300)
+        # In d0 the column norm is inf; in d1, inf also meets its pair's
+        # other entries in an overlap. The Hadamard's parts on qubit 1.
+        parts = [np.array([1, 1, -1, -1]) / np.sqrt(2), np.full(4, 0.5 ** 0.5)]
+        part, entry = where
+        parts[part][entry] = np.inf
+        assert exceeds(unitarity_defect(parts[0], 1, parts[1]), 1e300)
 
     @pytest.mark.parametrize("column", [0, 2, 3])
     def test_zero_column_reads_one(self, column):
-        u = identity(4)
-        u[:, column] = 0
-        assert unitarity_defect(u) == 1.0
+        d0 = np.ones(4)
+        d0[column] = 0
+        assert unitarity_defect(d0, None, None) == 1.0
+        assert unitarity_defect(d0, 2, np.zeros(4)) == 1.0
 
     def test_identity_reads_zero(self):
-        assert unitarity_defect(identity(16)) == 0.0
+        assert unitarity_defect(np.ones(16), None, None) == 0.0
+        assert unitarity_defect(np.ones(16), 3, np.zeros(16)) == 0.0
 
     def test_off_diagonal_products_of_one_row_count(self):
-        # Orthonormal rows, but columns 0 and 1 overlap in row 0 only.
-        u = np.array([[1, 1], [0, 0]], dtype=complex) / np.sqrt(2)
-        assert unitarity_defect(u) == pytest.approx(
-            dense_unitarity_defect(u), abs=1e-16)
-        assert unitarity_defect(u) == pytest.approx(0.5)
+        # Unit columns (1, 0) and (r, r) on one qubit overlap in row 0 only,
+        # the conj(d0_j) d1_{j^b} term; (0, 1) and (r, r) overlap in row 1
+        # only, the conj(d1_j) d0_{j^b} term.
+        r = 0.5 ** 0.5
+        for parts in (([1, r], 1, [0, r]), ([0, r], 1, [1, r])):
+            d0, target, d1 = (np.array(parts[0], complex), parts[1],
+                              np.array(parts[2], complex))
+            assert unitarity_defect(d0, target, d1) == pytest.approx(
+                dense_unitarity_defect(d0, target, d1), abs=1e-16)
+            assert unitarity_defect(d0, target, d1) == pytest.approx(r)

@@ -1,11 +1,12 @@
 """Tests for the independent state-vector oracle and picture cross-validation."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from heisim import linalg, relative
+from heisim import linalg, network, oracle, registers, relative
 from heisim.errors import CircuitMismatch, NonUnitary
 from heisim.linalg import (COMPONENTS, SIGMA_X, SIGMA_Z, Tolerances,
                            max_abs)
@@ -72,8 +73,8 @@ def bell_vector():
 
 
 def dense_gate_matrix(gate, n):
-    """The builder gate_matrix replaces: its sigma_z control factors enter
-    as dense matrix products."""
+    """The definitional builder: each gate summed from embedded generators,
+    its sigma_z control factors entering as dense matrix products."""
     one = linalg.identity(2 ** n)
     x = {q: linalg.embed(SIGMA_X, q, n) for q in range(1, n + 1)}
     z = {q: linalg.embed(SIGMA_Z, q, n) for q in range(1, n + 1)}
@@ -116,25 +117,70 @@ def every_gate(n):
         yield Gate.ccnot(*operands)
 
 
+def unitarity_defect(gate, n):
+    return oracle._unitarity_defect(*oracle._gate_parts(gate, n))
+
+
 class TestGateMatrix:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_equals_the_dense_product_builder(self, n):
         kinds = set()
         for gate in every_gate(n):
             kinds.add(gate.kind)
-            assert np.array_equal(gate_matrix(gate, n),
-                                  dense_gate_matrix(gate, n)), gate
+            assert (gate_matrix(gate, n).tobytes()
+                    == dense_gate_matrix(gate, n).tobytes()), gate
         if n >= 3:
             assert kinds == set(GATE_KINDS)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_sparse_unitarity_defect_matches_dense(self, n):
+    def test_sparse_unitarity_defect_matches_dense(self, n, monkeypatch):
         bound = 8 * 2 ** n * np.finfo(float).eps
         for gate in every_gate(n):
             u = gate_matrix(gate, n)
             dense = max_abs(u.conj().T @ u - linalg.identity(2 ** n))
-            assert linalg.unitarity_defect(u) == pytest.approx(
+            assert unitarity_defect(gate, n) == pytest.approx(
                 dense, abs=bound), gate
+        # A NaN on the diagonal reads NaN and fails the check.
+        parts = oracle._gate_parts
+
+        def nan_first(gate, n):
+            d0, target, d1 = parts(gate, n)
+            return np.where(np.arange(2 ** n) == 0, np.nan, d0), target, d1
+
+        monkeypatch.setattr(oracle, "_gate_parts", nan_first)
+        for gate in (Gate("I"), Gate.h(n), Gate.rz(1, 0.7)):
+            assert np.isnan(unitarity_defect(gate, n))
+            with pytest.raises(NonUnitary, match=r"^step 0: .*"
+                               r"unitarity defect nan > "):
+                evolve(init_network(n).psi, [gate], n)
+
+    @pytest.mark.parametrize("kind", GATE_KINDS)
+    def test_one_allocation_per_build(self, kind):
+        # The zeroed 16 * 4^n bytes of the matrix, and vectors of 2^n.
+        n = 8
+        gate = next(g for g in every_gate(n) if g.kind == kind)
+        tracemalloc.start()
+        try:
+            gate_matrix(gate, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 16 * 4 ** n
+
+    def test_shares_no_code_with_the_network(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached network code")
+
+        psi = init_network(4).psi
+        for name in ("_apply_local", "_local_matrix", "_characteristic",
+                     "apply_gate", "build_gate_unitary"):
+            monkeypatch.setattr(network, name, forbidden)
+        monkeypatch.setattr(registers, "register_descriptor", forbidden)
+        gates = list(every_gate(4))
+        assert {gate.kind for gate in gates} == set(GATE_KINDS)
+        assert len(evolve(psi, gates, 4).states) == len(gates) + 1
+        for gate in gates:
+            gate_matrix(gate, 4)
 
     def test_not_matrix(self):
         assert np.allclose(gate_matrix(Gate.not_(2), 2),
@@ -183,9 +229,9 @@ class TestEvolve:
 
     def test_each_distinct_gate_is_checked_once_per_call(self, monkeypatch):
         checked = []
-        check = linalg.check_unitary
-        monkeypatch.setattr(linalg, "check_unitary", lambda u, tol: (
-            checked.append(u.copy()), check(u, tol))[1])
+        defect = oracle._unitarity_defect
+        monkeypatch.setattr(oracle, "_unitarity_defect", lambda *parts: (
+            checked.append(parts), defect(*parts))[1])
         gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(1), Gate.rz(2, 0.3),
                  Gate.cnot(1, 2), Gate.rz(2, 0.9), Gate.h(1), Gate.rz(2, 0.3)]
         psi = init_network(2).psi
@@ -193,8 +239,10 @@ class TestEvolve:
         distinct = [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, 0.3),
                     Gate.rz(2, 0.9)]
         assert len(checked) == len(distinct)
-        for u, gate in zip(checked, distinct):
-            assert np.array_equal(u, gate_matrix(gate, 2))
+        for (d0, target, d1), gate in zip(checked, distinct):
+            want_d0, want_target, want_d1 = oracle._gate_parts(gate, 2)
+            assert np.array_equal(d0, want_d0) and target == want_target
+            assert d1 is want_d1 is None or np.array_equal(d1, want_d1)
         # The states are those of an unmemoised run.
         want = psi
         for gate, state in zip(gates, run.states[1:]):

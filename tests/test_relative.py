@@ -281,7 +281,8 @@ class TestChecksOncePerRecord:
                 assert max_abs(measured.projector(qubit, "z")
                                - 0.5 * (linalg.identity(4) + q)) == 0
         assert calls == {"involution_defect": 2, "commutator_norm": 0}
-        assert len(measured._components) == 2
+        assert len([key for key in measured._cache
+                    if key[:1] == ("component",)]) == 2
 
     def test_both_copies_take_three_norms(self, measured, calls):
         plus, minus = relative_descriptors(measured, 2,
