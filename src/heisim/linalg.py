@@ -24,18 +24,16 @@ MAX_QUBITS = 10
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Per-run tolerance configuration.
+    """Per-run tolerance configuration; each field can change a run's
+    answers or its exit status.
 
     Defaults: double-precision conjugation chains of depth <= 100 stay well
-    under the 1e-10 bounds; the eigengap threshold is sized for integer
-    register spectra with unit gaps.
+    under the 1e-10 bounds. ``unitary`` also bounds the oracle's initial
+    state norm.
     """
 
-    hermitian: float = 1e-10
     unitary: float = 1e-10
     general: float = 1e-10
-    norm: float = 1e-10
-    eigengap: float = 1e-8
     sharp: float = 1e-9
     entangle: float = 1e-9
     commute: float = 1e-9
@@ -57,6 +55,11 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# Bounds of ``spectral``, which no run reaches: a hermiticity defect, and the
+# eigenvalue gap below which levels share one eigenspace.
+HERMITIAN_TOL = 1e-10
+EIGENGAP = 1e-8
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -120,10 +123,11 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return max_abs(a - a.conj().T)
 
 
-def check_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL.hermitian) -> None:
+def check_hermitian(a: np.ndarray) -> None:
     defect = hermiticity_defect(a)
-    if exceeds(defect, tol):
-        raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol:.3e}")
+    if exceeds(defect, HERMITIAN_TOL):
+        raise NotHermitian(
+            f"hermiticity defect {defect:.3e} > {HERMITIAN_TOL:.3e}")
 
 
 def involution_defect(q: np.ndarray) -> float:
@@ -157,17 +161,17 @@ class SpectralDecomposition:
     projectors: tuple[np.ndarray, ...]
 
 
-def spectral(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
+def spectral(h: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with eigenvalue clustering.
 
-    Eigenvalues are merged by single-linkage with gap threshold tol.eigengap,
+    Eigenvalues are merged by single-linkage with gap threshold EIGENGAP,
     so nearly-degenerate levels share one eigenspace projector.
     """
-    check_hermitian(h, tol.hermitian)
+    check_hermitian(h)
     vals, vecs = np.linalg.eigh(h)
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] <= tol.eigengap:
+        if vals[i] - vals[i - 1] <= EIGENGAP:
             clusters[-1].append(i)
         else:
             clusters.append([i])

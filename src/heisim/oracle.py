@@ -110,10 +110,11 @@ def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
     """Apply each gate's fixed matrix once per step, keeping every state.
 
     Each distinct gate has its matrix checked for unitarity once per call,
-    at its first step, so a failure names the first step that fails.
+    at its first step, so a failure names the first step that fails. The
+    initial state's norm is checked against the same tol.unitary.
     """
     psi = np.asarray(initial, dtype=complex)
-    if linalg.exceeds(abs(np.linalg.norm(psi) - 1.0), tol.norm):
+    if linalg.exceeds(abs(np.linalg.norm(psi) - 1.0), tol.unitary):
         raise NonUnitary(f"initial state norm {np.linalg.norm(psi):.12f} != 1")
     states = [psi]
     unitary: set[Gate] = set()

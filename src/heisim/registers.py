@@ -217,7 +217,7 @@ def classical_branches(state: NetworkState, m_qubits: Sequence[int],
     every nonzero-weight branch register sharp with respect to its relative
     state. The product-sharpness residual is reported, not enforced: it is
     nonzero even for a perfectly correlated pair. S's spectrum is the
-    integers 0..2^k - 1; each frame holds its ket, phi on its branch.
+    integers 0..2^k - 1, one frame each, holding its ket: phi on its branch.
     """
     prob = np.abs(state.phi) ** 2
     m = register_descriptor(state, m_qubits)
@@ -226,17 +226,9 @@ def classical_branches(state: NetworkState, m_qubits: Sequence[int],
         mean = prob @ values
         _require_unsharp(name, abs(mean * mean - prob @ values ** 2)
                          <= state.tol.sharp)
-    # Integer eigenvalues are 1 apart: all one cluster or each its own.
-    labels = np.arange(2 ** len(s_qubits))
-    groups = ([labels] if state.tol.eigengap >= 1
-              else [labels[j:j + 1] for j in labels])
-    frames = []
-    for group in groups:
-        inside = np.isin(s, group)
-        frames.append(RelativeFrame(np.where(inside, state.phi, 0),
-                                    float(np.mean(group)),
-                                    "reference register",
-                                    float(prob @ inside)))
+    frames = [RelativeFrame(np.where(s == j, state.phi, 0), float(j),
+                            "reference register", float(prob @ (s == j)))
+              for j in range(2 ** len(s_qubits))]
     branches = []
     for frame in relative.live_frames(frames, state.tol):
         value, variance = _sharp_value(state, frame, frame.ket, m)

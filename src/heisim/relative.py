@@ -89,7 +89,7 @@ def make_pvm_spectral(state: NetworkState, observable: np.ndarray,
                       source: str = "") -> tuple[RelativeFrame, ...]:
     """One frame per (clustered) eigenvalue of a general Hermitian record
     matrix, each holding its ket U P Psi."""
-    decomp = linalg.spectral(observable, state.tol)
+    decomp = linalg.spectral(observable)
     frames = []
     for lam, proj in zip(decomp.eigenvalues, decomp.projectors):
         ket = state.u @ (proj @ state.psi)

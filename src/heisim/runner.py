@@ -19,7 +19,7 @@ from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances
 from .network import NetworkState
 
 ARTIFACT_VERSION = "0.1.0"
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 
 def _round_sig(value: float) -> float:
@@ -120,8 +120,9 @@ def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
 def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Run a circuit in both pictures and answer its queries.
 
-    Raises ToleranceViolation when a residual summary exceeds its bound;
-    physics errors from individual queries propagate unchanged.
+    Raises ToleranceViolation when a residual summary exceeds its bound,
+    before any query is answered; physics errors from individual queries
+    propagate unchanged.
     """
     state0 = network.init_network(circuit.qubits, tol)
     timeline = network.run_gates(state0, circuit.gates)
@@ -130,22 +131,8 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
     cross = oracle.cross_validate(run, timeline)
     # Taken before the queries: it certifies the final state they read.
     algebra = network.algebra_certificate(timeline[-1])
-
-    results = [_answer_query(timeline, q) for q in circuit.queries]
-
-    report = {
-        "report_format_version": REPORT_FORMAT_VERSION,
-        "artifact_version": ARTIFACT_VERSION,
-        "qubits": circuit.qubits,
-        "steps": len(circuit.gates),
-        "tolerances": tol.as_dict(),
-        "queries": results,
-        "residuals": {
-            "algebra": algebra,
-            "oracle_max": cross.max_residual,
-            "oracle_per_step": list(cross.per_step),
-        },
-    }
+    # Checked before the queries too, so a run whose pictures disagree names
+    # its residual, not a query precondition of a wrong state.
     algebra_bound = 100 * tol.general
     if linalg.exceeds(algebra, algebra_bound):
         raise ToleranceViolation(
@@ -153,7 +140,20 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
     if linalg.exceeds(cross.max_residual, tol.oracle):
         raise ToleranceViolation(
             f"oracle residual {cross.max_residual:.3e} > {tol.oracle:.3e}")
-    return _clean(report)
+
+    return _clean({
+        "report_format_version": REPORT_FORMAT_VERSION,
+        "artifact_version": ARTIFACT_VERSION,
+        "qubits": circuit.qubits,
+        "steps": len(circuit.gates),
+        "tolerances": tol.as_dict(),
+        "queries": [_answer_query(timeline, q) for q in circuit.queries],
+        "residuals": {
+            "algebra": algebra,
+            "oracle_max": cross.max_residual,
+            "oracle_per_step": list(cross.per_step),
+        },
+    })
 
 
 def render_report(report: dict, summary: bool = False) -> str:

@@ -144,6 +144,19 @@ ONE_GATE = {
 }
 
 
+# Per tolerance: a shipped circuit, a --tol value and the exit status it
+# gives. Each changes the default run's exit status, or at exit 0 its answers.
+TOLERANCE_EFFECTS = {
+    "general": ("measurement", "1e-20", 2),
+    "entangle": ("measurement", "10", 0),
+    "commute": ("branch_queries", "0", 3),
+    "weight": ("measurement", "0.6", 3),
+    "oracle": ("branch_queries", "0", 2),
+    "sharp": ("branch_queries", "10", 3),
+    "unitary": ("measurement", "0", 2),
+}
+
+
 def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
@@ -462,11 +475,56 @@ class TestExitStatuses:
         assert out == ""
         assert "--seed" in err
 
-    def test_bad_tol_name_is_1(self, capsys):
-        status, _, _ = run_cli(capsys, "run",
-                               str(CIRCUITS / "measurement.yaml"),
-                               "--tol", "bogus=1")
+    @pytest.mark.parametrize("name", ["bogus", "hermitian", "norm",
+                                      "eigengap"])
+    def test_bad_tol_name_is_1(self, capsys, name):
+        status, out, err = run_cli(capsys, "run",
+                                   str(CIRCUITS / "measurement.yaml"),
+                                   "--tol", f"{name}=1")
         assert status == 1
+        assert out == ""
+        accepted = sorted(f.name for f in dataclasses.fields(linalg.Tolerances))
+        assert str(accepted) in err
+
+    @pytest.mark.parametrize("name", sorted(TOLERANCE_EFFECTS))
+    def test_every_tolerance_can_change_a_run(self, capsys, name):
+        stem, value, want = TOLERANCE_EFFECTS[name]
+        circuit = str(CIRCUITS / f"{stem}.yaml")
+        status, out, err = run_cli(capsys, "run", circuit,
+                                   "--tol", f"{name}={value}")
+        assert status == want, err
+        if want == 0:
+            _, default, _ = run_cli(capsys, "run", circuit)
+            assert (json.loads(out)["queries"]
+                    != json.loads(default)["queries"])
+
+    def test_tolerance_effects_name_every_tolerance(self):
+        # A tolerance that no longer controls anything fails here, not
+        # silently in every report's echo.
+        fields = {f.name for f in dataclasses.fields(linalg.Tolerances)}
+        assert set(TOLERANCE_EFFECTS) == fields
+
+    @pytest.mark.parametrize("stem", ["branch_queries", "classical_registers",
+                                      "limit_n10", "mid_records"])
+    def test_residual_bounds_come_before_the_queries(self, capsys,
+                                                     monkeypatch, stem):
+        # A network that skips the gate of step 3, keeping U_3 at t = 4,
+        # disagrees with the oracle. The run names that residual, not a query
+        # precondition that the wrong state breaks (a zero-weight branch).
+        apply_gate = network.apply_gate
+
+        def skip_step_3(state, gate):
+            if state.t != 3:
+                return apply_gate(state, gate)
+            return network.NetworkState(state.n, 4, state.u, state.psi,
+                                        state.tol)
+
+        monkeypatch.setattr(network, "apply_gate", skip_step_3)
+        status, out, err = run_cli(capsys, "run",
+                                   str(CIRCUITS / f"{stem}.yaml"))
+        assert status == 2, err
+        assert out == ""
+        assert "oracle residual" in err
 
     def test_no_queries_still_reports(self, capsys, tmp_path):
         path = tmp_path / "noqueries.yaml"

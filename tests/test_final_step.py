@@ -389,17 +389,6 @@ class TestSameErrors:
         assert kind is BranchNotSharp
         assert message.startswith("branch 0: register value")
 
-    def test_merged_register_clusters(self):
-        # An eigengap of 2 merges the reference register's eigenvalues, one
-        # apart, into one cluster: one branch, in which M is not sharp.
-        tol = DEFAULT_TOL.override(eigengap=2.0)
-        timeline = run_gates(init_network(4, tol), [
-            Gate.h(3), Gate.h(4), Gate.cnot(3, 1), Gate.cnot(4, 2)])
-        kind, message = self.both(timeline, {
-            "kind": "classical", "register": [1, 2], "reference": [3, 4]})
-        assert kind is BranchNotSharp
-        assert message.startswith("branch 1.5: register value 1.5 ")
-
     def test_sharp_register(self):
         timeline = run_gates(init_network(3), [Gate.h(3), Gate.cnot(3, 1)])
         kind, message = self.both(timeline, {
