@@ -75,9 +75,8 @@ def criterion_1(seed: int) -> dict:
     for _ in range(100):
         n = int(rng.choice([2, 3, 4]))
         depth = int(rng.integers(1, 51))
-        state = init_network(n)
-        for _ in range(depth):
-            state = apply_gate(state, _random_gate(rng, n))
+        state = network.run_gates(
+            init_network(n), [_random_gate(rng, n) for _ in range(depth)])[-1]
         residual = network.algebra_residual(_triples(state))
         worst = linalg.worst((worst, residual))
     return {"name": "algebra-conservation", "passed": worst <= 1e-8,
@@ -87,8 +86,8 @@ def criterion_1(seed: int) -> dict:
 def criterion_2(seed: int) -> dict:
     """Measurement fixture reproduces the closed-form t=2 descriptors and state."""
     final = section3_timeline()[-1]
-    sx, sy, sz = linalg.embed_pauli(1, 2)
-    mx, my, mz = linalg.embed_pauli(2, 2)
+    sx, sy, sz = (linalg.embed(linalg.PAULIS[c], 1, 2) for c in COMPONENTS)
+    mx, my, mz = (linalg.embed(linalg.PAULIS[c], 2, 2) for c in COMPONENTS)
     expected_s = (sz @ mx, -sy @ mx, sx)
     expected_m = (mx, my @ sx, mz @ sx)
     worst = linalg.worst(
@@ -239,7 +238,8 @@ def criterion_7(seed: int) -> dict:
                                          "final z")
             fixed_z = linalg.embed(linalg.SIGMA_Z, a, n)
             for frame in frames:
-                fixed_proj = linalg.pauli_projector(fixed_z, int(frame.label))
+                fixed_proj = 0.5 * (linalg.identity(2 ** n)
+                                    + frame.label * fixed_z)
                 schr_weight = float(np.linalg.norm(fixed_proj @ psi_t) ** 2)
                 worst_weight = linalg.worst((worst_weight,
                                              abs(schr_weight - frame.weight)))
@@ -261,10 +261,8 @@ def _classical_scenario(n, prep, m_qubits, s_qubits, functions):
     expected = {b.frame.label: b.value for b in branches}
     mismatches = 0
     for func in functions:
-        gates = registers.compile_classical(func, m_qubits)
-        after = state
-        for gate in gates:
-            after = apply_gate(after, gate)
+        after = network.run_gates(
+            state, registers.compile_classical(func, m_qubits))[-1]
         report = registers.verify_classical_step(state, after, m_qubits,
                                                  func, frames)
         if not report.ok:

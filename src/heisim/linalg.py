@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import NotHermitian, NotInvolution, ValidationError
+from .errors import NotHermitian, ValidationError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -114,11 +114,6 @@ def embed(op: np.ndarray, slot: int, n: int) -> np.ndarray:
     return out.reshape(2 ** n, 2 ** n)
 
 
-def embed_pauli(slot: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (x, y, z) generator triple for one qubit of an n-qubit space."""
-    return tuple(embed(PAULIS[c], slot, n) for c in COMPONENTS)
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
     return max_abs(a - a.conj().T)
 
@@ -134,23 +129,8 @@ def involution_defect(q: np.ndarray) -> float:
     return max_abs(q @ q - identity(q.shape[0]))
 
 
-def check_involution(q: np.ndarray, tol: float = DEFAULT_TOL.general) -> None:
-    defect = involution_defect(q)
-    if exceeds(defect, tol):
-        raise NotInvolution(f"involution defect {defect:.3e} > {tol:.3e}")
-
-
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return max_abs(a @ b - b @ a)
-
-
-def pauli_projector(q: np.ndarray, sign: int,
-                    tol: float = DEFAULT_TOL.general) -> np.ndarray:
-    """1/2(1 + sign*q) for an involution q; projects onto the sign eigenspace."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    check_involution(q, tol)
-    return 0.5 * (identity(q.shape[0]) + sign * q)
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,14 @@ class ClassicalStepReport:
     ok: bool
 
 
+def _moments(weights: np.ndarray, values: np.ndarray,
+             total: float = 1.0) -> tuple[float, float]:
+    """Mean and variance of ``values`` under ``weights`` summing to
+    ``total``."""
+    mean = weights @ values / total
+    return mean, weights @ values ** 2 / total - mean * mean
+
+
 def _sharp_value(state: NetworkState, frame: RelativeFrame, ket: np.ndarray,
                  values: np.ndarray) -> tuple[int, float]:
     """The register value and variance of a branch, from the |ket|^2
@@ -178,22 +186,13 @@ def _sharp_value(state: NetworkState, frame: RelativeFrame, ket: np.ndarray,
     Raises BranchNotSharp when the variance, or the distance of the mean from
     the nearest integer, exceeds tol.sharp (NaN exceeds it).
     """
-    branch = np.abs(ket) ** 2
-    mean = branch @ values / frame.weight
-    variance = branch @ values ** 2 / frame.weight - mean * mean
+    mean, variance = _moments(np.abs(ket) ** 2, values, frame.weight)
     defect = linalg.worst((abs(variance), abs(mean - np.round(mean))))
     if linalg.exceeds(defect, state.tol.sharp):
         raise BranchNotSharp(
             f"branch {frame.label:g}: register value {mean:.6g} "
             f"(variance {variance:.3e}) is not sharp")
     return int(round(mean)), variance
-
-
-def _require_unsharp(name: str, sharp: bool) -> None:
-    if sharp:
-        raise PreconditionFailed(
-            f"register {name} is sharp; foliation requires a non-sharp "
-            f"entangled register")
 
 
 def register_descriptor(state: NetworkState,
@@ -223,9 +222,10 @@ def classical_branches(state: NetworkState, m_qubits: Sequence[int],
     m = register_descriptor(state, m_qubits)
     s = register_descriptor(state, s_qubits)
     for name, values in (("M", m), ("S", s)):
-        mean = prob @ values
-        _require_unsharp(name, abs(mean * mean - prob @ values ** 2)
-                         <= state.tol.sharp)
+        if abs(_moments(prob, values)[1]) <= state.tol.sharp:
+            raise PreconditionFailed(
+                f"register {name} is sharp; foliation requires a non-sharp "
+                f"entangled register")
     frames = [RelativeFrame(np.where(s == j, state.phi, 0), float(j),
                             "reference register", float(prob @ (s == j)))
               for j in range(2 ** len(s_qubits))]
@@ -233,9 +233,7 @@ def classical_branches(state: NetworkState, m_qubits: Sequence[int],
     for frame in relative.live_frames(frames, state.tol):
         value, variance = _sharp_value(state, frame, frame.ket, m)
         branches.append(BranchRegister(frame, value, variance))
-    product = m * s
-    mean = prob @ product
-    return branches, abs(prob @ product ** 2 - mean * mean)
+    return branches, abs(_moments(prob, m * s)[1])
 
 
 def verify_classical_step(before: NetworkState, after: NetworkState,

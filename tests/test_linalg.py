@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from heisim.errors import NotHermitian, NotInvolution, ValidationError
-from heisim.linalg import (DEFAULT_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, embed,
-                           embed_pauli, exceeds, identity, max_abs,
-                           negligible, pauli_projector, spectral, worst)
+from heisim.errors import NotHermitian, ValidationError
+from heisim.linalg import (DEFAULT_TOL, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                           embed, exceeds, identity, max_abs, negligible,
+                           spectral, worst)
 from heisim.oracle import _unitarity_defect as unitarity_defect
 
 
@@ -21,13 +21,6 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_involution(rng, dim):
-    # Conjugate a random +-1 diagonal by a random unitary.
-    u = random_unitary(rng, dim)
-    signs = rng.choice([-1.0, 1.0], size=dim)
-    return u @ np.diag(signs).astype(complex) @ u.conj().T
-
-
 class TestTensor:
     def test_sigma_z_left(self):
         assert np.allclose(np.diag(np.kron(SIGMA_Z, identity(2))),
@@ -38,13 +31,13 @@ class TestTensor:
                            [1, -1, 1, -1])
 
     def test_embed_pauli_first_slot(self):
-        x, y, z = embed_pauli(1, 2)
+        x, y, z = (embed(PAULIS[c], 1, 2) for c in "xyz")
         assert np.allclose(x, np.kron(SIGMA_X, identity(2)))
         assert np.allclose(y, np.kron(SIGMA_Y, identity(2)))
         assert np.allclose(z, np.kron(SIGMA_Z, identity(2)))
 
     def test_embed_pauli_second_slot(self):
-        x, _, z = embed_pauli(2, 2)
+        x, z = (embed(PAULIS[c], 2, 2) for c in "xz")
         assert np.allclose(x, np.kron(identity(2), SIGMA_X))
         assert np.allclose(z, np.kron(identity(2), SIGMA_Z))
 
@@ -138,33 +131,6 @@ class TestSpectral:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             spectral(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-class TestPauliProjector:
-    def test_sigma_z_plus(self):
-        assert np.allclose(pauli_projector(SIGMA_Z, +1), np.diag([1.0, 0.0]))
-
-    def test_sigma_z_minus(self):
-        assert np.allclose(pauli_projector(SIGMA_Z, -1), np.diag([0.0, 1.0]))
-
-    def test_completeness(self):
-        rng = np.random.default_rng(9)
-        q = random_involution(rng, 8)
-        total = pauli_projector(q, +1) + pauli_projector(q, -1)
-        assert max_abs(total - identity(8)) <= 1e-10
-
-    def test_idempotent_and_orthogonal(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            q = random_involution(rng, 4)
-            plus = pauli_projector(q, +1)
-            minus = pauli_projector(q, -1)
-            assert max_abs(plus @ plus - plus) <= 1e-10
-            assert max_abs(plus @ minus) <= 1e-10
-
-    def test_rejects_non_involution(self):
-        with pytest.raises(NotInvolution):
-            pauli_projector(0.5 * SIGMA_Z, +1)
 
 
 class TestNanSafety:

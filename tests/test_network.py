@@ -193,8 +193,9 @@ class TestApplyGate:
         # Closed forms of both qubits' descriptors after H then CNOT,
         # written directly in terms of the initial generators.
         final = measurement_timeline()[-1]
-        sx, sy, sz = linalg.embed_pauli(1, 2)
-        mx, my, mz = linalg.embed_pauli(2, 2)
+        paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+        sx, sy, sz = (linalg.embed(p, 1, 2) for p in paulis)
+        mx, my, mz = (linalg.embed(p, 2, 2) for p in paulis)
         expected = {
             (1, "x"): sz @ mx, (1, "y"): -sy @ mx, (1, "z"): sx,
             (2, "x"): mx, (2, "y"): my @ sx, (2, "z"): mz @ sx,
@@ -438,7 +439,7 @@ class TestAlgebraResidual:
     def test_unit_replaces_identity(self):
         # q_2x q_2x = 1, which differs from a projector unit by 1.
         state = init_network(2)
-        unit = linalg.pauli_projector(state.component(1, "z"), +1)
+        unit = 0.5 * (linalg.identity(4) + state.component(1, "z"))
         assert network.algebra_residual(triples(state)) == 0.0
         assert network.algebra_residual(triples(state)[1:],
                                         unit=unit) == pytest.approx(1.0)

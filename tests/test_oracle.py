@@ -361,6 +361,6 @@ class TestCrossValidate:
         frames = relative.record_pvm(final, Record(final, 1, "z"))
         fixed_z = linalg.embed(SIGMA_Z, 1, 2)
         for frame in frames:
-            fixed_proj = linalg.pauli_projector(fixed_z, int(frame.label))
+            fixed_proj = 0.5 * (linalg.identity(4) + frame.label * fixed_z)
             schr_weight = float(np.linalg.norm(fixed_proj @ run.states[-1]) ** 2)
             assert schr_weight == pytest.approx(frame.weight, abs=1e-9)

@@ -53,8 +53,9 @@ class TestMakePvm:
     def test_spectral_pvm_one_frame_per_eigenvalue(self):
         # Integer-spectrum observable: a two-bit register over fresh qubits.
         state = init_network(2)
-        obs = (1 * linalg.pauli_projector(state.component(1, "z"), -1)
-               + 2 * linalg.pauli_projector(state.component(2, "z"), -1))
+        one = linalg.identity(4)
+        obs = (1 * 0.5 * (one - state.component(1, "z"))
+               + 2 * 0.5 * (one - state.component(2, "z")))
         frames = make_pvm_spectral(state, obs)
         assert sorted(f.label for f in frames) == pytest.approx([0, 1, 2, 3])
         assert sum(f.weight for f in frames) == pytest.approx(1.0)
@@ -105,7 +106,7 @@ class TestRelativeExpectation:
         # initial-basis projector and evaluate the fixed observable there.
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 1 / np.sqrt(2)
-        p_minus = linalg.pauli_projector(linalg.embed(SIGMA_Z, 1, 2), -1)
+        p_minus = 0.5 * (linalg.identity(4) - linalg.embed(SIGMA_Z, 1, 2))
         branch = p_minus @ bell
         branch = branch / np.linalg.norm(branch)
         fixed_mz = linalg.embed(SIGMA_Z, 2, 2)
