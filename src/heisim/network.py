@@ -11,6 +11,8 @@ q_ac(t) = U_t† sigma_ac U_t (the Deutsch-Hayden construction,
 quant-ph/9906007). A built-in gate evaluated on the current descriptors is
 U_{t-1}† g U_{t-1}, where g is the same function of fresh generators, so
 U_t = g U_{t-1}. Descriptors are computed from U when something reads them.
+A run (``run_gates``) keeps U_t only at the steps whose records it reads and
+at the final step; every other step leaves only phi_t.
 
 A run answers from phi = U Psi and the local Paulis: <q_ac> =
 <phi|sigma_ac phi> and <q_ai q_bj> = <sigma_ai phi|sigma_bj phi>, the second
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -554,14 +556,46 @@ def algebra_certificate(state: NetworkState) -> float:
     return cert
 
 
-def run_gates(state: NetworkState, gates) -> list[NetworkState]:
-    """Apply a gate sequence, returning the full timeline (t=0 state included).
+@dataclass(frozen=True, eq=False)
+class Timeline:
+    """A run's states at its kept steps, and phi_t = U_t Psi at every step.
 
-    ``timeline[s]`` holds the descriptors at step s, so a record of q_ac
-    taken at step s is ``Record(timeline[s], a, c)``.
+    ``timeline[s]`` is the state of step s; a negative s counts from the end,
+    so ``timeline[-1]`` is the final state, which is always kept. A step that
+    was not kept raises KeyError. ``len`` counts every step, t=0 included.
     """
-    timeline = [state]
-    for gate in gates:
+
+    states: dict[int, NetworkState]
+    # 2^n x (T+1): column t is phi_t.
+    phis: np.ndarray
+
+    def __len__(self) -> int:
+        return self.phis.shape[1]
+
+    def __getitem__(self, step: int) -> NetworkState:
+        return self.states[step + len(self) if step < 0 else step]
+
+    def __iter__(self):
+        return (self[step] for step in range(len(self)))
+
+
+def run_gates(state: NetworkState, gates: Sequence[Gate],
+              keep: Optional[Collection[int]] = None) -> Timeline:
+    """Apply a gate sequence in one pass, from ``state`` at step 0.
+
+    Every step writes phi_t into ``Timeline.phis``: Psi is the first basis
+    vector, so phi_t is U_t's first column. The state of step s, which holds
+    the 2^n x 2^n U_s, is kept only when s is in ``keep`` or is the final
+    step; with no ``keep`` every step's is. A record of q_ac taken at step s
+    is ``Record(timeline[s], a, c)``, so a run keeps its record steps.
+    """
+    phis = np.empty((state.dim, len(gates) + 1), dtype=complex)
+    phis[:, 0] = state.u[:, 0]
+    states = {}
+    for step, gate in enumerate(gates):
+        if keep is None or step in keep:
+            states[step] = state
         state = apply_gate(state, gate)
-        timeline.append(state)
-    return timeline
+        phis[:, step + 1] = state.u[:, 0]
+    states[len(gates)] = state
+    return Timeline(states, phis)

@@ -1,15 +1,16 @@
 """Schrodinger-picture state-vector simulator used as a ground-truth oracle.
 
-Gates here are fixed matrices built from the initial-time generators and
+Gates here are fixed operators built from the initial-time generators and
 applied to an evolving state vector. This module deliberately shares no
 evolution code with the descriptor network: agreement between the two is the
 strongest correctness check the suite has.
 
 Every built-in gate is U = D0 + X_t D1: two diagonals made from sigma_z's
-+-1 pattern and a flip of the target qubit's index bit. Each step applies U
-as a dense 2^n x 2^n matrix, scattered from those parts into one zeroed
-allocation, so the only product per step is U psi. Unitarity is read from
-the same parts in O(2^n), once per distinct gate in a run.
++-1 pattern and a flip of the target qubit's index bit. A step applies U to
+the vector from those parts, d0 psi + X_t (d1 psi), in O(2^n); the parts are
+built, and checked for unitarity in O(2^n), once per distinct gate in a run.
+The cross-check applies the fixed Paulis from the same bit code.
+``gate_matrix`` scatters the parts into the dense 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +23,19 @@ import numpy as np
 from . import linalg, network
 from .errors import CircuitMismatch, NonUnitary
 from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances
-from .network import Gate, NetworkState
+from .network import Gate
+
+
+def _z(qubit: int, n: int) -> np.ndarray:
+    """sigma_z's diagonal on the qubit: z = 1 - 2 b, the +-1 pattern of the
+    qubit's bit b of the basis index (qubit 1 is the most significant bit)."""
+    return 1.0 - 2 * ((np.arange(2 ** n) >> (n - qubit)) & 1)
+
+
+def _flip(m: np.ndarray, target: int) -> np.ndarray:
+    """X_t m as a view: the last axis of m, a basis index, split as
+    (2^(t-1), 2, rest) with the target's bit reversed."""
+    return m.reshape(m.shape[:-1] + (2 ** (target - 1), 2, -1))[..., ::-1, :]
 
 
 def _gate_parts(gate: Gate, n: int
@@ -31,12 +44,10 @@ def _gate_parts(gate: Gate, n: int
     whose index bit X_t flips (None, with no d1, for a diagonal gate).
 
     Each line is the gate's characteristic function of sigma_z's diagonals
-    z[q] = 1 - 2 b_q, the +-1 pattern of qubit q's bit of the basis index
-    (qubit 1 is the most significant bit).
+    z[q] (``_z``).
     """
     gate.validate(n)
-    index = np.arange(2 ** n)
-    z = {q: 1.0 - 2 * ((index >> (n - q)) & 1) for q in gate.operands}
+    z = {q: _z(q, n) for q in gate.operands}
     one = np.ones(2 ** n)
     q, kind = gate.operands, gate.kind
     if kind == "I":
@@ -97,39 +108,65 @@ def _unitarity_defect(d0: np.ndarray, target: int | None,
         np.hypot(overlap.real, overlap.imag)]))
 
 
+def _apply_parts(parts: tuple[np.ndarray, int | None, np.ndarray | None],
+                 psi: np.ndarray, out: np.ndarray) -> None:
+    """U psi into ``out`` for U = D0 + X_t D1: d0 psi + X_t (d1 psi)."""
+    d0, target, d1 = parts
+    np.multiply(d0, psi, out=out)
+    if target is not None:
+        flipped = _flip(d1 * psi, target)
+        halves = out.reshape(flipped.shape)
+        halves += flipped
+
+
+def _apply_sigma(m: np.ndarray, qubit: int, name: str) -> np.ndarray:
+    """sigma_{qubit,name} m on the last axis of a vector or a stack of row
+    vectors, from the bit code of the gates: sigma_x = X_a, sigma_z = D(z_a)
+    and sigma_y = X_a D(i z_a) = D(-i z_a) X_a. One allocation."""
+    n = m.shape[-1].bit_length() - 1
+    if name == "z":
+        return m * _z(qubit, n)
+    flipped = _flip(m, qubit).copy().reshape(m.shape)
+    if name == "y":
+        flipped *= -1j * _z(qubit, n)
+    return flipped
+
+
 @dataclass(frozen=True)
 class SchrodingerRun:
-    """Forward state-vector evolution: states[t] is the vector at step t."""
+    """Forward state-vector evolution: row t of ``states``, a (T+1) x 2^n
+    array, is the vector at step t."""
 
     n: int
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
 
 
 def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
            tol: Tolerances = DEFAULT_TOL) -> SchrodingerRun:
-    """Apply each gate's fixed matrix once per step, keeping every state.
+    """Apply each gate to the state vector from its parts, keeping every
+    state: O(2^n) per step.
 
-    Each distinct gate has its matrix checked for unitarity once per call,
-    at its first step, so a failure names the first step that fails. The
-    initial state's norm is checked against the same tol.unitary.
+    Each distinct gate's parts are built once per call and checked for
+    unitarity at its first step, so a failure names the first step that
+    fails. The initial state's norm is checked against the same tol.unitary.
     """
     psi = np.asarray(initial, dtype=complex)
     if linalg.exceeds(abs(np.linalg.norm(psi) - 1.0), tol.unitary):
         raise NonUnitary(f"initial state norm {np.linalg.norm(psi):.12f} != 1")
-    states = [psi]
-    unitary: set[Gate] = set()
+    states = np.empty((len(gates) + 1, len(psi)), dtype=complex)
+    states[0] = psi
+    parts: dict[Gate, tuple] = {}
     for step, gate in enumerate(gates):
-        if gate not in unitary:
-            defect = _unitarity_defect(*_gate_parts(gate, n))
+        if gate not in parts:
+            parts[gate] = _gate_parts(gate, n)
+            defect = _unitarity_defect(*parts[gate])
             if linalg.exceeds(defect, tol.unitary):
                 operands = ", ".join(map(str, gate.operands))
                 raise NonUnitary(
                     f"step {step}: {gate.kind} on ({operands}): unitarity "
                     f"defect {defect:.3e} > {tol.unitary:.3e}")
-            unitary.add(gate)
-        psi = gate_matrix(gate, n) @ psi
-        states.append(psi)
-    return SchrodingerRun(n, tuple(states))
+        _apply_parts(parts[gate], states[step], states[step + 1])
+    return SchrodingerRun(n, states)
 
 
 @dataclass(frozen=True)
@@ -138,33 +175,35 @@ class CrossValidationReport:
     per_step: tuple[float, ...]
 
 
-def cross_validate(run: SchrodingerRun, timeline: Sequence[NetworkState]
+def cross_validate(run: SchrodingerRun, timeline: network.Timeline
                    ) -> CrossValidationReport:
     """Compare both pictures step by step.
 
     For every step t and every descriptor component, the Heisenberg
     expectation <Psi|U_t† sigma U_t|Psi> of the evolved operator must equal
     the Schrodinger expectation of the fixed operator in the evolved state.
+    Both sides read vectors: the network's phi_t (``Timeline.phis``) and the
+    oracle's states.
     """
     if len(run.states) != len(timeline):
         raise CircuitMismatch(
             f"{len(run.states)} oracle states vs {len(timeline)} network steps")
-    if timeline and run.n != timeline[0].n:
-        raise CircuitMismatch(f"oracle n={run.n} vs network n={timeline[0].n}")
-    n = run.n
-    # Column t of each stack is step t: the oracle state, and phi = U_t Psi,
-    # with <Psi|U_t† sigma_a U_t|Psi> = <phi|sigma_a phi>, the number the
-    # final-step answers read (network.apply_pauli).
-    states = np.stack(run.states, axis=1)
-    phis = np.stack([state.phi for state in timeline], axis=1)
+    if run.n != timeline[-1].n:
+        raise CircuitMismatch(f"oracle n={run.n} vs network n={timeline[-1].n}")
+    # Column t of phis is phi_t = U_t Psi, with <Psi|U_t† sigma_a U_t|Psi> =
+    # <phi|sigma_a phi>, the number the final-step answers read
+    # (network.apply_pauli); row t of states is the oracle's state.
+    # One side at a time, so only one conjugate stack is held.
+    pairs = [(a, c) for a in range(1, run.n + 1) for c in COMPONENTS]
+    phis = timeline.phis
     bras = phis.conj()
-    residuals = []
-    for a in range(1, n + 1):
-        for c in COMPONENTS:
-            heis = np.sum(bras * network.apply_pauli(phis, a, c), axis=0).real
-            fixed = linalg.embed(linalg.PAULIS[c], a, n) @ states
-            schr = np.sum(states.conj() * fixed, axis=0)
-            residuals.append(np.abs(heis - schr))
+    heis = [np.einsum("jt,jt->t", bras, network.apply_pauli(phis, a, c)).real
+            for a, c in pairs]
+    del bras
+    states = run.states
+    bras = states.conj()
+    schr = [np.einsum("tj,tj->t", bras, _apply_sigma(states, a, c))
+            for a, c in pairs]
     # The worst of the 3n comparisons per step; NaN propagates.
-    per_step = tuple(np.max(residuals, axis=0).tolist())
+    per_step = tuple(np.max(np.abs(np.subtract(heis, schr)), axis=0).tolist())
     return CrossValidationReport(linalg.worst(per_step), per_step)

@@ -16,7 +16,6 @@ from . import linalg, network, oracle, registers, relative
 from .circuit import CircuitFile
 from .errors import ToleranceViolation
 from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances
-from .network import NetworkState
 
 ARTIFACT_VERSION = "0.1.0"
 REPORT_FORMAT_VERSION = 2
@@ -44,7 +43,7 @@ def _clean(obj):
     return obj
 
 
-def _record(timeline: list[NetworkState],
+def _record(timeline: network.Timeline,
             ref: dict) -> tuple[network.Record, str]:
     """The record marker (qubit a, component c, step s), read from the run's
     timeline at step s, with its source label."""
@@ -52,7 +51,7 @@ def _record(timeline: list[NetworkState],
     return network.Record(timeline[s], a, c), f"q_{a}{c} at t={s}"
 
 
-def _answer_query(timeline: list[NetworkState], query: dict) -> dict:
+def _answer_query(timeline: network.Timeline, query: dict) -> dict:
     """One query's answer against the final state of the timeline.
 
     Every observable is read as its ket sigma phi and every record frame as
@@ -125,7 +124,9 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
     propagate unchanged.
     """
     state0 = network.init_network(circuit.qubits, tol)
-    timeline = network.run_gates(state0, circuit.gates)
+    # U is kept only where a record reads it, and at the final step.
+    timeline = network.run_gates(state0, circuit.gates,
+                                 {r.step for r in circuit.records})
 
     run = oracle.evolve(state0.psi, circuit.gates, circuit.qubits, tol)
     cross = oracle.cross_validate(run, timeline)

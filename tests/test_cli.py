@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -373,9 +376,10 @@ def test_every_gate_kind_is_cross_checked(capsys, tmp_path, kind):
 class TestExitStatuses:
     def test_tolerance_violation_is_2(self, capsys, monkeypatch):
         # An oracle that ignores every gate disagrees with the network by
-        # 1.0 after the Hadamard, whatever the roundoff.
-        monkeypatch.setattr(oracle, "gate_matrix",
-                            lambda gate, n: linalg.identity(2 ** n))
+        # 1.0 after the Hadamard, whatever the roundoff. Its steps apply
+        # each gate's parts, here those of the identity.
+        monkeypatch.setattr(oracle, "_gate_parts",
+                            lambda gate, n: (np.ones(2 ** n), None, None))
         status, _, err = run_cli(capsys, "run",
                                  str(CIRCUITS / "measurement.yaml"))
         assert status == 2
@@ -534,3 +538,52 @@ class TestExitStatuses:
         report = json.loads(out)
         assert report["queries"] == []
         assert "residuals" in report
+
+
+# Runs ``heisim run`` and prints its own peak RSS in KiB (Linux's unit) on
+# stderr's last line. RUSAGE_CHILDREN in the test process would read the
+# largest child it ever ran.
+PEAK_RSS_WRAPPER = """
+import resource, sys
+from heisim.cli import main
+status = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def deep_circuit(n, depth, record, seed=3):
+    """A random circuit with one z record of qubit 1 at step ``record`` and
+    the framed expectation that reads it at the final step."""
+    rng = random.Random(seed)
+    lines = ["format_version: 1", f"qubits: {n}", "gates:"]
+    for step in range(depth):
+        kind = rng.choice(["NOT", "H", "RZ", "CNOT", "CCNOT"])
+        arity = {"NOT": 1, "H": 1, "RZ": 1, "CNOT": 2, "CCNOT": 3}[kind]
+        operands = ", ".join(map(str, rng.sample(range(1, n + 1), arity)))
+        params = (f", params: [{rng.uniform(0, 6):.6f}]" if kind == "RZ"
+                  else "")
+        lines.append(f"  - {{step: {step}, kind: {kind}, "
+                     f"operands: [{operands}]{params}}}")
+    lines += ["records:", f"  - {{step: {record}, qubit: 1, component: z}}",
+              "queries:",
+              "  - {kind: expectation, qubit: 2, component: z,",
+              f"     frame: {{qubit: 1, component: z, step: {record}, "
+              "label: 1}}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_ten_qubits_at_depth_1000_run_within_200_mib(tmp_path):
+    """A run keeps U only at its record step and at T, and the oracle and its
+    cross-check hold vectors: (T+1) 2^n states, not (T+1) 4^n matrices."""
+    path = tmp_path / "deep.yaml"
+    path.write_text(deep_circuit(10, 1000, 500), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_WRAPPER, "run", str(path)],
+        capture_output=True, text=True, cwd=CIRCUITS.parent)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["qubits"] == 10 and report["steps"] == 1000
+    assert report["queries"][0]["frame_weight"] > 0.1
+    peak_mib = int(done.stderr.splitlines()[-1]) / 1024
+    assert peak_mib < 200

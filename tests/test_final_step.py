@@ -29,7 +29,7 @@ def uncertified(timeline):
     """The same run with a fresh final state, whose certificate is not
     taken: every check takes its dense norm."""
     last = timeline[-1]
-    return timeline[:-1] + [NetworkState(last.n, last.t, last.u, last.psi,
+    return [*timeline][:-1] + [NetworkState(last.n, last.t, last.u, last.psi,
                                          last.tol)]
 
 
@@ -413,7 +413,7 @@ class TestSameErrors:
     def test_nan_weight(self, query):
         timeline = acceptance.section3_timeline()
         last = timeline[-1]
-        timeline = timeline[:-1] + [NetworkState(
+        timeline = [*timeline][:-1] + [NetworkState(
             last.n, last.t, last.u, np.full_like(last.psi, np.nan))]
         kind, message = self.both(timeline, query)
         assert kind is ZeroWeightBranch
@@ -422,7 +422,7 @@ class TestSameErrors:
     def test_nan_discrepancy(self):
         timeline = acceptance.section3_timeline()
         last = timeline[-1]
-        timeline = timeline[:-1] + [NetworkState(
+        timeline = [*timeline][:-1] + [NetworkState(
             last.n, last.t, last.u, np.full_like(last.psi, np.nan))]
         kind, message = self.both(timeline, {"kind": "entanglement",
                                              "qubits": [1, 2]})
@@ -457,7 +457,7 @@ class TestCertificateFallback:
         timeline = acceptance.section3_timeline()
         last = timeline[-1]
         tol = last.tol.override(general=1e-8)
-        return timeline[:-1] + [NetworkState(last.n, last.t,
+        return [*timeline][:-1] + [NetworkState(last.n, last.t,
                                              (1 + size) * last.u, last.psi,
                                              tol)]
 

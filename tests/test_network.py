@@ -1,11 +1,15 @@
 """Tests for descriptor networks: gates, conjugation, sharpness, entanglement."""
 
+import gc
+import weakref
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heisim import acceptance, linalg, network
+from heisim import acceptance, linalg, network, runner
+from heisim.circuit import load_circuit
 from heisim.errors import (DimMismatch, SizeLimit, ToleranceViolation,
                            ValidationError)
 from heisim.linalg import COMPONENTS, SIGMA_X, SIGMA_Y, SIGMA_Z, max_abs
@@ -15,6 +19,8 @@ from heisim.network import (Gate, apply_gate, are_entangled,
                             run_gates)
 
 triples = acceptance._triples
+
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
 
 def dense_expectation(state, observable):
@@ -496,6 +502,47 @@ class TestRecordsAndTimeline:
         timeline = measurement_timeline()
         assert len(timeline) == 3
         assert [s.t for s in timeline] == [0, 1, 2]
+        assert sorted(timeline.states) == [0, 1, 2]
+        for step, state in enumerate(timeline):
+            assert np.array_equal(timeline.phis[:, step], state.phi)
+
+    def test_kept_steps_and_the_final_one_hold_a_state(self):
+        gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(2)]
+        every = run_gates(init_network(2), gates)
+        timeline = run_gates(init_network(2), gates, keep={1})
+        assert sorted(timeline.states) == [1, 3]
+        assert len(timeline) == 4
+        assert timeline[-1] is timeline[3]
+        with pytest.raises(KeyError):
+            timeline[2]
+        assert np.array_equal(timeline.phis, every.phis)
+        for step in (1, 3):
+            assert np.array_equal(timeline[step].u, every[step].u)
+
+    def test_a_run_keeps_u_only_at_its_record_steps(self, monkeypatch):
+        # mid_records.yaml records at steps 6 and 12, its final step.
+        doc = load_circuit(CIRCUITS / "mid_records.yaml")
+        assert {r.step for r in doc.records} == {6, len(doc.gates)} == {6, 12}
+        made, timelines = [], []
+        apply, run = network.apply_gate, network.run_gates
+
+        def tracked_apply(state, gate):
+            after = apply(state, gate)
+            made.append((after.t, weakref.ref(after.u)))
+            return after
+
+        def tracked_run(*args, **kwargs):
+            timelines.append(run(*args, **kwargs))
+            return timelines[-1]
+
+        monkeypatch.setattr(network, "apply_gate", tracked_apply)
+        monkeypatch.setattr(network, "run_gates", tracked_run)
+        runner.execute(doc)
+        (timeline,) = timelines
+        assert sorted(timeline.states) == [6, 12]
+        gc.collect()
+        assert len(made) == 12
+        assert sorted(t for t, u in made if u() is not None) == [6, 12]
 
     def test_record_snapshot_is_frozen(self):
         # A record of q_1z at step 1 is timeline[1]'s component: the later

@@ -182,6 +182,29 @@ class TestGateMatrix:
         for gate in gates:
             gate_matrix(gate, 4)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_vector_step_equals_the_matrix_product(self, n):
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        psi /= np.linalg.norm(psi)
+        for gate in every_gate(n):
+            step = evolve(psi, [gate], n).states[1]
+            assert max_abs(step - gate_matrix(gate, n) @ psi) <= 1e-15, gate
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_sigma_equals_the_embedded_pauli(self, n):
+        rng = np.random.default_rng(20 + n)
+        stack = rng.normal(size=(7, 2 ** n)) + 1j * rng.normal(size=(7, 2 ** n))
+        before = stack.copy()
+        for a in range(1, n + 1):
+            for c in COMPONENTS:
+                want = (linalg.embed(linalg.PAULIS[c], a, n) @ stack.T).T
+                assert max_abs(oracle._apply_sigma(stack, a, c) - want) <= 1e-15
+                assert max_abs(oracle._apply_sigma(stack[3], a, c)
+                               - want[3]) <= 1e-15
+        # Every sigma is a new array: the states it reads stay as they were.
+        assert np.array_equal(stack, before)
+
     def test_not_matrix(self):
         assert np.allclose(gate_matrix(Gate.not_(2), 2),
                            np.kron(linalg.identity(2), SIGMA_X))
@@ -243,11 +266,14 @@ class TestEvolve:
             want_d0, want_target, want_d1 = oracle._gate_parts(gate, 2)
             assert np.array_equal(d0, want_d0) and target == want_target
             assert d1 is want_d1 is None or np.array_equal(d1, want_d1)
-        # The states are those of an unmemoised run.
+        # The states are those of an unmemoised run: each step from parts
+        # built afresh.
         want = psi
         for gate, state in zip(gates, run.states[1:]):
-            want = gate_matrix(gate, 2) @ want
-            assert np.array_equal(state, want)
+            step = np.empty_like(want)
+            oracle._apply_parts(oracle._gate_parts(gate, 2), want, step)
+            assert np.array_equal(state, step)
+            want = step
         # The verdicts belong to one call: a second run checks again.
         evolve(psi, gates, 2)
         assert len(checked) == 2 * len(distinct)
@@ -304,6 +330,13 @@ class TestCrossValidate:
         with pytest.raises(CircuitMismatch):
             cross_validate(run, timeline)
 
+    def test_qubit_count_mismatch(self):
+        gates = [Gate.h(1)]
+        timeline = run_gates(init_network(2), gates)
+        run = evolve(init_network(3).psi, gates, 3)
+        with pytest.raises(CircuitMismatch, match="oracle n=3 vs network n=2"):
+            cross_validate(run, timeline)
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_matches_per_step_reference(self, n):
         rng = np.random.default_rng(100 + n)
@@ -342,10 +375,9 @@ class TestCrossValidate:
 
     def test_one_nan_comparison_fails_its_step(self, monkeypatch):
         # Only the y comparisons read NaN; the x and z ones agree.
-        embed = linalg.embed
-        monkeypatch.setattr(linalg, "embed", lambda op, a, n: (
-            np.full((2 ** n, 2 ** n), np.nan) if op is linalg.SIGMA_Y
-            else embed(op, a, n)))
+        sigma = oracle._apply_sigma
+        monkeypatch.setattr(oracle, "_apply_sigma", lambda m, a, c: (
+            np.full(m.shape, np.nan) if c == "y" else sigma(m, a, c)))
         gates = [Gate.h(1)]
         timeline = run_gates(init_network(2), gates)
         run = evolve(timeline[0].psi, gates, 2)
