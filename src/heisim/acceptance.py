@@ -112,8 +112,7 @@ def criterion_3(seed: int) -> dict:
     final = section3_timeline()[-1]
     mz = final.ket(2, "z")
     absolute = network.expectation(final, mz)
-    plus, minus = relative.record_pvm(final, Record(final, 1, "z"),
-                                      "q_1z at t=2")
+    plus, minus = relative.record_pvm(final, Record(final, 1, "z"))
     errs = [abs(absolute),
             abs(relative.relative_expectation(final, mz, plus) - 1.0),
             abs(relative.relative_expectation(final, mz, minus) + 1.0),
@@ -160,8 +159,7 @@ def criterion_5(seed: int) -> dict:
                 value = network.expectation(final, final.ket(q, c))
                 worst_abs = linalg.worst((worst_abs, abs(np.real(value))))
         # The q_1z record is taken at step 2, before the rotation.
-        plus, minus = relative.record_pvm(final, Record(timeline[2], 1, "z"),
-                                          "q_1z at t=2")
+        plus, minus = relative.record_pvm(final, Record(timeline[2], 1, "z"))
         for frame, target_z in ((plus, 1.0), (minus, -1.0)):
             values = [np.real(relative.relative_expectation(
                 final, final.ket(2, c), frame)) for c in COMPONENTS]
@@ -234,8 +232,7 @@ def criterion_7(seed: int) -> dict:
         final = timeline[-1]
         psi_t = run.states[-1]
         for a in range(1, n + 1):
-            frames = relative.record_pvm(final, Record(final, a, "z"),
-                                         "final z")
+            frames = relative.record_pvm(final, Record(final, a, "z"))
             fixed_z = linalg.embed(linalg.SIGMA_Z, a, n)
             for frame in frames:
                 fixed_proj = 0.5 * (linalg.identity(2 ** n)
@@ -316,7 +313,7 @@ def criterion_9(seed: int) -> dict:
     """Guards: sharp records cannot be foliated; zero weights raise, never NaN."""
     fresh = _run(2, [])[-1]
     record = Record(fresh, 1, "z")
-    _, minus = relative.record_pvm(fresh, record, "q_1z at t=0")
+    _, minus = relative.record_pvm(fresh, record)
     try:
         relative.relative_descriptors(fresh, 1, record)
         sharp_guard = False

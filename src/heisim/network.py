@@ -20,15 +20,15 @@ within U's Gram defects. An observable is passed only as its *ket*, the
 vector U A Psi (sigma_ac phi for a descriptor, ``NetworkState.ket``); a
 descriptor matrix is ``NetworkState.component``. A state whose algebra
 certificate has been taken and lies within tol.general and tol.commute is
-*certified*: its involution defects and the commutators of its records that
-vanish locally read the certificate instead of a dense norm.
+*certified*: its involution defects read the certificate, and its records'
+commutators are decided on the operands' block (``record_commutator``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
@@ -252,11 +252,10 @@ class Record:
     qubit: int
     name: str
 
-    def local_to(self, state: NetworkState) -> bool:
-        """Whether the certificate of ``state`` bounds this record's
-        commutators that vanish locally: it is the state's own record and
-        the state is certified."""
-        return self.state is state and state.certified
+    @property
+    def label(self) -> str:
+        """The record as its errors name it: q_{qubit}{name} at t={step}."""
+        return f"q_{self.qubit}{self.name} at t={self.state.t}"
 
     def ket(self, state: NetworkState) -> np.ndarray:
         """U_T P+ Psi, the ket of the record's projector P+ = 1/2(1 + q) read
@@ -339,28 +338,13 @@ _FIXED = {kind: _characteristic(kind, (), *_GENERATORS[_ARITY[kind]])
           for kind in ("NOT", "H", "CNOT", "CCNOT")}
 
 
-def _local_matrix(gate: Gate) -> np.ndarray:
+def local_matrix(gate: Gate) -> np.ndarray:
     """A built-in gate's 2^k x 2^k matrix on fresh generators of its operands."""
     fixed = _FIXED.get(gate.kind)
     if fixed is not None:
         return fixed
     return _characteristic(gate.kind, gate.params,
                            *_GENERATORS[_ARITY[gate.kind]])
-
-
-def gate_commutes(gate: Gate, qubit: int, name: str) -> bool:
-    """Whether the gate's matrix g commutes exactly with sigma_{qubit,name}:
-    the qubit is not an operand, or [g, sigma] is 0 on the 2^k operand block.
-
-    Then [U† g U, U† sigma U] = U†(g E sigma - sigma E g)U with E = UU† - 1,
-    which the algebra certificate bounds.
-    """
-    if qubit not in gate.operands:
-        return True
-    sigma = linalg.embed(linalg.PAULIS[name], gate.operands.index(qubit) + 1,
-                         len(gate.operands))
-    g = _local_matrix(gate)
-    return not np.any(g @ sigma - sigma @ g)
 
 
 def build_gate_unitary(state: NetworkState, gate: Gate) -> np.ndarray:
@@ -371,7 +355,7 @@ def build_gate_unitary(state: NetworkState, gate: Gate) -> np.ndarray:
     gate.validate(state.n)
     if gate.kind == "I":
         return linalg.identity(state.dim)
-    return state.u.conj().T @ _apply_local(_local_matrix(gate), gate.operands,
+    return state.u.conj().T @ _apply_local(local_matrix(gate), gate.operands,
                                            state.u)
 
 
@@ -383,7 +367,7 @@ def apply_gate(state: NetworkState, gate: Gate) -> NetworkState:
     """
     gate.validate(state.n)
     u = state.u if gate.kind == "I" else _apply_local(
-        _local_matrix(gate), gate.operands, state.u)
+        local_matrix(gate), gate.operands, state.u)
     return NetworkState(state.n, state.t + 1, u, state.psi, state.tol)
 
 
@@ -520,9 +504,11 @@ def algebra_residual(triples, unit: Optional[np.ndarray] = None) -> float:
 def algebra_certificate(state: NetworkState) -> float:
     """Upper bound on the Pauli-algebra residual of the state's descriptors.
 
-    The bound comes from U = U_t alone. Let d1 = ||U†U - 1||_F,
-    d2 = ||UU† - 1||_F and E = UU† - 1. With q_i = U† sigma_i U, inserting
-    UU† = 1 + E between the two factors of a product gives
+    The bound comes from U = U_t alone. Let d = ||U†U - 1||_F and
+    E = UU† - 1. For a square U, ||E||_F = d too: with U = W S V†, both
+    U†U - 1 = V (S^2 - 1) V† and E = W (S^2 - 1) W† have the eigenvalues
+    s_i^2 - 1. With q_i = U† sigma_i U, inserting UU† = 1 + E between the
+    two factors of a product gives
 
         q_i q_j - delta_ij 1 - i eps_ijk q_k
             = delta_ij (U†U - 1) + U† sigma_i E sigma_j U   (one triple),
@@ -531,15 +517,16 @@ def algebra_certificate(state: NetworkState) -> float:
 
     since the sigmas obey the algebra exactly and those of distinct qubits
     commute. The Paulis are unitary, ||X||_max <= ||X||_2 <= ||X||_F and
-    ||U||_2^2 = ||U†U||_2 <= 1 + d1, so every residual the dense check takes
+    ||U||_2^2 = ||U†U||_2 <= 1 + d, so every residual the dense check takes
     (each relation within a triple, each commutator across triples) is at
-    most d1 + 2 (1 + d1) d2. That costs two products of 2^n x 2^n matrices,
+    most d + 2 (1 + d) d. That costs one product of 2^n x 2^n matrices,
     where the dense check takes O(n^2) of them. NaN in U gives NaN.
 
     The same steps bound the ket answers against the dense ones: a
     correlation (sigma_i phi)†(sigma_j phi) misses only Psi† U† sigma_i E
-    sigma_j U Psi, and [U† g U, q] = U†(g E sigma - sigma E g)U when a
-    unitary local g commutes with sigma.
+    sigma_j U Psi, and for a local a with ||a||_2 <= 1
+    [U† a U, U† sigma U] = U† [a, sigma] U + U† (a E sigma - sigma E a) U,
+    whose last term is at most 2 (1 + d) d (``record_commutator``).
 
     The bound is on exact arithmetic: when U is unitary to the last bit it
     can read 0 while a dense check in floating point reads an ulp or two.
@@ -549,11 +536,33 @@ def algebra_certificate(state: NetworkState) -> float:
     cert = state._cache.get("certificate")
     if cert is None:
         u = state.u
-        one = linalg.identity(state.dim)
-        d1 = float(np.linalg.norm(u.conj().T @ u - one))
-        d2 = float(np.linalg.norm(u @ u.conj().T - one))
-        cert = state._cache["certificate"] = d1 + 2 * (1 + d1) * d2
+        d = float(np.linalg.norm(u.conj().T @ u - linalg.identity(state.dim)))
+        cert = state._cache["certificate"] = d + 2 * (1 + d) * d
     return cert
+
+
+def record_commutator(state: NetworkState, record: Record, a: np.ndarray,
+                      operands: tuple[int, ...],
+                      dense: Callable[[], float]) -> float:
+    """||[U_T† a U_T, q_r]||_max of a local ``a`` on ``operands`` (a gate or
+    half a Pauli, so ||a||_2 <= 1) and a record q_r, read by ``state`` (U_T).
+
+    For a record of ``state`` itself, once ``state`` is certified, that is
+    U_T† [a, sigma_r] U_T within the certificate (``algebra_certificate``):
+    a block commutator [a, sigma_r] that is exactly 0 reads the certificate,
+    any other its ||U_T† [a, sigma_r] U_T||_max (one local product and one
+    GEMM). Any other record or state reads ``dense()``, the caller's norm.
+    """
+    if record.state is not state or not state.certified:
+        return dense()
+    if record.qubit not in operands:
+        return algebra_certificate(state)
+    sigma = linalg.embed(linalg.PAULIS[record.name],
+                         operands.index(record.qubit) + 1, len(operands))
+    block = a @ sigma - sigma @ a
+    if not np.any(block):
+        return algebra_certificate(state)
+    return max_abs(state.u.conj().T @ _apply_local(block, operands, state.u))
 
 
 @dataclass(frozen=True, eq=False)

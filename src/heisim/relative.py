@@ -12,7 +12,7 @@ from a record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,12 +77,13 @@ def make_pvm(state: NetworkState, plus: np.ndarray,
                           float(np.real(network.expectation(state, minus)))))
 
 
-def record_pvm(state: NetworkState, record: Record,
-               source: str = "") -> tuple[RelativeFrame, RelativeFrame]:
+def record_pvm(state: NetworkState,
+               record: Record) -> tuple[RelativeFrame, RelativeFrame]:
     """``make_pvm`` of a record read by the final state ``state``, from
-    P+'s ket ``Record.ket``, after the record's involution check."""
+    P+'s ket ``Record.ket``, after the record's involution check; the frames
+    name the record by its ``label``."""
     record.state.check_involution(record.qubit, record.name)
-    return make_pvm(state, record.ket(state), source)
+    return make_pvm(state, record.ket(state), record.label)
 
 
 def make_pvm_spectral(state: NetworkState, observable: np.ndarray,
@@ -112,16 +113,21 @@ def live_frames(frames: Sequence[RelativeFrame], tol: Tolerances
     return [f for f in frames if f.weight > tol.weight]
 
 
-def _max_commutator(state: NetworkState, qubit: int, norm) -> float:
-    """The largest ||[P, q_ac]|| = ``norm(name)`` over the qubit's
-    components.
+def _max_commutator(state: NetworkState, record: Record, qubit: int,
+                    plus) -> float:
+    """The largest ||[P+, q_ac]|| = ||[U_T† (1/2 sigma_ac) U_T, q_r]|| over
+    the qubit's components (``network.record_commutator``; the dense norm
+    reads ``plus()``, the record's dense P+).
 
     Raises NonCommuting at the first component whose norm exceeds
     tol.commute; a NaN norm counts as not commuting.
     """
     norms = []
     for name in COMPONENTS:
-        cnorm = norm(name)
+        cnorm = network.record_commutator(
+            state, record, 0.5 * linalg.PAULIS[name], (qubit,),
+            lambda: linalg.commutator_norm(plus(),
+                                           state.component(qubit, name)))
         if linalg.exceeds(cnorm, state.tol.commute):
             raise NonCommuting(
                 f"frame projector does not commute with q_{qubit}{name}: "
@@ -147,8 +153,7 @@ def relative_descriptors(state: NetworkState, qubit: int, record: Record
     [1 - P, q] = -[P, q], so the norms against P+ serve both frames.
     """
     plus, minus = _record_projectors(record)
-    _max_commutator(state, qubit, lambda name: linalg.commutator_norm(
-        plus, state.component(qubit, name)))
+    _max_commutator(state, record, qubit, lambda: plus)
     mats = [state.component(qubit, name) for name in COMPONENTS]
     return tuple(RelativeDescriptor(*(m @ p for m in mats), p)
                  for p in (plus, minus))
@@ -173,21 +178,19 @@ def autonomy_check(state: NetworkState, gate: Gate,
     commutes with every record; otherwise DESTROYING with the first violated
     record and the commutator norm.
 
-    A record of the certified state itself whose sigma commutes exactly with
-    the gate's local matrix (``network.gate_commutes``) takes the algebra
-    certificate as its norm; every other record takes the dense norm.
+    Each norm is ``network.record_commutator`` of the gate's local matrix;
+    a dense one is taken against U_T† g U_T, built once.
     """
-    u = None
+    gate.validate(state.n)
+    # I has no operands, so no block to build.
+    local = network.local_matrix(gate) if gate.operands else None
+    unitary = cache(partial(network.build_gate_unitary, state, gate))
     worst = 0.0
     for idx, record in enumerate(records):
-        if (record.local_to(state)
-                and network.gate_commutes(gate, record.qubit, record.name)):
-            cnorm = network.algebra_certificate(state)
-        else:
-            if u is None:
-                u = network.build_gate_unitary(state, gate)
-            cnorm = linalg.commutator_norm(
-                u, record.state.component(record.qubit, record.name))
+        cnorm = network.record_commutator(
+            state, record, local, gate.operands,
+            lambda: linalg.commutator_norm(
+                unitary(), record.state.component(record.qubit, record.name)))
         worst = linalg.worst((worst, cnorm))
         if linalg.exceeds(cnorm, state.tol.commute):
             return AutonomyResult(False, idx, cnorm)
@@ -214,32 +217,21 @@ def branch_evolution_factor(state: NetworkState, gate: Gate,
     return (alpha + s * beta) * proj + (gamma + s * delta) * (qbz @ proj)
 
 
-def foliate(state: NetworkState, record: Record, qubits: Sequence[int],
-            source: str = "") -> FoliationReport:
+def foliate(state: NetworkState, record: Record,
+            qubits: Sequence[int]) -> FoliationReport:
     """Decompose the listed qubits into relative states of a record's
     two-frame PVM (``record_pvm``).
 
     Both projectors must commute with the listed qubits' descriptors;
-    ``relative_descriptors`` builds the branch copies themselves. For a
-    record of the certified state itself, sigma_rc and sigma_qc' commute
-    exactly unless q = r and c != c', and the certificate bounds those
-    norms; the others are dense. The completeness residual is ||P+ P-||,
-    which is a quarter of the record's involution defect ||1 - q^2||.
+    ``relative_descriptors`` builds the branch copies themselves. The dense
+    P+ of ``_max_commutator`` is built for the first norm that needs it.
+    The completeness residual is ||P+ P-||, which is a quarter of the
+    record's involution defect ||1 - q^2||.
     """
-    frames = record_pvm(state, record, source)
-    local = record.local_to(state)
-    plus = None  # the dense P+, built for the first norm that needs it
-
-    def norm(qubit: int, name: str) -> float:
-        nonlocal plus
-        if local and (qubit != record.qubit or name == record.name):
-            return network.algebra_certificate(state)
-        if plus is None:
-            plus = record.state.projector(record.qubit, record.name)
-        return linalg.commutator_norm(plus, state.component(qubit, name))
-
+    frames = record_pvm(state, record)
+    plus = cache(partial(record.state.projector, record.qubit, record.name))
     # [1 - P, q] = -[P, q]: both frames have the commutator norms of P+.
-    max_comm = linalg.worst(_max_commutator(state, q, partial(norm, q))
+    max_comm = linalg.worst(_max_commutator(state, record, q, plus)
                             for q in qubits)
     completeness = 0.25 * record.state.involution_defect(record.qubit,
                                                           record.name)

@@ -43,12 +43,11 @@ def _clean(obj):
     return obj
 
 
-def _record(timeline: network.Timeline,
-            ref: dict) -> tuple[network.Record, str]:
-    """The record marker (qubit a, component c, step s), read from the run's
-    timeline at step s, with its source label."""
-    a, c, s = ref["qubit"], ref["component"], ref["step"]
-    return network.Record(timeline[s], a, c), f"q_{a}{c} at t={s}"
+def _record(timeline: network.Timeline, ref: dict) -> network.Record:
+    """The record marker (qubit, component, step), read from the run's
+    timeline at its step."""
+    return network.Record(timeline[ref["step"]], ref["qubit"],
+                          ref["component"])
 
 
 def _answer_query(timeline: network.Timeline, query: dict) -> dict:
@@ -62,8 +61,8 @@ def _answer_query(timeline: network.Timeline, query: dict) -> dict:
     if kind == "expectation":
         obs = state.ket(query["qubit"], query["component"])
         if "frame" in query:
-            record, source = _record(timeline, query["frame"])
-            plus, minus = relative.record_pvm(state, record, source)
+            plus, minus = relative.record_pvm(
+                state, _record(timeline, query["frame"]))
             frame = plus if query["frame"]["label"] == 1 else minus
             value = relative.relative_expectation(state, obs, frame)
             return {"kind": kind, "value": np.real(value),
@@ -81,8 +80,8 @@ def _answer_query(timeline: network.Timeline, query: dict) -> dict:
                 "witness": list(witness.components) if witness.components else None,
                 "discrepancy": witness.discrepancy}
     if kind == "foliate":
-        record, source = _record(timeline, query["record"])
-        report = relative.foliate(state, record, query["qubits"], source)
+        report = relative.foliate(state, _record(timeline, query["record"]),
+                                  query["qubits"])
         live = relative.live_frames(report.frames, state.tol)
         rel_exp = {
             str(q): {f"{frame.label:g}": [
@@ -98,7 +97,7 @@ def _answer_query(timeline: network.Timeline, query: dict) -> dict:
                 "valid": report.valid,
                 "relative_expectations": rel_exp}
     if kind == "autonomy":
-        snapshots = [_record(timeline, r)[0] for r in query["records"]]
+        snapshots = [_record(timeline, r) for r in query["records"]]
         result = relative.autonomy_check(state, query["gate"], snapshots)
         return {"kind": kind, "classification": result.classification,
                 "violated_index": result.violated_index,

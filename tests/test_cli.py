@@ -324,10 +324,12 @@ class TestReferenceReports:
 def test_each_record_is_checked_once_per_run(capsys, monkeypatch):
     """Every record and register of branch_queries.yaml is read at the final
     step, which the run certifies before its queries. The certificate then
-    bounds each record's involution defect and each commutator of distinct
-    qubits, and the registers are read from |phi|^2: no involution square
-    and no eigh. The one dense commutator norm per autonomy query with a
-    CNOT is its violated snapshot, the CNOT's target record."""
+    bounds each record's involution defect and each commutator whose block
+    commutator is 0, and the registers are read from |phi|^2: no involution
+    square and no eigh. The violated snapshot of each autonomy query with a
+    CNOT, the CNOT's target record, reads U_T† [g, sigma] U_T from the
+    operands' block: no dense commutator norm and no gate unitary
+    U_T† g U_T."""
     path = CIRCUITS / "branch_queries.yaml"
     doc = load_circuit(path)
     final = len(doc.gates)
@@ -341,7 +343,8 @@ def test_each_record_is_checked_once_per_run(capsys, monkeypatch):
             distinct.add((final, q, "z"))
     cnots = sum(query["kind"] == "autonomy" and query["gate"].kind == "CNOT"
                 for query in doc.queries)
-    counts = {"involution_defect": 0, "commutator_norm": 0, "eigh": 0}
+    counts = {"involution_defect": 0, "commutator_norm": 0, "eigh": 0,
+              "build_gate_unitary": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -354,12 +357,13 @@ def test_each_record_is_checked_once_per_run(capsys, monkeypatch):
     counted(linalg, "involution_defect")
     counted(linalg, "commutator_norm")
     counted(np.linalg, "eigh")
+    counted(network, "build_gate_unitary")
     status, _, err = run_cli(capsys, "run", str(path))
     assert status == 0, err
     assert {step for step, _, _ in distinct} == {final}
     assert len(distinct) == 8 and cnots == 8
-    assert counts == {"involution_defect": 0, "commutator_norm": cnots,
-                      "eigh": 0}
+    assert counts == {"involution_defect": 0, "commutator_norm": 0,
+                      "eigh": 0, "build_gate_unitary": 0}
 
 
 @pytest.mark.parametrize("kind", network.GATE_KINDS)

@@ -7,7 +7,9 @@ matrices and numpy's eigh), raise the same errors on the same inputs, and
 fall back to dense norms when the certificate does not cover them.
 """
 
+import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -592,18 +594,98 @@ class TestLocalHelpers:
                 assert np.array_equal(network.apply_pauli(stack[:, 0], a, c),
                                       want[:, 0])
 
+    @staticmethod
+    def roundoff(dim):
+        """Allowance for the rounding errors of the local and the dense norm.
+
+        A computed complex product XY of inner dimension m is within
+        sqrt(2) gamma_{m+2} |X||Y| of the exact one entrywise, gamma_m ~
+        m eps / 2, and || |X||Y| ||_2 <= ||X||_F ||Y||_F <= dim ||X||_2
+        ||Y||_2. Here m <= dim, every ||X||_2 ||Y||_2 is at most
+        2 (1 + d) ([a, sigma] has norm up to 2, U_T up to sqrt(1 + d)), and
+        an error carried into a later product grows by at most (1 + d), so
+        each product moves a max-abs norm by at most 3 (dim + 2) dim eps.
+        The local norm takes 4 products ([a, sigma] two, U_T† [a, sigma] U_T
+        two) and the dense one 10 (A = U_T† G U_T two, q_r two, each carried
+        into both products of the commutator, and those two).
+        """
+        return 14 * 3 * (dim + 2) * dim * np.finfo(float).eps
+
     @pytest.mark.parametrize("gate", [
         Gate.not_(2), Gate.h(2), Gate.rz(2, 0.3), Gate.cnot(1, 2),
         Gate.cnot(2, 1), Gate.ccnot(1, 3, 2), Gate.ccnot(2, 3, 1),
         Gate.f(1, 2, 0.5, 0.5, 0.5, -0.5), Gate("I")],
         ids=lambda g: f"{g.kind}{g.operands}")
     def test_gate_commutes_matches_the_dense_commutator(self, gate):
-        for a in (1, 2, 3):
-            for c in COMPONENTS:
-                dense = linalg.commutator_norm(
-                    oracle.gate_matrix(gate, 3),
-                    linalg.embed(linalg.PAULIS[c], a, 3))
-                assert network.gate_commutes(gate, a, c) == (dense == 0)
+        """`record_commutator` with a gate's local matrix against the dense
+        norm ||[U_T† G U_T, q_r]|| of the oracle's gate matrix G."""
+        self.check_record_commutator(gate)
+
+    @pytest.mark.parametrize("c", COMPONENTS)
+    def test_half_pauli_commutator_matches_the_dense_commutator(self, c):
+        """`record_commutator` with 1/2 sigma_c on each qubit against the
+        dense norm of 1/2 sigma_c embedded in the whole space."""
+        self.check_record_commutator(c)
+
+    def check_record_commutator(self, local):
+        """A gate, or the component of a half Pauli, against every record
+        at T, before T and of an uncertified final state."""
+        for n in (3, 4):
+            rng = np.random.default_rng(n)
+            timeline = certify(run_gates(
+                init_network(n), [random_gate(rng, n) for _ in range(8)]))
+            final = timeline[-1]
+            cert = network.algebra_certificate(final)
+            fresh = uncertified(timeline)[-1]
+            allowance = self.roundoff(final.dim)
+            # So the allowance cannot hide a norm that a check would fail.
+            assert allowance < final.tol.commute / 100
+            if isinstance(local, Gate):
+                # I has no operands, so it has no block.
+                locals_ = [(network.local_matrix(local) if local.operands
+                            else None,
+                            local.operands, oracle.gate_matrix(local, n))]
+            else:
+                half = 0.5 * linalg.PAULIS[local]
+                locals_ = [(half, (q,), linalg.embed(half, q, n))
+                           for q in range(1, n + 1)]
+            seen = Counter()
+            for (a, operands, dense_a), r, c in itertools.product(
+                    locals_, range(1, n + 1), COMPONENTS):
+                big_a = final.u.conj().T @ dense_a @ final.u
+                block_zero = linalg.commutator_norm(
+                    dense_a, linalg.embed(linalg.PAULIS[c], r, n)) == 0
+                before = timeline[int(rng.integers(8))]
+                for record in (network.Record(final, r, c),
+                               network.Record(before, r, c),
+                               network.Record(fresh, r, c)):
+                    state = fresh if record.state is fresh else final
+                    calls = []
+
+                    def dense():
+                        calls.append(linalg.commutator_norm(
+                            big_a, record.state.component(r, c)))
+                        return calls[-1]
+                    got = network.record_commutator(state, record, a,
+                                                    operands, dense)
+                    where = (n, operands, record.label, state.certified)
+                    if record.state is not final:
+                        # Before T, or uncertified: the dense norm.
+                        assert calls and got == calls[-1], where
+                        seen["dense"] += 1
+                        continue
+                    assert calls == [], where
+                    want = dense()
+                    if block_zero:
+                        assert got == cert, where
+                        assert want <= cert + allowance, where
+                        seen["certificate"] += 1
+                    else:
+                        assert abs(got - want) <= cert + allowance, where
+                        assert got > final.tol.commute, where
+                        seen["local"] += 1
+            assert seen["dense"] and seen["certificate"], n
+            assert bool(seen["local"]) == (local != Gate("I")), n
 
     def test_ket_form_needs_matching_shapes(self):
         state = init_network(2)

@@ -489,6 +489,23 @@ class TestAlgebraCertificate:
             assert (network.algebra_residual(triples(state))
                     <= cert + state.dim * np.finfo(float).eps)
 
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16])
+    def test_gram_defects_of_a_square_matrix_are_equal(self, dim):
+        # The certificate reads ||U†U - 1||_F for ||UU† - 1||_F too: for a
+        # square U both are Hermitian with the eigenvalues s_i^2 - 1. Each
+        # computed Frobenius norm is within about dim eps ||U||_F^2 <=
+        # dim^2 eps ||U||_2^2 of the exact one.
+        rng = np.random.default_rng(dim)
+        one = np.eye(dim)
+        for scale in (1e-9, 1e-3, 1.0, 10.0):
+            noise = rng.standard_normal((2, dim, dim))
+            u = one + scale * (noise[0] + 1j * noise[1])
+            d1 = np.linalg.norm(u.conj().T @ u - one)
+            d2 = np.linalg.norm(u @ u.conj().T - one)
+            assert d1 > 0
+            roundoff = 2 * dim ** 2 * np.finfo(float).eps
+            assert abs(d1 - d2) <= roundoff * np.linalg.norm(u, 2) ** 2
+
     def test_nan_u_gives_nan(self):
         state = init_network(2)
         u = state.u.copy()

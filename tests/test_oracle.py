@@ -172,7 +172,7 @@ class TestGateMatrix:
             raise AssertionError("the oracle reached network code")
 
         psi = init_network(4).psi
-        for name in ("_apply_local", "_local_matrix", "_characteristic",
+        for name in ("_apply_local", "local_matrix", "_characteristic",
                      "apply_gate", "build_gate_unitary"):
             monkeypatch.setattr(network, name, forbidden)
         monkeypatch.setattr(registers, "register_descriptor", forbidden)
