@@ -687,6 +687,32 @@ class TestLocalHelpers:
             assert seen["dense"] and seen["certificate"], n
             assert bool(seen["local"]) == (local != Gate("I")), n
 
+    @pytest.mark.parametrize("gate, dead", [(Gate.cnot(1, 3), 8),
+                                            (Gate.ccnot(2, 4, 1), 12)],
+                             ids=lambda g: getattr(g, "kind", None))
+    def test_block_commutator_reads_only_its_live_rows(self, gate, dead,
+                                                       monkeypatch):
+        """[CNOT, z_t] = P1 (x) -2i y has entries on half the rows of U_T,
+        [CCNOT, z_t] on a quarter: the product U_T† (B U_T) never reads the
+        rows of B U_T where B has none."""
+        rng = np.random.default_rng(5)
+        final = certify(run_gates(
+            init_network(4), [random_gate(rng, 4) for _ in range(8)]))[-1]
+        args = (final, network.Record(final, gate.operands[-1], "z"),
+                network.local_matrix(gate), gate.operands, None)
+        want = network.record_commutator(*args)
+        apply_local, poisoned = network._apply_local, []
+
+        def poison_dead_rows(*local):
+            out = apply_local(*local)
+            rows = ~np.any(out, axis=1)
+            out[rows] = np.nan
+            poisoned.append(int(rows.sum()))
+            return out
+        monkeypatch.setattr(network, "_apply_local", poison_dead_rows)
+        assert network.record_commutator(*args) == want
+        assert poisoned == [dead] and want > final.tol.commute
+
     def test_ket_form_needs_matching_shapes(self):
         state = init_network(2)
         with pytest.raises(network.DimMismatch):

@@ -1,6 +1,8 @@
 """Tests for descriptor networks: gates, conjugation, sharpness, entanglement."""
 
 import gc
+import itertools
+import tracemalloc
 import weakref
 from functools import partial
 from pathlib import Path
@@ -234,6 +236,116 @@ class TestApplyGate:
                         )[kind]
                 state = apply_gate(state, gate)
             assert network.algebra_residual(triples(state)) <= 1e-8
+
+
+def tensordot_apply(g, operands, m):
+    """g m on the operand axes of m's row index, as one dense contraction of
+    g's 2^k x 2^k entries and an axis move: the reference for
+    ``network._apply_local``."""
+    k = len(operands)
+    n = m.shape[0].bit_length() - 1
+    axes = [q - 1 for q in operands]
+    out = np.tensordot(g.reshape((2,) * 2 * k), m.reshape((2,) * n + (-1,)),
+                       axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes).reshape(m.shape)
+
+
+def random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+def commutator_blocks(g, k):
+    """[g, sigma] for sigma each Pauli on each of g's k operand slots, the
+    blocks ``record_commutator`` applies; the zero ones left out."""
+    for slot, p in itertools.product(range(1, k + 1), linalg.PAULIS.values()):
+        sigma = linalg.embed(p, slot, k)
+        block = g @ sigma - sigma @ g
+        if np.any(block):
+            yield block
+
+
+class TestApplyLocal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_permutation_gates_equal_the_tensordot_product(self, n):
+        rng = np.random.default_rng(n)
+        u = random_unitary(rng, 2 ** n)
+        for kind, k in (("NOT", 1), ("CNOT", 2), ("CCNOT", 3)):
+            for operands in itertools.permutations(range(1, n + 1), k):
+                g = network.local_matrix(Gate(kind, operands))
+                for m in (u, u[:, 1].copy()):
+                    got = network._apply_local(g, operands, m)
+                    want = tensordot_apply(g, operands, m)
+                    assert got.tobytes() == want.tobytes(), (kind, operands)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_f_and_commutator_blocks_match_the_tensordot_product(self, n):
+        rng = np.random.default_rng(10 + n)
+        u = random_unitary(rng, 2 ** n)
+        for kind, k in (("F", 2), ("CNOT", 2), ("CCNOT", 3)):
+            for operands in itertools.permutations(range(1, n + 1), k):
+                params = (acceptance._random_f_params(rng) if kind == "F"
+                          else ())
+                g = network.local_matrix(Gate(kind, operands, params))
+                blocks = list(commutator_blocks(g, k))
+                for a in ([g] if kind == "F" else []) + blocks:
+                    for m in (u, u[:, 1].copy()):
+                        got = network._apply_local(a, operands, m)
+                        want = tensordot_apply(a, operands, m)
+                        assert max_abs(got - want) <= 1e-15, (kind, operands)
+
+    def test_rows_without_an_entry_are_zero_on_a_used_buffer(self,
+                                                             monkeypatch):
+        # [CNOT, z_target] = P1 (x) -2i y: the control-0 half of g has no
+        # entry, so that half of the product must be written as 0.
+        cnot = network.local_matrix(Gate.cnot(1, 3))
+        block = cnot @ linalg.embed(SIGMA_Z, 2, 2) \
+            - linalg.embed(SIGMA_Z, 2, 2) @ cnot
+        u = random_unitary(np.random.default_rng(4), 16)
+        want = tensordot_apply(block, (1, 3), u)
+        empty = np.empty
+
+        def used(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill(np.nan)
+            return out
+        monkeypatch.setattr(np, "empty", used)
+        got = network._apply_local(block, (1, 3), u)
+        assert not np.any(got[:8])
+        assert max_abs(got - want) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["CNOT", "CCNOT", "F"])
+    def test_fortran_ordered_and_real_operands(self, kind):
+        rng = np.random.default_rng(6)
+        operands = (3, 1, 4)[:network._ARITY[kind]]
+        params = (0.5, 0.5, 0.5, -0.5) if kind == "F" else ()
+        g = network.local_matrix(Gate(kind, operands, params))
+        real = rng.normal(size=(16, 16))
+        for m in (np.asfortranarray(random_unitary(rng, 16)), real,
+                  np.asfortranarray(real), real[:, 2]):
+            got = network._apply_local(g, operands, m)
+            assert got.dtype == complex and got.flags.c_contiguous
+            assert max_abs(got - tensordot_apply(g, operands,
+                                                 np.ascontiguousarray(m))
+                           ) <= 1e-15
+
+    @pytest.mark.parametrize("gate", [Gate.cnot(7, 2), Gate.ccnot(1, 8, 4),
+                                      Gate.f(2, 6, 0.5, 0.5, 0.5, -0.5)],
+                             ids=lambda g: g.kind)
+    def test_one_update_allocates_one_unitary(self, gate):
+        # The new U, 16 * 4^n bytes: no contraction result, no axis move.
+        # F's scaling of a strided block adds numpy's iteration buffers,
+        # 8192 entries per operand, which is 0.25 of U at n=8.
+        n = 8
+        state = init_network(n)
+        apply_gate(state, gate)
+        tracemalloc.start()
+        try:
+            apply_gate(state, gate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 16 * 4 ** n
 
 
 class TestExpectation:

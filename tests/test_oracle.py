@@ -172,8 +172,8 @@ class TestGateMatrix:
             raise AssertionError("the oracle reached network code")
 
         psi = init_network(4).psi
-        for name in ("_apply_local", "local_matrix", "_characteristic",
-                     "apply_gate", "build_gate_unitary"):
+        for name in ("_apply_local", "_row_blocks", "local_matrix",
+                     "_characteristic", "apply_gate", "build_gate_unitary"):
             monkeypatch.setattr(network, name, forbidden)
         monkeypatch.setattr(registers, "register_descriptor", forbidden)
         gates = list(every_gate(4))
