@@ -17,10 +17,22 @@ from .network import Gate
 
 FORMAT_VERSION = 1
 
-# libyaml's parser where PyYAML was built with it. The constructor and
-# resolver are PyYAML's Python code under either loader, so both build the
-# same objects; only the scanner and parser differ.
+# libyaml's parser where PyYAML was built with it. Under either loader the
+# plain subset is built from the parser's events and every other document by
+# PyYAML's Python constructor and resolver, so both build the same objects;
+# only the scanner and parser differ.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# Nesting deeper than this is a parse error. The format itself nests five
+# levels deep (document, queries, query, records, record), and PyYAML's
+# recursive composer would crash the interpreter near 40 000 levels.
+_MAX_DEPTH = 100
+
+# The letter-initial plain words PyYAML 6 reads as booleans and nulls. Every
+# other word [A-Za-z][A-Za-z0-9_]* is a string (y and n among them).
+_BOOL_NULL_WORDS = frozenset(
+    form for word in ("yes", "no", "true", "false", "on", "off", "null")
+    for form in (word, word.capitalize(), word.upper()))
 
 # The fields each mapping may hold. Any other field is an error, so that a
 # misspelt or misplaced option is never ignored.
@@ -139,8 +151,9 @@ def _parse_record_ref(entry: dict, context: str, n: int, max_step: int,
 
 
 def _validate_query(query: dict, index: int, n: int, max_step: int,
-                    records: tuple[RecordRef, ...]) -> dict:
-    """The query mapping, with an autonomy query's gate parsed to a Gate."""
+                    recorded_keys: set) -> dict:
+    """The query mapping, with an autonomy query's gate parsed to a Gate.
+    ``recorded_keys`` holds the key of every record marker."""
     context = f"queries[{index}]"
     if not isinstance(query, dict):
         raise ValidationError(f"{context}: expected a mapping")
@@ -148,7 +161,6 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
     if kind not in QUERY_KINDS:
         raise ValidationError(f"{context}: unknown query kind {kind!r}")
     _check_fields(query, _QUERY_FIELDS[kind], context)
-    recorded_keys = {r.key for r in records}
 
     def check_ref(entry, label, fields=_RECORD_FIELDS):
         ref = _parse_record_ref(entry, f"{context}.{label}", n, max_step,
@@ -199,16 +211,134 @@ def _validate_query(query: dict, index: int, n: int, max_step: int,
     return query
 
 
+def _plain_scalar(value: str):
+    """What PyYAML builds from an untagged plain scalar: an int for
+    -?(0|[1-9][0-9]*), a float for -?[0-9]+.[0-9]+, a str for a word that
+    is no boolean or null. None for any other scalar."""
+    if not value.isascii():
+        return None
+    if value.isidentifier():
+        if value[0] == "_" or value in _BOOL_NULL_WORDS:
+            return None
+        return value
+    digits = value[1:] if value[:1] == "-" else value
+    if digits.isdigit():
+        return int(value) if digits[0] != "0" or len(digits) == 1 else None
+    whole, _, fraction = digits.partition(".")
+    if whole.isdigit() and fraction.isdigit():
+        return float(value)
+    return None
+
+
+def _too_deep(event) -> ParseError:
+    return ParseError(f"document nested deeper than {_MAX_DEPTH} levels "
+                      f"at line {event.start_mark.line + 1}")
+
+
+def _drain(loader, depth: int) -> None:
+    """Read the rest of the stream, checking only its nesting, as the
+    fallback's composer recurses once per level. None, for ``_build``."""
+    while True:
+        event = loader.get_event()
+        kind = event.__class__
+        if kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise _too_deep(event)
+        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            depth -= 1
+        elif kind is yaml.StreamEndEvent:
+            return None
+
+
+def _build(loader):
+    """The one document of the loader's stream, built from its events; None
+    if the stream holds anything PyYAML might build otherwise: a document
+    count other than one, an anchor, alias or tag, a collection as a key, or
+    a plain scalar outside ``_plain_scalar``'s forms."""
+    stack = []  # (collection, is_mapping) of each enclosing collection
+    top = root = key = None  # a mapping's key is None until read
+    mapping = False
+    documents = 0
+    scalars = {}  # plain scalar text -> value, as most of them repeat
+    while True:
+        event = loader.get_event()
+        kind = event.__class__
+        if kind is yaml.ScalarEvent:
+            if event.anchor is not None or event.tag is not None:
+                return _drain(loader, len(stack))
+            value = event.value
+            if event.implicit[0]:
+                plain = scalars.get(value)
+                if plain is None:
+                    plain = _plain_scalar(value)
+                    if plain is None:
+                        return _drain(loader, len(stack))
+                    scalars[value] = plain
+                value = plain
+            if mapping and key is None:
+                key = value
+                continue
+        elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+            if len(stack) == _MAX_DEPTH:
+                raise _too_deep(event)
+            if (event.anchor is not None or event.tag is not None
+                    or (mapping and key is None)):
+                return _drain(loader, len(stack) + 1)
+            value = {} if kind is yaml.MappingStartEvent else []
+        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            top, mapping = stack.pop()
+            continue
+        elif kind is yaml.DocumentStartEvent:
+            documents += 1
+            if documents > 1:
+                return _drain(loader, 0)
+            continue
+        elif kind is yaml.AliasEvent:
+            return _drain(loader, len(stack))
+        elif kind is yaml.StreamEndEvent:
+            return root if documents == 1 else None
+        else:  # the stream's start or a document's end
+            continue
+        # A value: into its mapping under the key just read, onto its
+        # sequence, or the document itself.
+        if mapping:
+            top[key] = value
+            key = None
+        elif top is not None:
+            top.append(value)
+        else:
+            root = value
+        if kind is not yaml.ScalarEvent:
+            stack.append((top, mapping))
+            top, mapping = value, kind is yaml.MappingStartEvent
+
+
+def _load(text: str):
+    """The document ``yaml.load(text, Loader=_LOADER)`` returns: built from
+    the parser's events where it lies in the plain subset, else by
+    ``yaml.load`` itself, which also raises every YAMLError."""
+    loader = _LOADER(text)
+    try:
+        doc = _build(loader)
+    except yaml.YAMLError:
+        doc = None
+    finally:
+        loader.dispose()
+    return yaml.load(text, Loader=_LOADER) if doc is None else doc
+
+
 def parse_circuit(text: str) -> CircuitFile:
     """Parse and validate a YAML circuit document."""
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        doc = _load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark else ""
         raise ParseError(f"invalid YAML{where}: {exc}") from None
-    except UnicodeEncodeError as exc:
-        # libyaml reads UTF-8, which has no code for a lone surrogate.
+    except ValueError as exc:
+        # A lone surrogate (libyaml reads UTF-8, which has no code for one),
+        # an integer past Python's digit limit, or a date no calendar holds.
         raise ParseError(f"invalid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("circuit document must be a mapping")
@@ -243,7 +373,8 @@ def parse_circuit(text: str) -> CircuitFile:
     raw_queries = doc.get("queries", [])
     if not isinstance(raw_queries, list):
         raise ValidationError("queries must be a list")
-    queries = tuple(_validate_query(q, i, n, max_step, records)
+    recorded_keys = {r.key for r in records}
+    queries = tuple(_validate_query(q, i, n, max_step, recorded_keys)
                     for i, q in enumerate(raw_queries))
     return CircuitFile(n, gates, records, queries, version)
 

@@ -59,6 +59,14 @@ LOADER_DOCUMENTS = {
     "yaml-features": YAML_FEATURES,
 }
 
+# Malformed documents and the line each error names.
+MALFORMED = [
+    ("format_version: 1\nqubits: 2\ngates: b: c\n", 3),
+    ("format_version: 1\nqubits: 2\n\tgates: []\n", 3),
+    ("format_version: 1\nqubits: [2\nrecords: {]\n", 3),
+]
+UNCLOSED = "gates: [unclosed"
+
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader]
                                if hasattr(yaml, "CSafeLoader") else [])
 
@@ -78,16 +86,27 @@ class TestLoaders:
         assert all(p == parsed[0] for p in parsed[1:])
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda l: l.__name__)
-    @pytest.mark.parametrize("text, line", [
-        ("format_version: 1\nqubits: 2\ngates: b: c\n", 3),
-        ("format_version: 1\nqubits: 2\n\tgates: []\n", 3),
-        ("format_version: 1\nqubits: [2\nrecords: {]\n", 3),
-    ])
+    @pytest.mark.parametrize("text, line", MALFORMED)
     def test_invalid_yaml_names_its_line(self, monkeypatch, loader, text,
                                           line):
         monkeypatch.setattr(circuit_module, "_LOADER", loader)
         with pytest.raises(ParseError, match=f"invalid YAML at line {line}:"):
             parse_circuit(text)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda l: l.__name__)
+    @pytest.mark.parametrize("text", [text for text, _ in MALFORMED]
+                             + [UNCLOSED])
+    def test_invalid_yaml_reads_as_yaml_load_reports_it(self, monkeypatch,
+                                                        loader, text):
+        # parse_circuit builds documents from the parser's events, and
+        # leaves every YAML error to yaml.load.
+        monkeypatch.setattr(circuit_module, "_LOADER", loader)
+        with pytest.raises(yaml.YAMLError) as loaded:
+            yaml.load(text, Loader=loader)
+        line = loaded.value.problem_mark.line + 1
+        with pytest.raises(ParseError) as parsed:
+            parse_circuit(text)
+        assert str(parsed.value) == f"invalid YAML at line {line}: {loaded.value}"
 
     def test_lone_surrogate_is_a_parse_error(self):
         with pytest.raises(ParseError, match="invalid YAML"):
@@ -127,7 +146,7 @@ gates:
 
     def test_invalid_yaml(self):
         with pytest.raises(ParseError):
-            parse_circuit("gates: [unclosed")
+            parse_circuit(UNCLOSED)
 
     def test_non_mapping_document(self):
         with pytest.raises(ParseError):
