@@ -239,10 +239,10 @@ def transport(ket: np.ndarray, source: NetworkState,
               target: NetworkState) -> np.ndarray:
     """U_target U_source† ket: a ket of ``source``'s frame read in the frame
     of ``target``, two matrix-vector products (none when they are one
-    state)."""
+    state). U_source† ket is conj(conj(ket) U_source): no U-sized copy."""
     if source is target:
         return ket
-    return target.u @ (source.u.conj().T @ ket)
+    return target.u @ (ket.conj() @ source.u).conj()
 
 
 @dataclass(frozen=True)
@@ -334,8 +334,8 @@ def _apply_local(g: np.ndarray, operands: tuple[int, ...],
 
 def apply_pauli(m: np.ndarray, qubit: int, name: str) -> np.ndarray:
     """sigma_{qubit,name} m, on the rows of a vector or of a stack of them:
-    the one local-Pauli product behind descriptors, kets and the oracle
-    cross-check."""
+    the one local-Pauli product behind descriptors, kets and the run's
+    expectation table."""
     return _apply_local(linalg.PAULIS[name], (qubit,), m)
 
 
@@ -573,7 +573,9 @@ def algebra_certificate(state: NetworkState) -> float:
     cert = state._cache.get("certificate")
     if cert is None:
         u = state.u
-        d = float(np.linalg.norm(u.conj().T @ u - linalg.identity(state.dim)))
+        gram = u.conj().T @ u
+        gram.flat[::state.dim + 1] -= 1
+        d = float(np.linalg.norm(gram))
         cert = state._cache["certificate"] = d + 2 * (1 + d) * d
     return cert
 
@@ -610,7 +612,7 @@ def record_commutator(state: NetworkState, record: Record, a: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Timeline:
-    """A run's states at its kept steps, and phi_t = U_t Psi at every step.
+    """A run's states at its kept steps, and <sigma_ac>_t at every step.
 
     ``timeline[s]`` is the state of step s; a negative s counts from the end,
     so ``timeline[-1]`` is the final state, which is always kept. A step that
@@ -618,11 +620,12 @@ class Timeline:
     """
 
     states: dict[int, NetworkState]
-    # 2^n x (T+1): column t is phi_t.
-    phis: np.ndarray
+    # 3n x (T+1), real: row (a, c) in (qubit, component) order, column t
+    # holds <phi_t|sigma_ac phi_t> = <Psi|q_ac(t)|Psi>.
+    expectations: np.ndarray
 
     def __len__(self) -> int:
-        return self.phis.shape[1]
+        return self.expectations.shape[1]
 
     def __getitem__(self, step: int) -> NetworkState:
         return self.states[step + len(self) if step < 0 else step]
@@ -635,11 +638,11 @@ def run_gates(state: NetworkState, gates: Sequence[Gate],
               keep: Optional[Collection[int]] = None) -> Timeline:
     """Apply a gate sequence in one pass, from ``state`` at step 0.
 
-    Every step writes phi_t into ``Timeline.phis``: Psi is the first basis
-    vector, so phi_t is U_t's first column. The state of step s, which holds
-    the 2^n x 2^n U_s, is kept only when s is in ``keep`` or is the final
-    step; with no ``keep`` every step's is. A record of q_ac taken at step s
-    is ``Record(timeline[s], a, c)``, so a run keeps its record steps.
+    phi_t, U_t's first column as Psi is the first basis vector, is stacked
+    until the end, which tabulates ``Timeline.expectations`` from it. The
+    state of step s, which holds the 2^n x 2^n U_s, is kept only when s is in
+    ``keep`` or is the final step; with no ``keep`` every step's is. A record
+    of q_ac taken at step s is ``Record(timeline[s], a, c)``.
     """
     phis = np.empty((state.dim, len(gates) + 1), dtype=complex)
     phis[:, 0] = state.u[:, 0]
@@ -650,4 +653,7 @@ def run_gates(state: NetworkState, gates: Sequence[Gate],
         state = apply_gate(state, gate)
         phis[:, step + 1] = state.u[:, 0]
     states[len(gates)] = state
-    return Timeline(states, phis)
+    bras = phis.conj()
+    return Timeline(states, np.array([
+        np.einsum("jt,jt->t", bras, apply_pauli(phis, a, c)).real
+        for a in range(1, state.n + 1) for c in COMPONENTS]))

@@ -9,7 +9,7 @@ Every built-in gate is U = D0 + X_t D1: two diagonals made from sigma_z's
 +-1 pattern and a flip of the target qubit's index bit. A step applies U to
 the vector from those parts, d0 psi + X_t (d1 psi), in O(2^n); the parts are
 built, and checked for unitarity in O(2^n), once per distinct gate in a run.
-The cross-check applies the fixed Paulis from the same bit code.
+The run's <sigma_ac>_t table applies the fixed Paulis from the same bit code.
 ``gate_matrix`` scatters the parts into the dense 2^n x 2^n matrix.
 """
 
@@ -135,16 +135,17 @@ def _apply_sigma(m: np.ndarray, qubit: int, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class SchrodingerRun:
     """Forward state-vector evolution: row t of ``states``, a (T+1) x 2^n
-    array, is the vector at step t."""
+    array, is the vector at step t; ``expectations`` holds its <sigma_ac>,
+    kept complex, in the rows and columns of ``Timeline.expectations``."""
 
-    n: int
     states: np.ndarray
+    expectations: np.ndarray
 
 
 def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
            tol: Tolerances = DEFAULT_TOL) -> SchrodingerRun:
     """Apply each gate to the state vector from its parts, keeping every
-    state: O(2^n) per step.
+    state: O(2^n) per step. Then tabulate <sigma_ac> of every state.
 
     Each distinct gate's parts are built once per call and checked for
     unitarity at its first step, so a failure names the first step that
@@ -166,7 +167,10 @@ def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
                     f"step {step}: {gate.kind} on ({operands}): unitarity "
                     f"defect {defect:.3e} > {tol.unitary:.3e}")
         _apply_parts(parts[gate], states[step], states[step + 1])
-    return SchrodingerRun(n, states)
+    bras = states.conj()
+    return SchrodingerRun(states, np.array([
+        np.einsum("tj,tj->t", bras, _apply_sigma(states, a, c))
+        for a in range(1, n + 1) for c in COMPONENTS]))
 
 
 @dataclass(frozen=True)
@@ -182,28 +186,13 @@ def cross_validate(run: SchrodingerRun, timeline: network.Timeline
     For every step t and every descriptor component, the Heisenberg
     expectation <Psi|U_t† sigma U_t|Psi> of the evolved operator must equal
     the Schrodinger expectation of the fixed operator in the evolved state.
-    Both sides read vectors: the network's phi_t (``Timeline.phis``) and the
-    oracle's states.
+    Each picture tabulates its own (``Timeline.expectations``,
+    ``SchrodingerRun.expectations``); this only compares the two tables.
     """
-    if len(run.states) != len(timeline):
+    heis, schr = timeline.expectations, run.expectations
+    if heis.shape != schr.shape:
         raise CircuitMismatch(
-            f"{len(run.states)} oracle states vs {len(timeline)} network steps")
-    if run.n != timeline[-1].n:
-        raise CircuitMismatch(f"oracle n={run.n} vs network n={timeline[-1].n}")
-    # Column t of phis is phi_t = U_t Psi, with <Psi|U_t† sigma_a U_t|Psi> =
-    # <phi|sigma_a phi>, the number the final-step answers read
-    # (network.apply_pauli); row t of states is the oracle's state.
-    # One side at a time, so only one conjugate stack is held.
-    pairs = [(a, c) for a in range(1, run.n + 1) for c in COMPONENTS]
-    phis = timeline.phis
-    bras = phis.conj()
-    heis = [np.einsum("jt,jt->t", bras, network.apply_pauli(phis, a, c)).real
-            for a, c in pairs]
-    del bras
-    states = run.states
-    bras = states.conj()
-    schr = [np.einsum("tj,tj->t", bras, _apply_sigma(states, a, c))
-            for a, c in pairs]
+            f"oracle table {schr.shape} vs network {heis.shape}")
     # The worst of the 3n comparisons per step; NaN propagates.
-    per_step = tuple(np.max(np.abs(np.subtract(heis, schr)), axis=0).tolist())
+    per_step = tuple(np.max(np.abs(heis - schr), axis=0).tolist())
     return CrossValidationReport(linalg.worst(per_step), per_step)

@@ -127,8 +127,9 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
     timeline = network.run_gates(state0, circuit.gates,
                                  {r.step for r in circuit.records})
 
-    run = oracle.evolve(state0.psi, circuit.gates, circuit.qubits, tol)
-    cross = oracle.cross_validate(run, timeline)
+    # Unnamed, the oracle's states are freed before any query runs.
+    cross = oracle.cross_validate(oracle.evolve(
+        state0.psi, circuit.gates, circuit.qubits, tol), timeline)
     # Taken before the queries: it certifies the final state they read.
     algebra = network.algebra_certificate(timeline[-1])
     # Checked before the queries too, so a run whose pictures disagree names

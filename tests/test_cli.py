@@ -578,8 +578,9 @@ def deep_circuit(n, depth, record, seed=3):
 
 
 def test_ten_qubits_at_depth_1000_run_within_200_mib(tmp_path):
-    """A run keeps U only at its record step and at T, and the oracle and its
-    cross-check hold vectors: (T+1) 2^n states, not (T+1) 4^n matrices."""
+    """A run keeps U only at its record step and at T, and each picture
+    stacks (T+1) vectors of 2^n, not (T+1) 4^n matrices, one picture at a
+    time: the cross-check compares their two 3n x (T+1) expectation tables."""
     path = tmp_path / "deep.yaml"
     path.write_text(deep_circuit(10, 1000, 500), encoding="utf-8")
     done = subprocess.run(
@@ -590,4 +591,4 @@ def test_ten_qubits_at_depth_1000_run_within_200_mib(tmp_path):
     assert report["qubits"] == 10 and report["steps"] == 1000
     assert report["queries"][0]["frame_weight"] > 0.1
     peak_mib = int(done.stderr.splitlines()[-1]) / 1024
-    assert peak_mib < 200
+    assert peak_mib < 200, f"peak RSS {peak_mib:.1f} MiB"

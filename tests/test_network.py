@@ -632,8 +632,13 @@ class TestRecordsAndTimeline:
         assert len(timeline) == 3
         assert [s.t for s in timeline] == [0, 1, 2]
         assert sorted(timeline.states) == [0, 1, 2]
+        rows = [(a, c) for a in (1, 2) for c in COMPONENTS]
+        assert timeline.expectations.shape == (len(rows), 3)
+        # The table's sum order may differ from vdot's in the last bit.
         for step, state in enumerate(timeline):
-            assert np.array_equal(timeline.phis[:, step], state.phi)
+            assert timeline.expectations[:, step] == pytest.approx(
+                [np.vdot(state.phi, state.ket(a, c)).real for a, c in rows],
+                abs=1e-15)
 
     def test_kept_steps_and_the_final_one_hold_a_state(self):
         gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(2)]
@@ -644,7 +649,7 @@ class TestRecordsAndTimeline:
         assert timeline[-1] is timeline[3]
         with pytest.raises(KeyError):
             timeline[2]
-        assert np.array_equal(timeline.phis, every.phis)
+        assert np.array_equal(timeline.expectations, every.expectations)
         for step in (1, 3):
             assert np.array_equal(timeline[step].u, every[step].u)
 

@@ -17,7 +17,7 @@ from heisim.oracle import cross_validate, evolve, gate_matrix
 def per_step_reference(run, timeline):
     """The per-step loop cross_validate replaces: 3n vdot comparisons per
     step against dense embedded Paulis."""
-    n = run.n
+    n = run.states.shape[1].bit_length() - 1
     fixed = {(a, c): linalg.embed(linalg.PAULIS[c], a, n)
              for a in range(1, n + 1) for c in COMPONENTS}
     per_step = []
@@ -171,14 +171,18 @@ class TestGateMatrix:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle reached network code")
 
-        psi = init_network(4).psi
-        for name in ("_apply_local", "_row_blocks", "local_matrix",
-                     "_characteristic", "apply_gate", "build_gate_unitary"):
-            monkeypatch.setattr(network, name, forbidden)
-        monkeypatch.setattr(registers, "register_descriptor", forbidden)
         gates = list(every_gate(4))
         assert {gate.kind for gate in gates} == set(GATE_KINDS)
-        assert len(evolve(psi, gates, 4).states) == len(gates) + 1
+        timeline = run_gates(init_network(4), gates)
+        psi = timeline[0].psi
+        for name in ("_apply_local", "_row_blocks", "local_matrix",
+                     "_characteristic", "apply_gate", "build_gate_unitary",
+                     "apply_pauli"):
+            monkeypatch.setattr(network, name, forbidden)
+        monkeypatch.setattr(registers, "register_descriptor", forbidden)
+        run = evolve(psi, gates, 4)
+        assert len(run.states) == len(gates) + 1
+        assert cross_validate(run, timeline).max_residual <= 1e-9
         for gate in gates:
             gate_matrix(gate, 4)
 
@@ -334,7 +338,8 @@ class TestCrossValidate:
         gates = [Gate.h(1)]
         timeline = run_gates(init_network(2), gates)
         run = evolve(init_network(3).psi, gates, 3)
-        with pytest.raises(CircuitMismatch, match="oracle n=3 vs network n=2"):
+        with pytest.raises(CircuitMismatch,
+                           match=r"oracle table \(9, 2\) vs network \(6, 2\)"):
             cross_validate(run, timeline)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
