@@ -10,9 +10,12 @@ The state holds that evolution as one accumulated unitary U_t, with
 q_ac(t) = U_t† sigma_ac U_t (the Deutsch-Hayden construction,
 quant-ph/9906007). A built-in gate evaluated on the current descriptors is
 U_{t-1}† g U_{t-1}, where g is the same function of fresh generators, so
-U_t = g U_{t-1}. Descriptors are computed from U when something reads them.
-A run (``run_gates``) keeps U_t only at the steps whose records it reads and
-at the final step; every other step leaves only phi_t.
+U_t = g U_{t-1}: a row gather of U_{t-1} when g is a 0/1 permutation (NOT,
+CNOT, CCNOT), a local product over the operands' rows otherwise.
+Descriptors are computed from U when something reads them. A run
+(``run_gates``) keeps U_t only at the steps whose records it reads and at
+the final step; every other step leaves only phi_t, and the <sigma_ac>_t
+table is folded from the phi_t stack.
 
 A run answers from phi = U Psi and the local Paulis: <q_ac> =
 <phi|sigma_ac phi> and <q_ai q_bj> = <sigma_ai phi|sigma_bj phi>, the second
@@ -307,8 +310,8 @@ def _apply_local(g: np.ndarray, operands: tuple[int, ...],
     small matmul over that axis. For more, row block r of the result (see
     ``_row_blocks``) is the sum of g[r, c] times block c of m over the
     nonzero g[r, c] only: a unit entry is a strided copy, and a row of g
-    with none gives a zero block. A permutation gate costs one pass over m
-    with no arithmetic, and a diagonal one a scaling.
+    with none gives a zero block. A diagonal gate costs a scaling. The
+    permutation gates of a run do not come here (``_multiply_rows``).
     """
     if len(operands) == 1:
         (q,) = operands
@@ -333,9 +336,8 @@ def _apply_local(g: np.ndarray, operands: tuple[int, ...],
 
 
 def apply_pauli(m: np.ndarray, qubit: int, name: str) -> np.ndarray:
-    """sigma_{qubit,name} m, on the rows of a vector or of a stack of them:
-    the one local-Pauli product behind descriptors, kets and the run's
-    expectation table."""
+    """sigma_{qubit,name} m, on the rows of a matrix or a vector: the one
+    local-Pauli product behind descriptors and kets."""
     return _apply_local(linalg.PAULIS[name], (qubit,), m)
 
 
@@ -373,6 +375,12 @@ _GENERATORS = {
 # Kinds without parameters have one fixed matrix.
 _FIXED = {kind: _characteristic(kind, (), *_GENERATORS[_ARITY[kind]])
           for kind in ("NOT", "H", "CNOT", "CCNOT")}
+# The kinds whose fixed matrix is a 0/1 permutation: entries 0 or 1, one 1
+# per row and per column.
+_PERMUTATIONS = frozenset(
+    kind for kind, g in _FIXED.items()
+    if np.isin(g, (0, 1)).all() and (g.sum(axis=0) == 1).all()
+    and (g.sum(axis=1) == 1).all())
 
 
 def local_matrix(gate: Gate) -> np.ndarray:
@@ -384,6 +392,30 @@ def local_matrix(gate: Gate) -> np.ndarray:
                            *_GENERATORS[_ARITY[gate.kind]])
 
 
+@cache
+def _gather(kind: str, operands: tuple[int, ...], n: int) -> np.ndarray:
+    """The rows of U that g U reads for a permutation kind g on the
+    operands: (g U)[i] = U[source[i]]. Row block r of g U is block c of U
+    (``_row_blocks``) for the one c with g[r, c] = 1."""
+    _, rows = _row_blocks(operands, n)
+    source = np.empty(2 ** n, dtype=np.intp)
+    for r, c in zip(*np.nonzero(_FIXED[kind])):
+        source[rows[r]] = rows[c]
+    source.flags.writeable = False
+    return source
+
+
+def _multiply_rows(state: NetworkState, gate: Gate) -> np.ndarray:
+    """g U, a new complex C-ordered matrix, for the gate's local matrix g on
+    its operands of the rows of the state's U. A permutation kind is one row
+    gather with no arithmetic (``_gather``), bitwise the product; any other
+    is ``_apply_local``."""
+    if gate.kind in _PERMUTATIONS:
+        return np.asarray(state.u, dtype=complex).take(
+            _gather(gate.kind, gate.operands, state.n), axis=0)
+    return _apply_local(local_matrix(gate), gate.operands, state.u)
+
+
 def build_gate_unitary(state: NetworkState, gate: Gate) -> np.ndarray:
     """Evaluate the gate's characteristic function on the current descriptors.
 
@@ -392,8 +424,7 @@ def build_gate_unitary(state: NetworkState, gate: Gate) -> np.ndarray:
     gate.validate(state.n)
     if gate.kind == "I":
         return linalg.identity(state.dim)
-    return state.u.conj().T @ _apply_local(local_matrix(gate), gate.operands,
-                                           state.u)
+    return state.u.conj().T @ _multiply_rows(state, gate)
 
 
 def apply_gate(state: NetworkState, gate: Gate) -> NetworkState:
@@ -403,8 +434,7 @@ def apply_gate(state: NetworkState, gate: Gate) -> NetworkState:
     the gate left-multiplies U by g.
     """
     gate.validate(state.n)
-    u = state.u if gate.kind == "I" else _apply_local(
-        local_matrix(gate), gate.operands, state.u)
+    u = state.u if gate.kind == "I" else _multiply_rows(state, gate)
     return NetworkState(state.n, state.t + 1, u, state.psi, state.tol)
 
 
@@ -639,12 +669,17 @@ def run_gates(state: NetworkState, gates: Sequence[Gate],
     """Apply a gate sequence in one pass, from ``state`` at step 0.
 
     phi_t, U_t's first column as Psi is the first basis vector, is stacked
-    until the end, which tabulates ``Timeline.expectations`` from it. The
-    state of step s, which holds the 2^n x 2^n U_s, is kept only when s is in
-    ``keep`` or is the final step; with no ``keep`` every step's is. A record
-    of q_ac taken at step s is ``Record(timeline[s], a, c)``.
+    until the end, which tabulates ``Timeline.expectations`` from it in one
+    pass per qubit a. With phi0 and phi1 the rows of the stack where a's bit
+    is 0 and 1, <x_a> + i <y_a> = 2 sum conj(phi0) phi1 and <z_a> =
+    sum |phi0|^2 - sum |phi1|^2, over each column; the table needs the
+    stack, one |phi|^2 stack and one half stack. The state of step s, which
+    holds the 2^n x 2^n U_s, is kept only when s is in ``keep`` or is the
+    final step; with no ``keep`` every step's is. A record of q_ac taken at
+    step s is ``Record(timeline[s], a, c)``.
     """
-    phis = np.empty((state.dim, len(gates) + 1), dtype=complex)
+    steps = len(gates) + 1
+    phis = np.empty((state.dim, steps), dtype=complex)
     phis[:, 0] = state.u[:, 0]
     states = {}
     for step, gate in enumerate(gates):
@@ -653,7 +688,15 @@ def run_gates(state: NetworkState, gates: Sequence[Gate],
         state = apply_gate(state, gate)
         phis[:, step + 1] = state.u[:, 0]
     states[len(gates)] = state
-    bras = phis.conj()
-    return Timeline(states, np.array([
-        np.einsum("jt,jt->t", bras, apply_pauli(phis, a, c)).real
-        for a in range(1, state.n + 1) for c in COMPONENTS]))
+    weights = phis.real ** 2
+    weights += phis.imag ** 2
+    bras = np.empty((state.dim // 2, steps), dtype=complex)
+    table = np.empty((state.n, len(COMPONENTS), steps))
+    for a in range(1, state.n + 1):
+        halves = phis.reshape(2 ** (a - 1), 2, -1, steps)
+        conj0 = np.conjugate(halves[:, 0],
+                             out=bras.reshape(2 ** (a - 1), -1, steps))
+        xy = 2 * np.einsum("jkt,jkt->t", conj0, halves[:, 1])
+        z = weights.reshape(halves.shape).sum(axis=(0, 2))
+        table[a - 1] = xy.real, xy.imag, z[0] - z[1]
+    return Timeline(states, table.reshape(-1, steps))

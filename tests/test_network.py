@@ -265,6 +265,27 @@ def commutator_blocks(g, k):
             yield block
 
 
+def random_circuit(rng, n, depth):
+    """``depth`` random gates, each of a kind drawn from those that fit n
+    qubits, on random operands."""
+    kinds = [kind for kind in network.GATE_KINDS if network._ARITY[kind] <= n]
+    for _ in range(depth):
+        kind = kinds[rng.integers(len(kinds))]
+        operands = tuple(int(q) + 1
+                         for q in rng.permutation(n)[:network._ARITY[kind]])
+        params = ((float(rng.uniform(0, 2 * np.pi)),) if kind == "RZ" else
+                  acceptance._random_f_params(rng) if kind == "F" else ())
+        yield Gate(kind, operands, params)
+
+
+def permutation_gates(n):
+    """Every permutation kind on every operand tuple of n qubits."""
+    for kind in sorted(network._PERMUTATIONS):
+        k = network._ARITY[kind]
+        for operands in itertools.permutations(range(1, n + 1), k):
+            yield Gate(kind, operands)
+
+
 class TestApplyLocal:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_permutation_gates_equal_the_tensordot_product(self, n):
@@ -330,10 +351,12 @@ class TestApplyLocal:
                            ) <= 1e-15
 
     @pytest.mark.parametrize("gate", [Gate.cnot(7, 2), Gate.ccnot(1, 8, 4),
-                                      Gate.f(2, 6, 0.5, 0.5, 0.5, -0.5)],
+                                      Gate.f(2, 6, 0.5, 0.5, 0.5, -0.5),
+                                      Gate.not_(8)],
                              ids=lambda g: g.kind)
     def test_one_update_allocates_one_unitary(self, gate):
-        # The new U, 16 * 4^n bytes: no contraction result, no axis move.
+        # The new U, 16 * 4^n bytes: no contraction result, no axis move, and
+        # for a permutation kind no index array once its gather is cached.
         # F's scaling of a strided block adds numpy's iteration buffers,
         # 8192 entries per operand, which is 0.25 of U at n=8.
         n = 8
@@ -346,6 +369,49 @@ class TestApplyLocal:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * 16 * 4 ** n
+
+
+class TestPermutationGather:
+    def test_permutation_kinds_derive_as_not_cnot_and_ccnot(self):
+        assert network._PERMUTATIONS == {"NOT", "CNOT", "CCNOT"}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_gather_equals_the_local_product(self, n):
+        rng = np.random.default_rng(40 + n)
+        u = random_unitary(rng, 2 ** n)
+        state = network.NetworkState(n, 0, u, init_network(n).psi)
+        for gate in permutation_gates(n):
+            product = network._apply_local(network.local_matrix(gate),
+                                           gate.operands, u)
+            assert (apply_gate(state, gate).u.tobytes()
+                    == product.tobytes()), gate
+            assert (build_gate_unitary(state, gate).tobytes()
+                    == (u.conj().T @ product).tobytes()), gate
+            source = network._gather(gate.kind, gate.operands, n)
+            assert not source.flags.writeable
+            assert sorted(source) == list(range(2 ** n))
+
+    @pytest.mark.parametrize("kind", sorted(set(network.GATE_KINDS) - {"I"}))
+    def test_fortran_ordered_and_real_unitaries(self, kind):
+        # Every update returns a complex, C-ordered U, whatever U it reads;
+        # I keeps the same U.
+        n = 4
+        rng = np.random.default_rng(7)
+        operands = (3, 1, 4)[:network._ARITY[kind]]
+        params = {"RZ": (0.9,), "F": (0.5, 0.5, 0.5, -0.5)}.get(kind, ())
+        gate = Gate(kind, operands, params)
+        g = network.local_matrix(gate)
+        psi = init_network(n).psi
+        real = rng.normal(size=(16, 16))
+        for u in (np.asfortranarray(random_unitary(rng, 16)), real,
+                  np.asfortranarray(real)):
+            got = apply_gate(network.NetworkState(n, 0, u, psi), gate).u
+            assert got.dtype == complex and got.flags.c_contiguous
+            assert max_abs(got - tensordot_apply(g, operands,
+                                                 np.ascontiguousarray(u))
+                           ) <= 1e-15
+        same = network.NetworkState(n, 0, real, psi)
+        assert apply_gate(same, Gate("I")).u is real
 
 
 class TestExpectation:
@@ -632,13 +698,49 @@ class TestRecordsAndTimeline:
         assert len(timeline) == 3
         assert [s.t for s in timeline] == [0, 1, 2]
         assert sorted(timeline.states) == [0, 1, 2]
-        rows = [(a, c) for a in (1, 2) for c in COMPONENTS]
-        assert timeline.expectations.shape == (len(rows), 3)
-        # The table's sum order may differ from vdot's in the last bit.
-        for step, state in enumerate(timeline):
-            assert timeline.expectations[:, step] == pytest.approx(
-                [np.vdot(state.phi, state.ket(a, c)).real for a, c in rows],
-                abs=1e-15)
+        assert timeline.expectations.shape == (6, 3)
+        # Each row against <phi_t| sigma_ac phi_t> with sigma_ac the
+        # embedded 2^n x 2^n Pauli, on random circuits of every kind. The
+        # circuit opens with y of the first and the last qubit at sin(1)
+        # and sin(-2), so a slip in y's sign or in the bit order fails.
+        rng = np.random.default_rng(31)
+        for n in range(1, 6):
+            gates = [Gate.h(1), Gate.rz(1, 1.0), Gate.h(n), Gate.rz(n, -2.0)
+                     ][:2 if n == 1 else 4]
+            gates += random_circuit(rng, n, 40)
+            assert {g.kind for g in gates} >= (
+                {"I", "NOT", "H", "RZ"} | ({"CNOT", "F"} if n >= 2 else set())
+                | ({"CCNOT"} if n >= 3 else set()))
+            timeline = run_gates(init_network(n), gates)
+            rows = [(a, c) for a in range(1, n + 1) for c in COMPONENTS]
+            assert timeline.expectations.shape == (3 * n, len(gates) + 1)
+            opened = timeline.expectations[:, len(gates) - 40]
+            assert opened[1] == pytest.approx(np.sin(1.0))
+            assert opened[-2] == pytest.approx(np.sin(1.0 if n == 1
+                                                      else -2.0))
+            for step, state in enumerate(timeline):
+                want = [np.vdot(state.phi, linalg.embed(linalg.PAULIS[c], a, n)
+                                @ state.phi).real for a, c in rows]
+                assert max_abs(timeline.expectations[:, step] - want) \
+                    <= 4 * np.finfo(float).eps, (n, step)
+
+    def test_table_takes_at_most_two_and_a_half_stacks(self):
+        # n=8, T=2000: a stack of phi_t is 16 (T+1) 2^n bytes, 7.8 MiB. The
+        # run holds that stack, and at the end the table needs the |phi|^2
+        # stack and a half stack for conj(phi0), 1 stack more, with the
+        # final U. A second run reads the caches the first one filled.
+        n, depth = 8, 2000
+        gates = list(random_circuit(np.random.default_rng(8), n, depth))
+        run_gates(init_network(n), gates, keep=())
+        start = init_network(n)
+        tracemalloc.start()
+        try:
+            run_gates(start, gates, keep=())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack = 16 * (depth + 1) * 2 ** n
+        assert peak < 2.5 * stack + 16 * 4 ** n, peak / stack
 
     def test_kept_steps_and_the_final_one_hold_a_state(self):
         gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(2)]

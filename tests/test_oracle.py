@@ -177,7 +177,7 @@ class TestGateMatrix:
         psi = timeline[0].psi
         for name in ("_apply_local", "_row_blocks", "local_matrix",
                      "_characteristic", "apply_gate", "build_gate_unitary",
-                     "apply_pauli"):
+                     "apply_pauli", "_multiply_rows", "_gather"):
             monkeypatch.setattr(network, name, forbidden)
         monkeypatch.setattr(registers, "register_descriptor", forbidden)
         run = evolve(psi, gates, 4)
