@@ -44,15 +44,6 @@ def _random_f_params(rng) -> tuple[float, float, float, float]:
     return (float(alpha), float(beta), float(gamma), float(delta))
 
 
-def _run(n: int, gates) -> list:
-    """The timeline of a run: as ``runner.execute`` does before its queries,
-    the final state's algebra certificate is taken, so the record checks
-    below are the run's checks."""
-    timeline = network.run_gates(init_network(n), gates)
-    network.algebra_certificate(timeline[-1])
-    return timeline
-
-
 def _triples(state) -> list:
     """Every qubit's (x, y, z) descriptor matrices."""
     return [[state.component(a, c) for c in COMPONENTS]
@@ -65,7 +56,7 @@ def section3_timeline():
     The z-records of both qubits are taken at the final step, so they are
     the final state's z descriptors.
     """
-    return _run(2, [Gate.h(1), Gate.cnot(1, 2)])
+    return network.run_gates(init_network(2), [Gate.h(1), Gate.cnot(1, 2)])
 
 
 def criterion_1(seed: int) -> dict:
@@ -152,7 +143,8 @@ def criterion_5(seed: int) -> dict:
     matrices = {}
     recovered = []
     for theta in thetas:
-        timeline = _run(2, [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta)])
+        measured = [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta)]
+        timeline = network.run_gates(init_network(2), measured)
         final = timeline[-1]
         for q in (1, 2):
             for c in COMPONENTS:
@@ -167,8 +159,8 @@ def criterion_5(seed: int) -> dict:
                                       abs(values[1]), abs(values[2] - target_z)))
         if theta in (thetas[0], thetas[4]):  # 0 and pi/2
             matrices[theta] = _triples(final)[1]
-        fin2 = _run(2, [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, theta),
-                        Gate.cnot(1, 2)])[-1]
+        fin2 = network.run_gates(init_network(2),
+                                 [*measured, Gate.cnot(1, 2)])[-1]
         recovered.append(float(np.real(
             network.expectation(fin2, fin2.ket(1, "x")))))
     distance = max(max_abs(a - b) for a, b in
@@ -225,7 +217,7 @@ def criterion_7(seed: int) -> dict:
         n = int(rng.choice([2, 3]))
         depth = int(rng.integers(1, 21))
         gates = [_random_gate(rng, n) for _ in range(depth)]
-        timeline = _run(n, gates)
+        timeline = network.run_gates(init_network(n), gates)
         run = oracle.evolve(timeline[0].psi, gates, n)
         cross = oracle.cross_validate(run, timeline)
         worst = linalg.worst((worst, cross.max_residual))
@@ -311,7 +303,7 @@ def criterion_8(seed: int) -> dict:
 
 def criterion_9(seed: int) -> dict:
     """Guards: sharp records cannot be foliated; zero weights raise, never NaN."""
-    fresh = _run(2, [])[-1]
+    fresh = init_network(2)
     record = Record(fresh, 1, "z")
     _, minus = relative.record_pvm(fresh, record)
     try:

@@ -44,10 +44,6 @@ class NotHermitian(ToleranceViolation):
     pass
 
 
-class NotInvolution(ToleranceViolation):
-    pass
-
-
 class DimMismatch(ValidationError):
     pass
 

@@ -125,10 +125,6 @@ def check_hermitian(a: np.ndarray) -> None:
             f"hermiticity defect {defect:.3e} > {HERMITIAN_TOL:.3e}")
 
 
-def involution_defect(q: np.ndarray) -> float:
-    return max_abs(q @ q - identity(q.shape[0]))
-
-
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return max_abs(a @ b - b @ a)
 

@@ -21,10 +21,11 @@ A run answers from phi = U Psi and the local Paulis: <q_ac> =
 <phi|sigma_ac phi> and <q_ai q_bj> = <sigma_ai phi|sigma_bj phi>, the second
 within U's Gram defects. An observable is passed only as its *ket*, the
 vector U A Psi (sigma_ac phi for a descriptor, ``NetworkState.ket``); a
-descriptor matrix is ``NetworkState.component``. A state whose algebra
-certificate has been taken and lies within tol.general and tol.commute is
-*certified*: its involution defects read the certificate, and its records'
-commutators are decided on the operands' block (``record_commutator``).
+descriptor matrix is ``NetworkState.component``. Every record check reads
+one number, the algebra certificate of a state (``certify``): it must lie
+within tol.general and tol.commute, and it then bounds a record's
+involution defect and decides its commutators on the operands' block
+(``record_commutator``).
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from typing import Callable, Collection, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (DimMismatch, NotInvolution, SizeLimit,
-                     ToleranceViolation, ValidationError)
+from .errors import (DimMismatch, SizeLimit, ToleranceViolation,
+                     ValidationError)
 from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances, max_abs
 
 GATE_KINDS = ("I", "NOT", "H", "CNOT", "RZ", "F", "CCNOT")
@@ -145,9 +146,8 @@ class NetworkState:
     psi: np.ndarray
     tol: Tolerances = DEFAULT_TOL
     # Everything computed once: "phi", "certificate", and the descriptor
-    # components ("component", qubit, component), kets ("ket", qubit,
-    # component) and record involution defects ("defect", qubit, component)
-    # read so far.
+    # components ("component", qubit, component) and kets ("ket", qubit,
+    # component) read so far.
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -181,19 +181,6 @@ class NetworkState:
             phi.flags.writeable = False
         return phi
 
-    @property
-    def certified(self) -> bool:
-        """Whether the algebra certificate has been taken (see
-        ``algebra_certificate``) and lies within tol.general and tol.commute.
-
-        Every involution defect and every commutator of two descriptors of
-        distinct qubits is then within both tolerances, so a check of either
-        passes without its dense product. NaN is not certified.
-        """
-        cert = self._cache.get("certificate")
-        return cert is not None and not linalg.exceeds(
-            cert, min(self.tol.general, self.tol.commute))
-
     def ket(self, qubit: int, name: str) -> np.ndarray:
         """sigma_{qubit,name} phi, the ket U q Psi of a descriptor: O(2^n),
         computed on first read and cached on the state."""
@@ -205,36 +192,14 @@ class NetworkState:
             ket.flags.writeable = False
         return ket
 
-    def involution_defect(self, qubit: int, name: str) -> float:
-        """||q^2 - 1|| of a component read as a record, taken once.
-
-        A certified state reports its certificate, which bounds the defect
-        (see ``algebra_certificate``); any other takes the dense square.
-        """
-        key = ("defect", qubit, name)
-        defect = self._cache.get(key)
-        if defect is None:
-            defect = (self._cache["certificate"] if self.certified else
-                      linalg.involution_defect(self.component(qubit, name)))
-            self._cache[key] = defect
-        return defect
-
-    def check_involution(self, qubit: int, name: str) -> None:
-        """NotInvolution unless q_{qubit,name}^2 = 1 within tol.general, as
-        a record needs; judged on the defect ``involution_defect`` keeps."""
-        defect = self.involution_defect(qubit, name)
-        if linalg.exceeds(defect, self.tol.general):
-            raise NotInvolution(f"involution defect {defect:.3e} > "
-                                f"{self.tol.general:.3e}")
-
     def projector(self, qubit: int, name: str) -> np.ndarray:
         """P+ = 1/2(1 + q_{qubit,name}), the +1 eigenprojector of a record,
-        after ``check_involution``.
+        after ``certify``: the certificate bounds ||q^2 - 1||.
 
         Rebuilt on each call, O(4^n): keeping it would hold one more
         2^n x 2^n matrix per record.
         """
-        self.check_involution(qubit, name)
+        certify(self)
         return 0.5 * (linalg.identity(self.dim) + self.component(qubit, name))
 
 
@@ -597,8 +562,7 @@ def algebra_certificate(state: NetworkState) -> float:
 
     The bound is on exact arithmetic: when U is unitary to the last bit it
     can read 0 while a dense check in floating point reads an ulp or two.
-    Taken once per state; it certifies the state (``certified``) when it is
-    within tol.general and tol.commute.
+    Taken once per state; ``certify`` bounds it.
     """
     cert = state._cache.get("certificate")
     if cert is None:
@@ -610,30 +574,48 @@ def algebra_certificate(state: NetworkState) -> float:
     return cert
 
 
+def certify(state: NetworkState) -> float:
+    """The state's algebra certificate, after ToleranceViolation when it
+    exceeds min(tol.general, tol.commute), NaN included.
+
+    Within that bound every involution defect ||q^2 - 1|| and every
+    commutator of descriptors of distinct qubits is within both tolerances
+    (``algebra_certificate``), so every record check of the state reads it.
+    """
+    cert = algebra_certificate(state)
+    bound = min(state.tol.general, state.tol.commute)
+    if linalg.exceeds(cert, bound):
+        raise ToleranceViolation(f"algebra residual {cert:.3e} > {bound:.3e}")
+    return cert
+
+
 def record_commutator(state: NetworkState, record: Record, a: np.ndarray,
                       operands: tuple[int, ...],
-                      dense: Callable[[], float]) -> float:
+                      dense: Callable[[], np.ndarray]) -> float:
     """||[U_T† a U_T, q_r]||_max of a local ``a`` on ``operands`` (a gate or
     half a Pauli, so ||a||_2 <= 1) and a record q_r, read by ``state`` (U_T).
 
-    For a record of ``state`` itself, once ``state`` is certified, that is
-    U_T† [a, sigma_r] U_T within the certificate (``algebra_certificate``):
-    a block commutator [a, sigma_r] that is exactly 0 reads the certificate,
-    any other its ||U_T† [a, sigma_r] U_T||_max (one local product and one
-    GEMM over the rows where [a, sigma_r] has an entry: half of them for
-    [CNOT, z_target], a quarter for [CCNOT, z_target]). Any other record or
-    state reads ``dense()``, the caller's norm.
+    A record of an earlier step takes the dense norm against ``dense()``,
+    the caller's U_T† a U_T. For a record of ``state`` itself, after
+    ``certify(state)``, it is U_T† [a, sigma_r] U_T within the certificate
+    (``algebra_certificate``): a block commutator [a, sigma_r] that is
+    exactly 0 reads the certificate, any other its
+    ||U_T† [a, sigma_r] U_T||_max (one local product and one GEMM over the
+    rows where [a, sigma_r] has an entry: half of them for [CNOT, z_target],
+    a quarter for [CCNOT, z_target]).
     """
-    if record.state is not state or not state.certified:
-        return dense()
+    if record.state is not state:
+        return linalg.commutator_norm(
+            dense(), record.state.component(record.qubit, record.name))
+    cert = certify(state)
     if record.qubit not in operands:
-        return algebra_certificate(state)
+        return cert
     sigma = linalg.embed(linalg.PAULIS[record.name],
                          operands.index(record.qubit) + 1, len(operands))
     block = a @ sigma - sigma @ a
     live = np.flatnonzero(np.any(block, axis=1))
     if not live.size:
-        return algebra_certificate(state)
+        return cert
     _, rows = _row_blocks(operands, state.n)
     rows = np.concatenate([rows[r] for r in live])
     u = state.u

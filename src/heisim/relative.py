@@ -80,9 +80,10 @@ def make_pvm(state: NetworkState, plus: np.ndarray,
 def record_pvm(state: NetworkState,
                record: Record) -> tuple[RelativeFrame, RelativeFrame]:
     """``make_pvm`` of a record read by the final state ``state``, from
-    P+'s ket ``Record.ket``, after the record's involution check; the frames
-    name the record by its ``label``."""
-    record.state.check_involution(record.qubit, record.name)
+    P+'s ket ``Record.ket``, after ``network.certify`` of the record's own
+    state: its certificate bounds ||q_r^2 - 1||. The frames name the record
+    by its ``label``."""
+    network.certify(record.state)
     return make_pvm(state, record.ket(state), record.label)
 
 
@@ -113,11 +114,11 @@ def live_frames(frames: Sequence[RelativeFrame], tol: Tolerances
     return [f for f in frames if f.weight > tol.weight]
 
 
-def _max_commutator(state: NetworkState, record: Record, qubit: int,
-                    plus) -> float:
+def _max_commutator(state: NetworkState, record: Record,
+                    qubit: int) -> float:
     """The largest ||[P+, q_ac]|| = ||[U_T† (1/2 sigma_ac) U_T, q_r]|| over
-    the qubit's components (``network.record_commutator``; the dense norm
-    reads ``plus()``, the record's dense P+).
+    the qubit's components (``network.record_commutator``; a record of an
+    earlier step reads U_T† (1/2 sigma_ac) U_T = 1/2 q_ac).
 
     Raises NonCommuting at the first component whose norm exceeds
     tol.commute; a NaN norm counts as not commuting.
@@ -126,8 +127,7 @@ def _max_commutator(state: NetworkState, record: Record, qubit: int,
     for name in COMPONENTS:
         cnorm = network.record_commutator(
             state, record, 0.5 * linalg.PAULIS[name], (qubit,),
-            lambda: linalg.commutator_norm(plus(),
-                                           state.component(qubit, name)))
+            lambda: 0.5 * state.component(qubit, name))
         if linalg.exceeds(cnorm, state.tol.commute):
             raise NonCommuting(
                 f"frame projector does not commute with q_{qubit}{name}: "
@@ -153,7 +153,7 @@ def relative_descriptors(state: NetworkState, qubit: int, record: Record
     [1 - P, q] = -[P, q], so the norms against P+ serve both frames.
     """
     plus, minus = _record_projectors(record)
-    _max_commutator(state, record, qubit, lambda: plus)
+    _max_commutator(state, record, qubit)
     mats = [state.component(qubit, name) for name in COMPONENTS]
     return tuple(RelativeDescriptor(*(m @ p for m in mats), p)
                  for p in (plus, minus))
@@ -179,7 +179,7 @@ def autonomy_check(state: NetworkState, gate: Gate,
     record and the commutator norm.
 
     Each norm is ``network.record_commutator`` of the gate's local matrix;
-    a dense one is taken against U_T† g U_T, built once.
+    a record of an earlier step reads U_T† g U_T, built once.
     """
     gate.validate(state.n)
     # I has no operands, so no block to build.
@@ -187,10 +187,8 @@ def autonomy_check(state: NetworkState, gate: Gate,
     unitary = cache(partial(network.build_gate_unitary, state, gate))
     worst = 0.0
     for idx, record in enumerate(records):
-        cnorm = network.record_commutator(
-            state, record, local, gate.operands,
-            lambda: linalg.commutator_norm(
-                unitary(), record.state.component(record.qubit, record.name)))
+        cnorm = network.record_commutator(state, record, local,
+                                          gate.operands, unitary)
         worst = linalg.worst((worst, cnorm))
         if linalg.exceeds(cnorm, state.tol.commute):
             return AutonomyResult(False, idx, cnorm)
@@ -223,17 +221,15 @@ def foliate(state: NetworkState, record: Record,
     two-frame PVM (``record_pvm``).
 
     Both projectors must commute with the listed qubits' descriptors;
-    ``relative_descriptors`` builds the branch copies themselves. The dense
-    P+ of ``_max_commutator`` is built for the first norm that needs it.
-    The completeness residual is ||P+ P-||, which is a quarter of the
-    record's involution defect ||1 - q^2||.
+    ``relative_descriptors`` builds the branch copies themselves. The
+    completeness residual ||P+ P-|| is a quarter of the record's involution
+    defect ||1 - q^2||, reported as a quarter of the certificate that
+    bounds it.
     """
     frames = record_pvm(state, record)
-    plus = cache(partial(record.state.projector, record.qubit, record.name))
     # [1 - P, q] = -[P, q]: both frames have the commutator norms of P+.
-    max_comm = linalg.worst(_max_commutator(state, record, q, plus)
+    max_comm = linalg.worst(_max_commutator(state, record, q)
                             for q in qubits)
-    completeness = 0.25 * record.state.involution_defect(record.qubit,
-                                                          record.name)
+    completeness = 0.25 * network.certify(record.state)
     return FoliationReport(frames, completeness, max_comm,
                            completeness <= state.tol.general)

@@ -130,14 +130,11 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
     # Unnamed, the oracle's states are freed before any query runs.
     cross = oracle.cross_validate(oracle.evolve(
         state0.psi, circuit.gates, circuit.qubits, tol), timeline)
-    # Taken before the queries: it certifies the final state they read.
-    algebra = network.algebra_certificate(timeline[-1])
-    # Checked before the queries too, so a run whose pictures disagree names
-    # its residual, not a query precondition of a wrong state.
-    algebra_bound = 100 * tol.general
-    if linalg.exceeds(algebra, algebra_bound):
-        raise ToleranceViolation(
-            f"algebra residual {algebra:.3e} > {algebra_bound:.3e}")
+    # Both bounds are checked before the queries, so a run whose pictures
+    # disagree names its residual, not a query precondition of a wrong
+    # state; the certificate is the one every record check of the final
+    # state reads.
+    algebra = network.certify(timeline[-1])
     if linalg.exceeds(cross.max_residual, tol.oracle):
         raise ToleranceViolation(
             f"oracle residual {cross.max_residual:.3e} > {tol.oracle:.3e}")

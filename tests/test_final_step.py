@@ -1,10 +1,11 @@
 """Answers read from phi = U_T Psi and the local Paulis.
 
 Every answer reads kets of the final frame, records taken before the final
-step and uncertified final states included. The answers must agree with the
-dense operator path (kept here as an in-test reference built from 2^n x 2^n
-matrices and numpy's eigh), raise the same errors on the same inputs, and
-fall back to dense norms when the certificate does not cover them.
+step included. The answers must agree with the dense operator path (kept
+here as an in-test reference built from 2^n x 2^n matrices and numpy's
+eigh) and raise the same errors on the same inputs. Every record check
+reads the certificate of the record's state: one above min(general,
+commute) raises ToleranceViolation, with no dense fallback.
 """
 
 import itertools
@@ -22,14 +23,15 @@ from heisim.network import Gate, NetworkState, init_network, run_gates
 
 
 def certify(timeline):
-    network.algebra_certificate(timeline[-1])
-    assert timeline[-1].certified
+    """The timeline after ``network.certify`` of its final state, which a
+    run takes before its queries."""
+    network.certify(timeline[-1])
     return timeline
 
 
-def uncertified(timeline):
+def fresh_final(timeline):
     """The same run with a fresh final state, whose certificate is not
-    taken: every check takes its dense norm."""
+    taken: its record checks take it themselves."""
     last = timeline[-1]
     return [*timeline][:-1] + [NetworkState(last.n, last.t, last.u, last.psi,
                                          last.tol)]
@@ -350,21 +352,27 @@ def raised(timeline, query):
 
 
 class TestSameErrors:
-    """Each error fires on the same input through phi and through the
-    dense path, with the same message."""
+    """Each error fires on the same input whether or not the run took the
+    final state's certificate first, with the same message; a commutator
+    norm it names is the dense one."""
 
     def both(self, timeline, query):
-        """The error through phi, which must be the dense path's: numbers
-        within 1e-12 (a register label read from eigh is an integer up to
-        roundoff)."""
+        """The error of a run, whose final state is certified before the
+        query, which must be that of a fresh final state. A NonCommuting
+        error names the dense ||[P+, q_bc]|| to the four digits it
+        prints."""
         kind, message = raised(certify(timeline), query)
-        dense_kind, dense_message = raised(uncertified(timeline), query)
-        assert dense_kind is kind
-        assert re.sub(NUMBER, "#", dense_message) == re.sub(NUMBER, "#",
-                                                            message)
-        assert [float(v) for v in re.findall(NUMBER, message)] == (
-            pytest.approx([float(v) for v in re.findall(NUMBER, dense_message)],
-                          abs=1e-12))
+        assert raised(fresh_final(timeline), query) == (kind, message)
+        if kind is NonCommuting:
+            qubit, c, norm = re.search(rf"q_(\d)([xyz]): commutator norm "
+                                       rf"({NUMBER})", message).groups()
+            record = query["record"]
+            q_r = timeline[record["step"]].component(record["qubit"],
+                                                     record["component"])
+            plus = 0.5 * (linalg.identity(len(q_r)) + q_r)
+            dense = linalg.commutator_norm(
+                plus, timeline[-1].component(int(qubit), c))
+            assert float(norm) == pytest.approx(dense, rel=5e-4, abs=1e-12)
         return kind, message
 
     def test_unentangled_record(self):
@@ -433,6 +441,10 @@ class TestSameErrors:
 
 
 class TestCertificateFallback:
+    """A final state whose certificate exceeds min(general, commute) has no
+    dense fallback: each of its record checks raises ToleranceViolation,
+    which a run reports, as exit status 2, before any query."""
+
     QUERIES = [
         {"kind": "autonomy", "gate": Gate.rz(1, 0.4),
          "records": [ref(1, "z", 2), ref(2, "z", 2)]},
@@ -455,7 +467,8 @@ class TestCertificateFallback:
     def perturbed(self, size):
         """The measurement run with U_T scaled by 1 + size: its commutators
         stay roundoff, while its Gram defects grow with size. tol.general
-        is raised above the record's involution defect (4 size)."""
+        is raised to 1e-8, above its certificate (about 12 size) for the
+        sizes used here."""
         timeline = acceptance.section3_timeline()
         last = timeline[-1]
         tol = last.tol.override(general=1e-8)
@@ -465,25 +478,15 @@ class TestCertificateFallback:
 
     @pytest.mark.parametrize("query", QUERIES, ids=["rz", "cnot", "foliate"])
     def test_dense_norm_above_the_commute_bound(self, norms, query):
-        exact = runner._answer_query(certify(acceptance.section3_timeline()),
-                                     query)
+        # A certificate between commute and general.
         timeline = self.perturbed(2e-10)
-        cert = network.algebra_certificate(timeline[-1])
-        assert cert > timeline[-1].tol.commute
-        assert not timeline[-1].certified
-        del norms[:]
-        got = runner._answer_query(timeline, query)
-        if query["kind"] == "autonomy":
-            assert got["classification"] == exact["classification"]
-            reported = got["commutator_norm"]
-            # A violation stops the loop; otherwise the worst norm counts.
-            want = (norms[-1] if got["classification"] == "DESTROYING"
-                    else max(norms))
-        else:
-            assert got["valid"] == exact["valid"]
-            reported, want = got["max_commutator"], max(norms)
-        assert len(norms) == len(query.get("records", COMPONENTS))
-        assert reported == want != cert
+        last = timeline[-1]
+        cert = network.algebra_certificate(last)
+        assert last.tol.commute < cert < last.tol.general
+        with pytest.raises(ToleranceViolation, match=(
+                rf"^algebra residual {cert:.3e} > 1\.000e-09$")):
+            runner._answer_query(timeline, query)
+        assert norms == []
 
     def test_certificate_read_within_the_bound(self, norms):
         timeline = certify(acceptance.section3_timeline())
@@ -496,17 +499,20 @@ class TestCertificateFallback:
     def test_certified_within_both_bounds(self, name):
         last = self.perturbed(1e-12)[-1]
         cert = network.algebra_certificate(last)
-        for bound, certified in ((cert * 2, True), (cert / 2, False)):
+        for bound in (cert * 2, cert / 2):
             tol = DEFAULT_TOL.override(**{name: bound})
             state = NetworkState(last.n, last.t, last.u, last.psi, tol)
-            assert not state.certified
-            assert network.algebra_certificate(state) == cert
-            assert state.certified is certified
+            if bound > cert:
+                assert network.certify(state) == cert
+            else:
+                with pytest.raises(ToleranceViolation,
+                                   match=f"^algebra residual {cert:.3e} > "):
+                    network.certify(state)
 
 
 class TestOneAnswerPath:
-    """Answers read kets of the final frame: no descriptor matrix or record
-    projector of the final state and no eigh, certified or not."""
+    """Answers read kets of the final frame: no descriptor matrix, no record
+    projector and no eigh."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -557,18 +563,21 @@ class TestOneAnswerPath:
         query = {"kind": "expectation", "qubit": 2, "component": "z",
                  "frame": {**ref(1, "z", 1), "label": 1}}
         got = runner._answer_query(timeline, query)
-        assert [state for name, state in reads
-                if state is timeline[-1]] == []
+        assert reads == []
         assert mismatches(dense_answer(timeline, query), got) == []
         assert got["frame_weight"] == pytest.approx(0.5)
 
     def test_uncertified_final_state(self, reads):
+        # Queries that read no record take no certificate; one that does
+        # raises on it.
         tol = DEFAULT_TOL.override(general=1e-30)
         timeline = run_gates(init_network(3, tol), [
             Gate.h(3), Gate.rz(3, 0.7), Gate.h(3), Gate.cnot(3, 1),
             Gate.h(2)])
-        network.algebra_certificate(timeline[-1])
-        assert not timeline[-1].certified
+        framed = {"kind": "expectation", "qubit": 1, "component": "z",
+                  "frame": {**ref(3, "z", 5), "label": 1}}
+        with pytest.raises(ToleranceViolation, match="^algebra residual"):
+            runner._answer_query(timeline, framed)
         queries = [
             {"kind": "expectation", "qubit": 1, "component": "z"},
             {"kind": "sharpness", "qubit": 2, "component": "x"},
@@ -629,14 +638,13 @@ class TestLocalHelpers:
 
     def check_record_commutator(self, local):
         """A gate, or the component of a half Pauli, against every record
-        at T, before T and of an uncertified final state."""
+        at T and before T."""
         for n in (3, 4):
             rng = np.random.default_rng(n)
-            timeline = certify(run_gates(
-                init_network(n), [random_gate(rng, n) for _ in range(8)]))
+            timeline = run_gates(
+                init_network(n), [random_gate(rng, n) for _ in range(8)])
             final = timeline[-1]
             cert = network.algebra_certificate(final)
-            fresh = uncertified(timeline)[-1]
             allowance = self.roundoff(final.dim)
             # So the allowance cannot hide a norm that a check would fail.
             assert allowance < final.tol.commute / 100
@@ -657,25 +665,23 @@ class TestLocalHelpers:
                     dense_a, linalg.embed(linalg.PAULIS[c], r, n)) == 0
                 before = timeline[int(rng.integers(8))]
                 for record in (network.Record(final, r, c),
-                               network.Record(before, r, c),
-                               network.Record(fresh, r, c)):
-                    state = fresh if record.state is fresh else final
+                               network.Record(before, r, c)):
                     calls = []
 
                     def dense():
-                        calls.append(linalg.commutator_norm(
-                            big_a, record.state.component(r, c)))
-                        return calls[-1]
-                    got = network.record_commutator(state, record, a,
-                                                    operands, dense)
-                    where = (n, operands, record.label, state.certified)
-                    if record.state is not final:
-                        # Before T, or uncertified: the dense norm.
-                        assert calls and got == calls[-1], where
+                        calls.append(big_a)
+                        return big_a
+                    got = network.record_commutator(final, record, a,
+                                                     operands, dense)
+                    want = linalg.commutator_norm(
+                        big_a, record.state.component(r, c))
+                    where = (n, operands, record.label)
+                    if record.state is before:
+                        # Before T: the dense norm against U_T† a U_T.
+                        assert len(calls) == 1 and got == want, where
                         seen["dense"] += 1
                         continue
                     assert calls == [], where
-                    want = dense()
                     if block_zero:
                         assert got == cert, where
                         assert want <= cert + allowance, where

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from heisim import acceptance, linalg, network
-from heisim.errors import NonCommuting, WrongGateKind, ZeroWeightBranch
+from heisim.errors import (NonCommuting, ToleranceViolation, WrongGateKind,
+                           ZeroWeightBranch)
 from heisim.linalg import COMPONENTS, SIGMA_Z, max_abs
 from heisim.network import (Gate, NetworkState, Record, apply_gate,
                             init_network, run_gates)
@@ -44,6 +45,18 @@ class TestMakePvm:
         plus, minus = z_record_pvm(fresh, 1)
         assert plus.weight == pytest.approx(1.0)
         assert minus.weight == pytest.approx(0.0, abs=1e-12)
+
+    def test_record_of_an_uncertified_state_is_rejected(self):
+        # The record's involution defect is bounded by its own state's
+        # certificate: a U_s off unitarity by 1e-9 fails it.
+        timeline = run_gates(init_network(2),
+                             [Gate.h(1), Gate.cnot(1, 2), Gate.h(2)])
+        s = timeline[2]
+        scaled = NetworkState(s.n, s.t, (1 + 1e-9) * s.u, s.psi, s.tol)
+        with pytest.raises(ToleranceViolation, match=(
+                r"^algebra residual \S+ > 1\.000e-10$")):
+            record_pvm(timeline[-1], Record(scaled, 1, "z"))
+        assert record_pvm(timeline[-1], Record(s, 1, "z"))
 
     def test_completeness(self, measured):
         # P+ + P- = 1: the two kets sum to phi.
@@ -231,15 +244,16 @@ class TestFoliate:
         assert max_abs(record - (np.cos(1e-11) * z1
                                  + np.sin(1e-11) * x1 @ d2[0])) <= 1e-15
         report = foliate(measured, Record(tilted, 1, "z"), [2])
-        plus = tilted.projector(1, "z")
-        minus = linalg.identity(4) - plus
-        direct = max(linalg.commutator_norm(plus, mat)
-                     for mat in d2)
+        # The record is not the final state's own: each norm is the dense
+        # ||[1/2 q_2c, q_r]||.
+        direct = max(linalg.commutator_norm(0.5 * mat, record) for mat in d2)
         assert 0 < report.max_commutator == direct <= 1e-9
-        # [1 - P, q] = -[P, q]: P- has the same norms, up to roundoff.
-        assert max(linalg.commutator_norm(minus, mat)
-                   for mat in d2) == pytest.approx(
-                       direct, rel=1e-4)
+        # [P+, q] = [1/2 q_r, q] = -[P-, q]: both projectors have the same
+        # norms, up to roundoff.
+        plus = tilted.projector(1, "z")
+        for proj in (plus, linalg.identity(4) - plus):
+            assert max(linalg.commutator_norm(proj, mat)
+                       for mat in d2) == pytest.approx(direct, rel=1e-4)
         assert report.valid
 
     def test_unentangled_cannot_be_foliated(self):
@@ -251,60 +265,81 @@ class TestFoliate:
 
 
 class TestChecksOncePerRecord:
-    """A record's two frames share one involution check and, since
-    [1 - P, q] = -[P, q], one commutator norm per descriptor component."""
+    """A record's two frames share one certificate of the record's state
+    and, since [1 - P, q] = -[P, q], one commutator norm per descriptor
+    component."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"involution_defect": 0, "commutator_norm": 0}
+        """Certificates taken (each state keeps its own) and dense
+        commutator norms."""
+        counts = {"certificate": 0, "commutator_norm": 0}
+        certificate = network.algebra_certificate
+        commutator_norm = linalg.commutator_norm
 
-        def counted(name):
-            inner = getattr(linalg, name)
+        def counted_certificate(state):
+            counts["certificate"] += "certificate" not in state._cache
+            return certificate(state)
 
-            def call(*args):
-                counts[name] += 1
-                return inner(*args)
-            return call
+        def counted_norm(*args):
+            counts["commutator_norm"] += 1
+            return commutator_norm(*args)
 
-        for name in counts:
-            monkeypatch.setattr(linalg, name, counted(name))
+        monkeypatch.setattr(network, "algebra_certificate",
+                            counted_certificate)
+        monkeypatch.setattr(linalg, "commutator_norm", counted_norm)
         return counts
+
+    @staticmethod
+    def earlier(n, gates):
+        """The final state of an n-qubit run of ``gates`` and one I gate,
+        and the state of the step before it: the same U, as a record of an
+        earlier step, which the final state reads through dense norms."""
+        timeline = run_gates(init_network(n), [*gates, Gate("I")])
+        return timeline[-1], timeline[-2]
 
     def test_make_pvm_checks_involution_once(self, measured, calls):
         z_record_pvm(measured, 1)
-        assert calls == {"involution_defect": 1, "commutator_norm": 0}
+        z_record_pvm(measured, 2)
+        assert calls == {"certificate": 1, "commutator_norm": 0}
 
     def test_state_checks_each_record_once(self, measured, calls):
-        # The verdict is kept per (qubit, component), not the projector.
+        # The certificate is kept per state, not the projector.
         for _ in range(3):
             for qubit in (1, 2):
                 q = measured.component(qubit, "z")
                 assert max_abs(measured.projector(qubit, "z")
                                - 0.5 * (linalg.identity(4) + q)) == 0
-        assert calls == {"involution_defect": 2, "commutator_norm": 0}
+        assert calls == {"certificate": 1, "commutator_norm": 0}
         assert len([key for key in measured._cache
                     if key[:1] == ("component",)]) == 2
 
-    def test_both_copies_take_three_norms(self, measured, calls):
+    def test_both_copies_take_three_norms(self, calls):
+        final, before = self.earlier(2, [Gate.h(1), Gate.cnot(1, 2)])
+        plus, minus = relative_descriptors(final, 2, Record(before, 1, "z"))
+        assert calls == {"certificate": 1, "commutator_norm": 3}
+        assert max_abs(plus.unit + minus.unit - linalg.identity(4)) == 0
+
+    def test_own_record_takes_no_norm(self, measured, calls):
         plus, minus = relative_descriptors(measured, 2,
                                            Record(measured, 1, "z"))
-        assert calls == {"involution_defect": 1, "commutator_norm": 3}
+        assert calls == {"certificate": 1, "commutator_norm": 0}
         assert max_abs(plus.unit + minus.unit - linalg.identity(4)) == 0
 
     @pytest.mark.parametrize("qubits", [[2], [3, 2]])
     def test_foliate_takes_three_norms_per_qubit(self, calls, qubits):
-        ghz = run_gates(init_network(3), [Gate.h(1), Gate.cnot(1, 2),
-                                          Gate.cnot(1, 3)])[-1]
-        report = foliate(ghz, Record(ghz, 1, "z"), qubits)
+        final, before = self.earlier(3, [Gate.h(1), Gate.cnot(1, 2),
+                                         Gate.cnot(1, 3)])
+        report = foliate(final, Record(before, 1, "z"), qubits)
         assert report.valid
-        assert calls == {"involution_defect": 1,
+        assert calls == {"certificate": 1,
                          "commutator_norm": 3 * len(qubits)}
 
     def test_unentangled_stops_at_first_norm(self, calls):
-        fresh = init_network(2)
+        final, before = self.earlier(2, [])
         with pytest.raises(NonCommuting, match="q_1x"):
-            foliate(fresh, Record(fresh, 1, "z"), [1, 2])
-        assert calls == {"involution_defect": 1, "commutator_norm": 1}
+            foliate(final, Record(before, 1, "z"), [1, 2])
+        assert calls == {"certificate": 1, "commutator_norm": 1}
 
 
 class TestMatrixFreeAnswers:
