@@ -6,11 +6,14 @@ evolution code with the descriptor network: agreement between the two is the
 strongest correctness check the suite has.
 
 Every built-in gate is U = D0 + X_t D1: two diagonals made from sigma_z's
-+-1 pattern and a flip of the target qubit's index bit. A step applies U to
-the vector from those parts, d0 psi + X_t (d1 psi), in O(2^n); the parts are
-built, and checked for unitarity in O(2^n), once per distinct gate in a run.
-The run's <sigma_ac>_t table applies the fixed Paulis from the same bit code.
-``gate_matrix`` scatters the parts into the dense 2^n x 2^n matrix.
++-1 pattern and a flip of the target qubit's index bit. A run builds the
+parts of all its distinct gates at once, one vectorised pass per gate kind
+from one n x 2^n table of those patterns, and reads all their unitarity
+defects in one O(2^n)-per-gate pass. A step applies U to the vector from its
+parts, d0 psi + X_t (d1 psi), with X_t one gather. The parts are dropped
+before the run's <sigma_ac>_t table, which applies the fixed Paulis from the
+same bit code. ``gate_matrix`` scatters one gate's parts, from the same
+builder, into the dense 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -22,63 +25,76 @@ import numpy as np
 
 from . import linalg, network
 from .errors import CircuitMismatch, NonUnitary
-from .linalg import COMPONENTS, DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, Tolerances
 from .network import Gate
 
 
-def _z(qubit: int, n: int) -> np.ndarray:
-    """sigma_z's diagonal on the qubit: z = 1 - 2 b, the +-1 pattern of the
-    qubit's bit b of the basis index (qubit 1 is the most significant bit)."""
-    return 1.0 - 2 * ((np.arange(2 ** n) >> (n - qubit)) & 1)
+# The size of one temporary of the unitarity-defect pass, which takes as
+# many gates at a time as fit in it, whatever n.
+_CHUNK_BYTES = 2 ** 20
 
 
-def _flip(m: np.ndarray, target: int) -> np.ndarray:
-    """X_t m as a view: the last axis of m, a basis index, split as
-    (2^(t-1), 2, rest) with the target's bit reversed."""
-    return m.reshape(m.shape[:-1] + (2 ** (target - 1), 2, -1))[..., ::-1, :]
+def _sigma_z(n: int) -> np.ndarray:
+    """sigma_z's diagonals as an n x 2^n table: row q - 1 is qubit q's
+    z = 1 - 2 b, the +-1 pattern of the bit b of the basis index (qubit 1
+    is the most significant bit)."""
+    return 1.0 - 2 * ((np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None])
+                      & 1)
 
 
-def _gate_parts(gate: Gate, n: int
-                ) -> tuple[np.ndarray, int | None, np.ndarray | None]:
-    """A gate as U = D0 + X_t D1: the diagonals d0 and d1, and the target t
-    whose index bit X_t flips (None, with no d1, for a diagonal gate).
+def _parts(gates: Sequence[Gate], z: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each gate as U = D0 + X_t D1, one row per gate: the diagonals d0 and
+    d1, and the target t whose index bit X_t flips (0, with d1 = 0, for a
+    diagonal gate).
 
-    Each line is the gate's characteristic function of sigma_z's diagonals
-    z[q] (``_z``).
+    One pass per gate kind; each line is the kind's characteristic function
+    of sigma_z's diagonals z[q - 1] (``_sigma_z``).
     """
-    gate.validate(n)
-    z = {q: _z(q, n) for q in gate.operands}
-    one = np.ones(2 ** n)
-    q, kind = gate.operands, gate.kind
-    if kind == "I":
-        return one, None, None
-    if kind == "NOT":
-        return 0 * one, q[0], one
-    if kind == "H":
-        return z[q[0]] / np.sqrt(2), q[0], one / np.sqrt(2)
-    if kind == "RZ":
-        (theta,) = gate.params
-        return np.cos(theta / 2) - 1j * np.sin(theta / 2) * z[q[0]], None, None
-    if kind == "CNOT":
-        return 0.5 * (1 + z[q[0]]), q[1], 0.5 * (1 - z[q[0]])
-    if kind == "F":
-        alpha, beta, gamma, delta = gate.params
-        za, zb = z[q[0]], z[q[1]]
-        return alpha + beta * za + gamma * zb + delta * (za * zb), None, None
-    # CCNOT: both controls set.
-    both = 0.25 * (1 - z[q[0]]) * (1 - z[q[1]])
-    return 1 - both, q[2], both
+    n, dim = z.shape
+    d0 = np.empty((len(gates), dim), dtype=complex)
+    d1 = np.zeros_like(d0)
+    targets = np.zeros(len(gates), dtype=int)
+    rows_of: dict[str, list[int]] = {}
+    for row, gate in enumerate(gates):
+        gate.validate(n)
+        rows_of.setdefault(gate.kind, []).append(row)
+    for kind, rows in rows_of.items():
+        ops = np.array([gates[r].operands for r in rows], dtype=int) - 1
+        params = np.array([gates[r].params for r in rows])
+        if kind == "I":
+            d0[rows] = 1
+        elif kind == "NOT":
+            d0[rows], d1[rows] = 0, 1
+        elif kind == "H":
+            d0[rows], d1[rows] = z[ops[:, 0]] / np.sqrt(2), 1 / np.sqrt(2)
+        elif kind == "RZ":
+            half = params / 2
+            d0[rows] = np.cos(half) - 1j * np.sin(half) * z[ops[:, 0]]
+        elif kind == "CNOT":
+            control = z[ops[:, 0]]
+            d0[rows], d1[rows] = 0.5 * (1 + control), 0.5 * (1 - control)
+        elif kind == "F":
+            alpha, beta, gamma, delta = params.T[..., None]
+            za, zb = z[ops[:, 0]], z[ops[:, 1]]
+            d0[rows] = alpha + beta * za + gamma * zb + delta * (za * zb)
+        else:  # CCNOT: both controls set.
+            both = 0.25 * (1 - z[ops[:, 0]]) * (1 - z[ops[:, 1]])
+            d0[rows], d1[rows] = 1 - both, both
+        if kind not in ("I", "RZ", "F"):  # X_t flips the last operand.
+            targets[rows] = ops[:, -1] + 1
+    return d0, d1, targets
 
 
 def gate_matrix(gate: Gate, n: int) -> np.ndarray:
-    """Fixed 2^n x 2^n matrix of a gate, D0 + X_t D1 (see ``_gate_parts``):
-    one zeroed allocation and two index scatters."""
-    d0, target, d1 = _gate_parts(gate, n)
+    """Fixed 2^n x 2^n matrix of a gate, D0 + X_t D1 (see ``_parts``): one
+    zeroed allocation and two index scatters."""
+    (d0,), (d1,), (target,) = _parts([gate], _sigma_z(n))
     dim = len(d0)
     u = np.zeros((dim, dim), dtype=complex)
     j = np.arange(dim)
     u[j, j] = d0
-    if target is not None:
+    if target:
         u[j ^ (dim >> target), j] = d1
     return u
 
@@ -88,48 +104,32 @@ def _squared(v: np.ndarray) -> np.ndarray:
     return v.real ** 2 + v.imag ** 2
 
 
-def _unitarity_defect(d0: np.ndarray, target: int | None,
-                      d1: np.ndarray | None) -> float:
-    """max_abs(U†U - 1) of U = D0 + X_t D1 from its parts, in O(2^n).
+def _unitarity_defects(d0: np.ndarray, d1: np.ndarray, targets: np.ndarray
+                       ) -> np.ndarray:
+    """max_abs(U†U - 1) of each row's U = D0 + X_t D1 (``_parts``), in
+    O(2^n) per row and in chunks of about ``_CHUNK_BYTES`` per temporary.
 
     Column j of U holds d0_j at row j and d1_j at row j ^ b, b the target's
     bit. So (U†U)_jj = |d0_j|^2 + |d1_j|^2, and its only other nonzero
-    entries are (j, j ^ b) = conj(d0_j) d1_{j^b} + conj(d1_j) d0_{j^b}.
-    NaN gives NaN.
+    entries are (j, j ^ b) = conj(d0_j) d1_{j^b} + conj(d1_j) d0_{j^b}; a
+    diagonal row reads b = 0 with d1 = 0. A NaN or inf part gives NaN or inf
+    in its own row only.
     """
-    if target is None:
-        return linalg.max_abs(_squared(d0) - 1.0)
-    flip = len(d0) >> target
-    lo = np.flatnonzero((np.arange(len(d0)) & flip) == 0)
-    hi = lo | flip
-    overlap = d0[lo].conj() * d1[hi] + d1[lo].conj() * d0[hi]
-    return linalg.max_abs(np.concatenate([
-        _squared(d0) + _squared(d1) - 1.0,
-        np.hypot(overlap.real, overlap.imag)]))
-
-
-def _apply_parts(parts: tuple[np.ndarray, int | None, np.ndarray | None],
-                 psi: np.ndarray, out: np.ndarray) -> None:
-    """U psi into ``out`` for U = D0 + X_t D1: d0 psi + X_t (d1 psi)."""
-    d0, target, d1 = parts
-    np.multiply(d0, psi, out=out)
-    if target is not None:
-        flipped = _flip(d1 * psi, target)
-        halves = out.reshape(flipped.shape)
-        halves += flipped
-
-
-def _apply_sigma(m: np.ndarray, qubit: int, name: str) -> np.ndarray:
-    """sigma_{qubit,name} m on the last axis of a vector or a stack of row
-    vectors, from the bit code of the gates: sigma_x = X_a, sigma_z = D(z_a)
-    and sigma_y = X_a D(i z_a) = D(-i z_a) X_a. One allocation."""
-    n = m.shape[-1].bit_length() - 1
-    if name == "z":
-        return m * _z(qubit, n)
-    flipped = _flip(m, qubit).copy().reshape(m.shape)
-    if name == "y":
-        flipped *= -1j * _z(qubit, n)
-    return flipped
+    dim = d0.shape[1]
+    bits = np.where(targets > 0, dim >> targets, 0)
+    chunk = max(1, _CHUNK_BYTES // (16 * dim))
+    defects = np.empty(len(d0))
+    for start in range(0, len(d0), chunk):
+        rows = slice(start, start + chunk)
+        flip = np.arange(dim) ^ bits[rows, None]
+        a, b = d0[rows], d1[rows]
+        with np.errstate(invalid="ignore"):  # inf * 0 reads NaN
+            overlap = (a.conj() * np.take_along_axis(b, flip, axis=1)
+                       + b.conj() * np.take_along_axis(a, flip, axis=1))
+            defects[rows] = np.maximum(
+                np.max(np.abs(_squared(a) + _squared(b) - 1.0), axis=1),
+                np.max(np.abs(overlap), axis=1))
+    return defects
 
 
 @dataclass(frozen=True)
@@ -147,30 +147,66 @@ def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
     """Apply each gate to the state vector from its parts, keeping every
     state: O(2^n) per step. Then tabulate <sigma_ac> of every state.
 
-    Each distinct gate's parts are built once per call and checked for
-    unitarity at its first step, so a failure names the first step that
-    fails. The initial state's norm is checked against the same tol.unitary.
+    The distinct gates are built in one pass per kind and checked for
+    unitarity in one pass, once per call; a failure names the first step
+    that fails. The initial state's norm is checked against the same
+    tol.unitary. The parts are dropped before the table is made.
     """
     psi = np.asarray(initial, dtype=complex)
     if linalg.exceeds(abs(np.linalg.norm(psi) - 1.0), tol.unitary):
         raise NonUnitary(f"initial state norm {np.linalg.norm(psi):.12f} != 1")
+    z = _sigma_z(n)
+    states = _states(psi, gates, z, tol)
+    return SchrodingerRun(states, _expectations(states, z))
+
+
+def _states(psi: np.ndarray, gates: Sequence[Gate], z: np.ndarray,
+            tol: Tolerances) -> np.ndarray:
+    """The (T+1) x 2^n stack of states: each step is d0 psi + X_t (d1 psi)
+    from its gate's parts, X_t one gather."""
+    first: dict[Gate, int] = {}  # distinct gate -> its row, by first step
+    rows = [first.setdefault(gate, len(first)) for gate in gates]
+    distinct = list(first)
+    d0, d1, targets = _parts(distinct, z)
+    defects = _unitarity_defects(d0, d1, targets)
+    failed = np.flatnonzero(~(defects <= tol.unitary))  # NaN fails too
+    if failed.size:
+        gate, defect = distinct[failed[0]], defects[failed[0]]
+        operands = ", ".join(map(str, gate.operands))
+        raise NonUnitary(
+            f"step {rows.index(failed[0])}: {gate.kind} on ({operands}): "
+            f"unitarity defect {defect:.3e} > {tol.unitary:.3e}")
+    j = np.arange(len(psi))
+    flips = {t: j ^ (len(psi) >> t) for t in set(targets.tolist()) if t}
+    parts = [(a, b, flips.get(t)) for a, b, t in zip(d0, d1, targets)]
     states = np.empty((len(gates) + 1, len(psi)), dtype=complex)
     states[0] = psi
-    parts: dict[Gate, tuple] = {}
-    for step, gate in enumerate(gates):
-        if gate not in parts:
-            parts[gate] = _gate_parts(gate, n)
-            defect = _unitarity_defect(*parts[gate])
-            if linalg.exceeds(defect, tol.unitary):
-                operands = ", ".join(map(str, gate.operands))
-                raise NonUnitary(
-                    f"step {step}: {gate.kind} on ({operands}): unitarity "
-                    f"defect {defect:.3e} > {tol.unitary:.3e}")
-        _apply_parts(parts[gate], states[step], states[step + 1])
+    for row, before, out in zip(rows, states, states[1:]):
+        a, b, flip = parts[row]
+        np.multiply(a, before, out=out)
+        if flip is not None:
+            out += (b * before).take(flip)
+    return states
+
+
+def _expectations(states: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """<psi|sigma_ac psi> of every row of ``states``, in the rows of
+    ``Timeline.expectations``, from the bit code of the gates: sigma_x = X_a,
+    sigma_y = X_a D(i z_a) = D(-i z_a) X_a, sigma_z = D(z_a). x and y read
+    one flipped stack, y in place; z reuses it."""
     bras = states.conj()
-    return SchrodingerRun(states, np.array([
-        np.einsum("tj,tj->t", bras, _apply_sigma(states, a, c))
-        for a in range(1, n + 1) for c in COMPONENTS]))
+    sigma = np.empty_like(states)
+    j = np.arange(states.shape[1])
+    table = []
+    for a, za in enumerate(z, start=1):
+        # "clip" writes straight into ``out``; "raise" would buffer a copy.
+        np.take(states, j ^ (len(j) >> a), axis=1, out=sigma, mode="clip")
+        table.append(np.einsum("tj,tj->t", bras, sigma))
+        sigma *= -1j * za
+        table.append(np.einsum("tj,tj->t", bras, sigma))
+        np.multiply(states, za, out=sigma)
+        table.append(np.einsum("tj,tj->t", bras, sigma))
+    return np.array(table)
 
 
 @dataclass(frozen=True)

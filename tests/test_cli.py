@@ -5,13 +5,14 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heisim import linalg, network, oracle, relative
-from heisim.circuit import load_circuit
+from heisim.circuit import load_circuit, parse_circuit
 from heisim.cli import main
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -385,9 +386,12 @@ class TestExitStatuses:
     def test_tolerance_violation_is_2(self, capsys, monkeypatch):
         # An oracle that ignores every gate disagrees with the network by
         # 1.0 after the Hadamard, whatever the roundoff. Its steps apply
-        # each gate's parts, here those of the identity.
-        monkeypatch.setattr(oracle, "_gate_parts",
-                            lambda gate, n: (np.ones(2 ** n), None, None))
+        # each gate's parts, here those of the identity for every gate.
+        def identity_parts(gates, z):
+            shape = (len(gates), z.shape[1])
+            return (np.ones(shape, complex), np.zeros(shape, complex),
+                    np.zeros(len(gates), int))
+        monkeypatch.setattr(oracle, "_parts", identity_parts)
         status, _, err = run_cli(capsys, "run",
                                  str(CIRCUITS / "measurement.yaml"))
         assert status == 2
@@ -597,8 +601,10 @@ def test_ten_qubits_at_depth_1000_run_within_200_mib(tmp_path):
     time: the cross-check compares their two 3n x (T+1) expectation tables."""
     path = tmp_path / "deep.yaml"
     path.write_text(deep_circuit(10, 1000, 500), encoding="utf-8")
+    # -W error: a RuntimeWarning of the vectorised code at n=10 fails too.
     done = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_WRAPPER, "run", str(path)],
+        [sys.executable, "-W", "error", "-c", PEAK_RSS_WRAPPER, "run",
+         str(path)],
         capture_output=True, text=True, cwd=CIRCUITS.parent)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
@@ -606,6 +612,23 @@ def test_ten_qubits_at_depth_1000_run_within_200_mib(tmp_path):
     assert report["queries"][0]["frame_weight"] > 0.1
     peak_mib = int(done.stderr.splitlines()[-1]) / 1024
     assert peak_mib < 200, f"peak RSS {peak_mib:.1f} MiB"
+
+
+def test_oracle_at_ten_qubits_peaks_below_3_45_stacks():
+    """The oracle's peak on ``deep_circuit(10, 1000, 500)``, in stacks of
+    (T+1) state vectors, 16 (T+1) 2^n bytes: its states, a conjugate and a
+    sigma stack for the table, and a little more. Its gate parts, here 481
+    distinct gates' worth, are gone before the table is made."""
+    gates = parse_circuit(deep_circuit(10, 1000, 500)).gates
+    psi = network.init_network(10).psi
+    tracemalloc.start()
+    try:
+        oracle.evolve(psi, gates, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stacks = peak / (16 * (len(gates) + 1) * 2 ** 10)
+    assert stacks < 3.45, f"peak {stacks:.2f} stacks"
 
 
 def test_a_record_before_the_final_step_reads_no_matrix(capsys, tmp_path,

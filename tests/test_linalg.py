@@ -7,7 +7,17 @@ from heisim.errors import NotHermitian, ValidationError
 from heisim.linalg import (DEFAULT_TOL, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            embed, exceeds, identity, max_abs, negligible,
                            spectral, worst)
-from heisim.oracle import _unitarity_defect as unitarity_defect
+from heisim.oracle import _unitarity_defects
+
+
+def unitarity_defect(d0, target, d1):
+    """The oracle's defect of one gate's parts, a batch of one row; a
+    diagonal gate (no target) has d1 = 0."""
+    d1 = np.zeros_like(d0) if d1 is None else d1
+    (defect,) = _unitarity_defects(np.array([d0], complex),
+                                   np.array([d1], complex),
+                                   np.array([target or 0]))
+    return defect
 
 
 def random_hermitian(rng, dim):

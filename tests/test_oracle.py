@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -117,8 +118,61 @@ def every_gate(n):
         yield Gate.ccnot(*operands)
 
 
+def parts_of(gates, n):
+    """d0, d1 and targets of the gates, one row each, from one call."""
+    return oracle._parts(list(gates), oracle._sigma_z(n))
+
+
 def unitarity_defect(gate, n):
-    return oracle._unitarity_defect(*oracle._gate_parts(gate, n))
+    return oracle._unitarity_defects(*parts_of([gate], n))[0]
+
+
+def scatter(d0, d1, target):
+    """The dense D0 + X_t D1 of one row of parts."""
+    dim = len(d0)
+    u = np.zeros((dim, dim), dtype=complex)
+    j = np.arange(dim)
+    u[j, j] = d0
+    if target:
+        u[j ^ (dim >> target), j] = d1
+    return u
+
+
+def flip(m, target):
+    """X_t m as a view: the last axis of m split as (2^(t-1), 2, rest) with
+    the target's bit reversed."""
+    return m.reshape(m.shape[:-1] + (2 ** (target - 1), 2, -1))[..., ::-1, :]
+
+
+def sigma(m, a, c, z):
+    """sigma_ac m on the last axis: sigma_x = X_a, sigma_z = D(z_a),
+    sigma_y = D(-i z_a) X_a, each a new array."""
+    if c == "z":
+        return m * z[a - 1]
+    flipped = flip(m, a).copy().reshape(m.shape)
+    if c == "y":
+        flipped *= -1j * z[a - 1]
+    return flipped
+
+
+def reference_evolve(psi, gates, n):
+    """The per-step loop evolve replaces: each step from its own gate's
+    parts, built afresh, as d0 psi + X_t (d1 psi) through a view; then one
+    sigma stack per (a, c) for the table."""
+    z = oracle._sigma_z(n)
+    states = np.empty((len(gates) + 1, 2 ** n), dtype=complex)
+    states[0] = psi
+    for step, gate in enumerate(gates):
+        (d0,), (d1,), (target,) = oracle._parts([gate], z)
+        np.multiply(d0, states[step], out=states[step + 1])
+        if target:
+            flipped = flip(d1 * states[step], target)
+            halves = states[step + 1].reshape(flipped.shape)
+            halves += flipped
+    bras = states.conj()
+    return states, np.array([
+        np.einsum("tj,tj->t", bras, sigma(states, a, c, z))
+        for a in range(1, n + 1) for c in COMPONENTS])
 
 
 class TestGateMatrix:
@@ -141,13 +195,14 @@ class TestGateMatrix:
             assert unitarity_defect(gate, n) == pytest.approx(
                 dense, abs=bound), gate
         # A NaN on the diagonal reads NaN and fails the check.
-        parts = oracle._gate_parts
+        parts = oracle._parts
 
-        def nan_first(gate, n):
-            d0, target, d1 = parts(gate, n)
-            return np.where(np.arange(2 ** n) == 0, np.nan, d0), target, d1
+        def nan_first(gates, z):
+            d0, d1, targets = parts(gates, z)
+            d0[:, 0] = np.nan
+            return d0, d1, targets
 
-        monkeypatch.setattr(oracle, "_gate_parts", nan_first)
+        monkeypatch.setattr(oracle, "_parts", nan_first)
         for gate in (Gate("I"), Gate.h(n), Gate.rz(1, 0.7)):
             assert np.isnan(unitarity_defect(gate, n))
             with pytest.raises(NonUnitary, match=r"^step 0: .*"
@@ -197,16 +252,17 @@ class TestGateMatrix:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_sigma_equals_the_embedded_pauli(self, n):
+        # sigma as the table applies it, read through <psi|sigma_ac psi>.
         rng = np.random.default_rng(20 + n)
         stack = rng.normal(size=(7, 2 ** n)) + 1j * rng.normal(size=(7, 2 ** n))
         before = stack.copy()
-        for a in range(1, n + 1):
-            for c in COMPONENTS:
-                want = (linalg.embed(linalg.PAULIS[c], a, n) @ stack.T).T
-                assert max_abs(oracle._apply_sigma(stack, a, c) - want) <= 1e-15
-                assert max_abs(oracle._apply_sigma(stack[3], a, c)
-                               - want[3]) <= 1e-15
-        # Every sigma is a new array: the states it reads stay as they were.
+        table = oracle._expectations(stack, oracle._sigma_z(n))
+        want = [np.einsum("tj,tj->t", stack.conj(),
+                          (linalg.embed(linalg.PAULIS[c], a, n) @ stack.T).T)
+                for a in range(1, n + 1) for c in COMPONENTS]
+        assert table.shape == (3 * n, 7)
+        assert max_abs(table - np.array(want)) <= 1e-12
+        # The sigma stack is scratch: the states it reads stay as they were.
         assert np.array_equal(stack, before)
 
     def test_not_matrix(self):
@@ -223,6 +279,70 @@ class TestGateMatrix:
                              [0, 0, 0, 1],
                              [0, 0, 1, 0]], dtype=complex)
         assert np.allclose(gate_matrix(Gate.cnot(1, 2), 2), expected)
+
+
+class TestParts:
+    """The one builder of every distinct gate's parts, and their defects."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_one_mixed_call_equals_the_dense_builder(self, n):
+        gates = list(every_gate(n))
+        d0, d1, targets = parts_of(gates, n)
+        assert d0.shape == d1.shape == (len(gates), 2 ** n)
+        for row, gate in enumerate(gates):
+            assert (scatter(d0[row], d1[row], targets[row]).tobytes()
+                    == dense_gate_matrix(gate, n).tobytes()), gate
+            # A diagonal gate has no target and d1 = 0.
+            assert bool(targets[row]) == bool(np.any(d1[row])), gate
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_row_defect_matches_the_dense_one(self, n, monkeypatch):
+        bound = 8 * 2 ** n * np.finfo(float).eps
+        gates = list(every_gate(n))
+        defects = oracle._unitarity_defects(*parts_of(gates, n))
+        for defect, gate in zip(defects, gates):
+            u = dense_gate_matrix(gate, n)
+            dense = max_abs(u.conj().T @ u - linalg.identity(2 ** n))
+            assert defect == pytest.approx(dense, abs=bound), gate
+        # Chunks of three rows, the last one short, give the same defects.
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", 3 * 16 * 2 ** n)
+        assert len(gates) % 3
+        chunked = oracle._unitarity_defects(*parts_of(gates, n))
+        assert chunked.tobytes() == defects.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_a_non_finite_part_fails_only_its_gate(self, value, part):
+        gates = list(every_gate(3))
+        d0, d1, targets = parts_of(gates, 3)
+        bad = [row for row, gate in enumerate(gates)
+               if part == 0 or targets[row]][::7]
+        for row in bad:
+            (d0, d1)[part][row, row % 8] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            defects = oracle._unitarity_defects(d0, d1, targets)
+        for row, defect in enumerate(defects):
+            if row in bad:
+                assert linalg.exceeds(defect, 1e300), gates[row]
+            else:
+                assert defect <= 1e-15, gates[row]
+
+    def test_the_earliest_of_two_failing_steps_is_named(self):
+        # Both F gates are within the fixed 1e-10 that Gate takes for F and
+        # beyond 1e-13; the second distinct one fails at the earlier step.
+        late = Gate.f(1, 2, 1.000000000001, 0.0, 0.0, 0.0)
+        early = Gate.f(2, 1, -1.000000000002, 0.0, 0.0, 0.0)
+        psi = init_network(2).psi
+        tight = Tolerances(unitary=1e-13)
+        for gates, step, operands in (
+                ([Gate.h(1), late, Gate.h(2), early, late], 1, r"\(1, 2\)"),
+                ([Gate.h(1), early, late, Gate.h(2), early], 1, r"\(2, 1\)"),
+                ([Gate.h(1), Gate.h(2), Gate.cnot(1, 2), late, early], 3,
+                 r"\(1, 2\)")):
+            with pytest.raises(NonUnitary, match=rf"^step {step}: F on "
+                               rf"{operands}: unitarity defect"):
+                evolve(psi, gates, 2, tight)
 
 
 class TestEvolve:
@@ -256,31 +376,39 @@ class TestEvolve:
 
     def test_each_distinct_gate_is_checked_once_per_call(self, monkeypatch):
         checked = []
-        defect = oracle._unitarity_defect
-        monkeypatch.setattr(oracle, "_unitarity_defect", lambda *parts: (
-            checked.append(parts), defect(*parts))[1])
+        defects = oracle._unitarity_defects
+        monkeypatch.setattr(oracle, "_unitarity_defects", lambda *parts: (
+            checked.append([part.copy() for part in parts]),
+            defects(*parts))[1])
         gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(1), Gate.rz(2, 0.3),
                  Gate.cnot(1, 2), Gate.rz(2, 0.9), Gate.h(1), Gate.rz(2, 0.3)]
         psi = init_network(2).psi
         run = evolve(psi, gates, 2)
+        # One pass over the distinct gates, in the order of their first step.
         distinct = [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, 0.3),
                     Gate.rz(2, 0.9)]
-        assert len(checked) == len(distinct)
-        for (d0, target, d1), gate in zip(checked, distinct):
-            want_d0, want_target, want_d1 = oracle._gate_parts(gate, 2)
-            assert np.array_equal(d0, want_d0) and target == want_target
-            assert d1 is want_d1 is None or np.array_equal(d1, want_d1)
+        assert len(checked) == 1
+        for got, want in zip(checked[0], parts_of(distinct, 2)):
+            assert got.tobytes() == want.tobytes()
         # The states are those of an unmemoised run: each step from parts
         # built afresh.
-        want = psi
-        for gate, state in zip(gates, run.states[1:]):
-            step = np.empty_like(want)
-            oracle._apply_parts(oracle._gate_parts(gate, 2), want, step)
-            assert np.array_equal(state, step)
-            want = step
+        states, _ = reference_evolve(psi, gates, 2)
+        assert run.states.tobytes() == states.tobytes()
         # The verdicts belong to one call: a second run checks again.
         evolve(psi, gates, 2)
-        assert len(checked) == 2 * len(distinct)
+        assert len(checked) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_the_per_step_reference(self, n):
+        rng = np.random.default_rng(300 + n)
+        psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        psi /= np.linalg.norm(psi)
+        for gates in (list(every_gate(n)), random_circuit(rng, n, 80),
+                      random_circuit(rng, n, 80)[:5] * 9):
+            run = evolve(psi, gates, n)
+            states, table = reference_evolve(psi, gates, n)
+            assert run.states.tobytes() == states.tobytes()
+            assert run.expectations.tobytes() == table.tobytes()
 
     def test_first_failing_step_is_named(self):
         # Within the fixed 1e-10 that Gate takes for F, beyond 1e-13.
@@ -380,9 +508,14 @@ class TestCrossValidate:
 
     def test_one_nan_comparison_fails_its_step(self, monkeypatch):
         # Only the y comparisons read NaN; the x and z ones agree.
-        sigma = oracle._apply_sigma
-        monkeypatch.setattr(oracle, "_apply_sigma", lambda m, a, c: (
-            np.full(m.shape, np.nan) if c == "y" else sigma(m, a, c)))
+        table = oracle._expectations
+
+        def nan_y(states, z):
+            rows = table(states, z)
+            rows[1::3] = np.nan
+            return rows
+
+        monkeypatch.setattr(oracle, "_expectations", nan_y)
         gates = [Gate.h(1)]
         timeline = run_gates(init_network(2), gates)
         run = evolve(timeline[0].psi, gates, 2)

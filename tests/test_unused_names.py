@@ -26,8 +26,9 @@ ALLOWED = {
     # Traced by perfbench/worker.py's TRACED list, whose tests assert that
     # only their planted name is absent; it goes when that list drops it.
     "make_pvm_spectral",
-    # The same list traces it; the oracle's steps apply gate parts, and
-    # tests hold this dense form of a gate to its definition.
+    # The same list traces it; no run calls it. It scatters one gate's
+    # parts, from the builder the oracle's runs read, into the dense
+    # matrix that tests hold to the gate's definition.
     "gate_matrix",
 }
 
