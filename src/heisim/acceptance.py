@@ -86,7 +86,7 @@ def criterion_2(seed: int) -> dict:
         zip(_triples(final), (expected_s, expected_m))
         for got, want in zip(triple, expected))
 
-    run = oracle.evolve(init_network(2).psi, [Gate.h(1), Gate.cnot(1, 2)], 2)
+    run = oracle.evolve(init_network(2).phi, [Gate.h(1), Gate.cnot(1, 2)], 2)
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     overlap = np.vdot(bell, run.states[-1])
@@ -149,20 +149,19 @@ def criterion_5(seed: int) -> dict:
         for q in (1, 2):
             for c in COMPONENTS:
                 value = network.expectation(final, final.ket(q, c))
-                worst_abs = linalg.worst((worst_abs, abs(np.real(value))))
+                worst_abs = linalg.worst((worst_abs, abs(value)))
         # The q_1z record is taken at step 2, before the rotation.
         plus, minus = relative.record_pvm(final, Record(timeline[2], 1, "z"))
         for frame, target_z in ((plus, 1.0), (minus, -1.0)):
-            values = [np.real(relative.relative_expectation(
-                final, final.ket(2, c), frame)) for c in COMPONENTS]
+            values = [relative.relative_expectation(
+                final, final.ket(2, c), frame) for c in COMPONENTS]
             worst_rel = linalg.worst((worst_rel, abs(values[0]),
                                       abs(values[1]), abs(values[2] - target_z)))
         if theta in (thetas[0], thetas[4]):  # 0 and pi/2
             matrices[theta] = _triples(final)[1]
         fin2 = network.run_gates(init_network(2),
                                  [*measured, Gate.cnot(1, 2)])[-1]
-        recovered.append(float(np.real(
-            network.expectation(fin2, fin2.ket(1, "x")))))
+        recovered.append(network.expectation(fin2, fin2.ket(1, "x")))
     distance = max(max_abs(a - b) for a, b in
                    zip(matrices[thetas[0]], matrices[thetas[4]]))
     spread = max(recovered) - min(recovered)
@@ -218,7 +217,7 @@ def criterion_7(seed: int) -> dict:
         depth = int(rng.integers(1, 21))
         gates = [_random_gate(rng, n) for _ in range(depth)]
         timeline = network.run_gates(init_network(n), gates)
-        run = oracle.evolve(timeline[0].psi, gates, n)
+        run = oracle.evolve(timeline[0].phi, gates, n)
         cross = oracle.cross_validate(run, timeline)
         worst = linalg.worst((worst, cross.max_residual))
         final = timeline[-1]

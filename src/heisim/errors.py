@@ -73,7 +73,7 @@ class NotReversible(ValidationError):
 
 
 class SynthesisError(ValidationError):
-    """Reversible synthesis cannot proceed (e.g. not enough clean ancillas)."""
+    """Reversible synthesis would need a gate with more than two controls."""
 
 
 class PreconditionFailed(PhysicsError):

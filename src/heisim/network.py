@@ -17,11 +17,13 @@ Descriptors are computed from U when something reads them. A run
 the final step; every other step leaves only phi_t, and the <sigma_ac>_t
 table is folded from the phi_t stack.
 
-A run answers from phi = U Psi and the local Paulis: <q_ac> =
-<phi|sigma_ac phi> and <q_ai q_bj> = <sigma_ai phi|sigma_bj phi>, the second
-within U's Gram defects. An observable is passed only as its *ket*, the
-vector U A Psi (sigma_ac phi for a descriptor, ``NetworkState.ket``); a
-descriptor matrix is ``NetworkState.component``. Every record check reads
+The fixed state Psi is the constant e_0, so a state is its U alone, and
+phi = U Psi is U's first column. A run answers from phi and the local
+Paulis: <q_ac> = <phi|sigma_ac phi> and <q_ai q_bj> =
+<sigma_ai phi|sigma_bj phi>, the second within U's Gram defects. An
+observable is passed only as its *ket*, the vector U A Psi (sigma_ac phi for
+a descriptor, ``NetworkState.ket``); a descriptor matrix is
+``NetworkState.component``. Every record check reads
 one number, the algebra certificate of a state (``certify``): it must lie
 within tol.general and tol.commute, and it then bounds a record's
 involution defect and decides its commutators on the operands' block
@@ -134,16 +136,15 @@ class Gate:
 
 @dataclass(frozen=True, eq=False)
 class NetworkState:
-    """Immutable network snapshot: accumulated unitary and fixed state.
+    """Immutable network snapshot: the accumulated unitary.
 
     ``u`` is U_t, the product of every gate so far; the descriptors are
-    q_ac(t) = U_t† sigma_ac U_t.
+    q_ac(t) = U_t† sigma_ac U_t over the fixed state Psi = e_0.
     """
 
     n: int
     t: int
     u: np.ndarray
-    psi: np.ndarray
     tol: Tolerances = DEFAULT_TOL
     # Everything computed once: "phi", "certificate", and the descriptor
     # components ("component", qubit, component) and kets ("ket", qubit,
@@ -174,10 +175,11 @@ class NetworkState:
 
     @property
     def phi(self) -> np.ndarray:
-        """phi = U Psi, computed once."""
+        """phi = U Psi = U e_0, U's first column, copied once: inner products
+        over the strided column view round differently."""
         phi = self._cache.get("phi")
         if phi is None:
-            phi = self._cache["phi"] = self.u @ self.psi
+            phi = self._cache["phi"] = self.u[:, 0].copy()
             phi.flags.writeable = False
         return phi
 
@@ -241,9 +243,7 @@ def init_network(n: int, tol: Tolerances = DEFAULT_TOL) -> NetworkState:
     """Fresh n-qubit network at t=0: generator descriptors, all z sharp at +1."""
     if not 1 <= n <= linalg.MAX_QUBITS:
         raise SizeLimit(f"n must be in 1..{linalg.MAX_QUBITS}, got {n}")
-    psi = np.zeros(2 ** n, dtype=complex)
-    psi[0] = 1.0
-    return NetworkState(n, 0, linalg.identity(2 ** n), psi, tol)
+    return NetworkState(n, 0, linalg.identity(2 ** n), tol)
 
 
 @cache
@@ -400,7 +400,7 @@ def apply_gate(state: NetworkState, gate: Gate) -> NetworkState:
     """
     gate.validate(state.n)
     u = state.u if gate.kind == "I" else _multiply_rows(state, gate)
-    return NetworkState(state.n, state.t + 1, u, state.psi, state.tol)
+    return NetworkState(state.n, state.t + 1, u, state.tol)
 
 
 def _check_kets(state: NetworkState, *kets: np.ndarray) -> None:
@@ -411,26 +411,19 @@ def _check_kets(state: NetworkState, *kets: np.ndarray) -> None:
                               f"expected the ket of shape ({state.dim},)")
 
 
-def _scalar(state: NetworkState, value):
-    """An expectation value: real float when its imaginary part is roundoff."""
-    value = complex(value)
-    if abs(value.imag) <= state.tol.general * max(1.0, abs(value)):
-        return value.real
-    return value
-
-
-def expectation(state: NetworkState, observable: np.ndarray):
-    """<Psi| A |Psi> = <phi| U A Psi> from the ket U A Psi of A; a real float
-    when A is Hermitian."""
+def expectation(state: NetworkState, observable: np.ndarray) -> float:
+    """Re <Psi| A |Psi> = Re <phi| U A Psi> from the ket U A Psi of A: the
+    expectation itself when A is Hermitian."""
     _check_kets(state, observable)
-    return _scalar(state, np.vdot(state.phi, observable))
+    return float(np.vdot(state.phi, observable).real)
 
 
-def correlation(state: NetworkState, a: np.ndarray, b: np.ndarray):
-    """<Psi| A B |Psi> = <U A Psi|U B Psi> from the kets of a Hermitian A
-    and of B; the real/imaginary rule is expectation's."""
+def correlation(state: NetworkState, a: np.ndarray, b: np.ndarray) -> float:
+    """Re <Psi| A B |Psi> = Re <U A Psi|U B Psi> from the kets of a
+    Hermitian A and of B: the correlation itself when AB is Hermitian, as
+    for commuting A and B."""
     _check_kets(state, a, b)
-    return _scalar(state, np.vdot(a, b))
+    return float(np.vdot(a, b).real)
 
 
 def is_sharp(state: NetworkState, observable: np.ndarray) -> Optional[float]:
@@ -446,7 +439,7 @@ def is_sharp(state: NetworkState, observable: np.ndarray) -> Optional[float]:
     if math.isnan(defect):
         raise ToleranceViolation("sharpness defect is nan")
     if defect <= state.tol.sharp:
-        return float(np.real(mean))
+        return mean
     return None
 
 
@@ -471,12 +464,12 @@ def are_entangled(state: NetworkState, a: int, b: int) -> EntanglementWitness:
     phi = state.phi
     rows = [(ci, state.ket(a, ci).conj()) for ci in COMPONENTS]
     cols = [(cj, state.ket(b, cj)) for cj in COMPONENTS]
-    means_b = [_scalar(state, np.vdot(phi, col)) for _, col in cols]
+    means_b = [np.vdot(phi, col).real for _, col in cols]
     pairs = []
     for ci, row in rows:
-        ei = _scalar(state, row @ phi)
+        ei = (row @ phi).real
         for (cj, col), ej in zip(cols, means_b):
-            pairs.append(((ci, cj), abs(_scalar(state, row @ col) - ei * ej)))
+            pairs.append(((ci, cj), abs((row @ col).real - ei * ej)))
     best = linalg.worst(disc for _, disc in pairs)
     if math.isnan(best):
         raise ToleranceViolation(
@@ -650,7 +643,7 @@ def run_gates(state: NetworkState, gates: Sequence[Gate],
               keep: Optional[Collection[int]] = None) -> Timeline:
     """Apply a gate sequence in one pass, from ``state`` at step 0.
 
-    phi_t, U_t's first column as Psi is the first basis vector, is stacked
+    phi_t, U_t's first column (``NetworkState.phi``), is stacked
     until the end, which tabulates ``Timeline.expectations`` from it in one
     pass per qubit a. With phi0 and phi1 the rows of the stack where a's bit
     is 0 and 1, <x_a> + i <y_a> = 2 sum conj(phi0) phi1 and <z_a> =

@@ -68,39 +68,26 @@ class ClassicalFunction:
         return cls(bits, tuple((v + 1) % size for v in range(size)))
 
 
-def _toffoli_gates(controls: tuple[int, ...], target: int,
-                   ancillas: tuple[int, ...]) -> list[Gate]:
-    """Expand a positive-control generalized Toffoli into NOT/CNOT/CCNOT.
-
-    Controls beyond two are folded pairwise into clean ancillas (restored
-    afterwards), one ancilla per extra control.
-    """
-    if len(controls) == 0:
-        return [Gate.not_(target)]
-    if len(controls) == 1:
-        return [Gate.cnot(controls[0], target)]
-    if len(controls) == 2:
-        return [Gate.ccnot(controls[0], controls[1], target)]
-    if not ancillas:
-        raise SynthesisError(
-            f"{len(controls)}-control Toffoli needs a clean ancilla")
-    anc = ancillas[0]
-    fold = Gate.ccnot(controls[0], controls[1], anc)
-    inner = _toffoli_gates((anc,) + controls[2:], target, ancillas[1:])
-    return [fold] + inner + [fold]
+def _toffoli_gate(controls: tuple[int, ...], target: int) -> Gate:
+    """A positive-control generalized Toffoli as one NOT, CNOT or CCNOT;
+    SynthesisError for more than two controls."""
+    if len(controls) > 2:
+        raise SynthesisError(f"{len(controls)}-control Toffoli: synthesis "
+                             f"takes at most two controls per gate")
+    return Gate(("NOT", "CNOT", "CCNOT")[len(controls)], (*controls, target))
 
 
-def compile_classical(func: ClassicalFunction, register: Sequence[int],
-                      ancillas: Sequence[int] = ()) -> list[Gate]:
+def compile_classical(func: ClassicalFunction,
+                      register: Sequence[int]) -> list[Gate]:
     """Synthesize a NOT/CNOT/CCNOT gate list realizing ``func`` on the register.
 
     Transformation-based synthesis: walk inputs in increasing order, mapping
     each output to its input with generalized Toffolis whose controls never
-    disturb already-fixed smaller entries. Ancillas must be clean (bit 0) and
-    are returned clean.
+    disturb already-fixed smaller entries. Each Toffoli is one gate, so a
+    function that needs one with more than two controls raises
+    SynthesisError; no ancillas are used.
     """
     register = tuple(register)
-    ancillas = tuple(ancillas)
     if len(register) != func.bits:
         raise BadSubset(
             f"register has {len(register)} qubits, function needs {func.bits}")
@@ -139,11 +126,9 @@ def compile_classical(func: ClassicalFunction, register: Sequence[int],
                 apply_to_table(controls, bit)
     assert table == list(range(size)), "synthesis failed to reach identity"
 
-    gates: list[Gate] = []
-    for control_bits, target_bit in reversed(placed):
-        controls = tuple(register[c] for c in control_bits)
-        gates.extend(_toffoli_gates(controls, register[target_bit], ancillas))
-    return gates
+    return [_toffoli_gate(tuple(register[c] for c in control_bits),
+                          register[target_bit])
+            for control_bits, target_bit in reversed(placed)]
 
 
 @dataclass(frozen=True)

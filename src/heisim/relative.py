@@ -69,12 +69,13 @@ class AutonomyResult:
 def make_pvm(state: NetworkState, plus: np.ndarray,
              source: str = "") -> tuple[RelativeFrame, RelativeFrame]:
     """Two-frame PVM of an involution record, from the ket of its projector
-    P+ = 1/2(1 + q); P- = 1 - P+ has the ket phi - P+'s ket."""
-    plus_weight = float(np.real(network.expectation(state, plus)))
+    P+ = 1/2(1 + q); P- = 1 - P+ has the ket phi - P+'s ket. Each weight
+    <P> is ``network.expectation`` of its ket."""
     minus = state.phi - plus
-    return (RelativeFrame(plus, 1.0, source, plus_weight),
+    return (RelativeFrame(plus, 1.0, source,
+                          network.expectation(state, plus)),
             RelativeFrame(minus, -1.0, source,
-                          float(np.real(network.expectation(state, minus)))))
+                          network.expectation(state, minus)))
 
 
 def record_pvm(state: NetworkState,
@@ -94,9 +95,9 @@ def make_pvm_spectral(state: NetworkState, observable: np.ndarray,
     decomp = linalg.spectral(observable)
     frames = []
     for lam, proj in zip(decomp.eigenvalues, decomp.projectors):
-        ket = state.u @ (proj @ state.psi)
-        weight = float(np.real(network.expectation(state, ket)))
-        frames.append(RelativeFrame(ket, lam, source, weight))
+        ket = state.u @ proj[:, 0]
+        frames.append(RelativeFrame(ket, lam, source,
+                                    network.expectation(state, ket)))
     return tuple(frames)
 
 
@@ -160,14 +161,16 @@ def relative_descriptors(state: NetworkState, qubit: int, record: Record
 
 
 def relative_expectation(state: NetworkState, observable: np.ndarray,
-                         frame: RelativeFrame):
-    """Branch-conditional expectation <A P> / <P>, from the kets of A and
-    of the frame."""
-    weight = np.real(network.expectation(state, frame.ket))
-    if linalg.negligible(weight, state.tol.weight):
-        raise ZeroWeightBranch(
-            f"branch {frame.label} of {frame.source!r} has weight {weight:.3e}")
-    return network.correlation(state, observable, frame.ket) / weight
+                         frame: RelativeFrame) -> float:
+    """Branch-conditional expectation Re <A P> / <P>, from the kets of A and
+    of the frame and the frame's ``weight`` <P>.
+
+    A weight within tol.weight, NaN included, raises ZeroWeightBranch.
+    """
+    if linalg.negligible(frame.weight, state.tol.weight):
+        raise ZeroWeightBranch(f"branch {frame.label} of {frame.source!r} "
+                               f"has weight {frame.weight:.3e}")
+    return network.correlation(state, observable, frame.ket) / frame.weight
 
 
 def autonomy_check(state: NetworkState, gate: Gate,

@@ -36,10 +36,6 @@ def _clean(obj):
         return [_clean(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         return _round_sig(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": _round_sig(obj.real), "im": _round_sig(obj.imag)}
     return obj
 
 
@@ -65,10 +61,10 @@ def _answer_query(timeline: network.Timeline, query: dict) -> dict:
                 state, _record(timeline, query["frame"]))
             frame = plus if query["frame"]["label"] == 1 else minus
             value = relative.relative_expectation(state, obs, frame)
-            return {"kind": kind, "value": np.real(value),
+            return {"kind": kind, "value": value,
                     "frame_label": query["frame"]["label"],
                     "frame_weight": frame.weight}
-        return {"kind": kind, "value": np.real(network.expectation(state, obs))}
+        return {"kind": kind, "value": network.expectation(state, obs)}
     if kind == "sharpness":
         value = network.is_sharp(state, state.ket(query["qubit"],
                                                   query["component"]))
@@ -85,8 +81,7 @@ def _answer_query(timeline: network.Timeline, query: dict) -> dict:
         live = relative.live_frames(report.frames, state.tol)
         rel_exp = {
             str(q): {f"{frame.label:g}": [
-                np.real(relative.relative_expectation(
-                    state, state.ket(q, c), frame))
+                relative.relative_expectation(state, state.ket(q, c), frame)
                 for c in COMPONENTS] for frame in live}
             for q in query["qubits"]}
         return {"kind": kind,
@@ -129,7 +124,7 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
 
     # Unnamed, the oracle's states are freed before any query runs.
     cross = oracle.cross_validate(oracle.evolve(
-        state0.psi, circuit.gates, circuit.qubits, tol), timeline)
+        state0.phi, circuit.gates, circuit.qubits, tol), timeline)
     # Both bounds are checked before the queries, so a run whose pictures
     # disagree names its residual, not a query precondition of a wrong
     # state; the certificate is the one every record check of the final

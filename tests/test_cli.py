@@ -542,8 +542,7 @@ class TestExitStatuses:
         def skip_step_3(state, gate):
             if state.t != 3:
                 return apply_gate(state, gate)
-            return network.NetworkState(state.n, 4, state.u, state.psi,
-                                        state.tol)
+            return network.NetworkState(state.n, 4, state.u, state.tol)
 
         monkeypatch.setattr(network, "apply_gate", skip_step_3)
         status, out, err = run_cli(capsys, "run",
@@ -620,7 +619,7 @@ def test_oracle_at_ten_qubits_peaks_below_3_45_stacks():
     sigma stack for the table, and a little more. Its gate parts, here 481
     distinct gates' worth, are gone before the table is made."""
     gates = parse_circuit(deep_circuit(10, 1000, 500)).gates
-    psi = network.init_network(10).psi
+    psi = network.init_network(10).phi
     tracemalloc.start()
     try:
         oracle.evolve(psi, gates, 10)

@@ -33,8 +33,7 @@ def fresh_final(timeline):
     """The same run with a fresh final state, whose certificate is not
     taken: its record checks take it themselves."""
     last = timeline[-1]
-    return [*timeline][:-1] + [NetworkState(last.n, last.t, last.u, last.psi,
-                                         last.tol)]
+    return [*timeline][:-1] + [NetworkState(last.n, last.t, last.u, last.tol)]
 
 
 def random_gate(rng, n):
@@ -51,7 +50,8 @@ def ref(qubit, name, step):
 def dense_weight(state, qubit, name):
     """<P+> of the record q_{qubit,name} of ``state``, from its matrix."""
     q = state.component(qubit, name)
-    return 0.5 * (1 + np.vdot(state.psi, q @ state.psi).real)
+    psi = linalg.identity(state.dim)[0]  # Psi = e_0
+    return 0.5 * (1 + np.vdot(psi, q @ psi).real)
 
 
 # The dense operator path --------------------------------------------------
@@ -60,7 +60,8 @@ def dense_answer(timeline, query):
     """A query's answer from descriptor matrices U† sigma U of the final
     state and of each record's step, dense products and numpy's eigh."""
     state = timeline[-1]
-    tol, psi, one = state.tol, state.psi, linalg.identity(state.dim)
+    tol, one = state.tol, linalg.identity(state.dim)
+    psi = one[0]  # Psi = e_0
 
     def q(qubit, name):
         return state.component(qubit, name)
@@ -329,7 +330,7 @@ class TestAgainstDensePath:
         rng = np.random.default_rng(7)
         gates = [random_gate(rng, 4) for _ in range(12)]
         timeline = certify(run_gates(init_network(4), gates))
-        run = oracle.evolve(timeline[0].psi, gates, 4)
+        run = oracle.evolve(timeline[0].phi, gates, 4)
         final = timeline[-1]
         for a in range(1, 5):
             for c in COMPONENTS:
@@ -355,6 +356,14 @@ class TestSameErrors:
     """Each error fires on the same input whether or not the run took the
     final state's certificate first, with the same message; a commutator
     norm it names is the dense one."""
+
+    @pytest.fixture
+    def nan_phi(self, monkeypatch):
+        """Every state's phi NaN while its U stays finite, so the guards
+        after a finite certificate see NaN. A finite U gives a finite phi,
+        so no run reaches them; they are kept all the same."""
+        monkeypatch.setattr(NetworkState, "phi", property(
+            lambda state: np.full(state.dim, np.nan, dtype=complex)))
 
     def both(self, timeline, query):
         """The error of a run, whose final state is certified before the
@@ -420,22 +429,14 @@ class TestSameErrors:
         {"kind": "foliate", "record": ref(1, "z", 2), "qubits": [2]},
         {"kind": "classical", "register": [2], "reference": [1]},
     ], ids=["frame", "foliate", "classical"])
-    def test_nan_weight(self, query):
-        timeline = acceptance.section3_timeline()
-        last = timeline[-1]
-        timeline = [*timeline][:-1] + [NetworkState(
-            last.n, last.t, last.u, np.full_like(last.psi, np.nan))]
-        kind, message = self.both(timeline, query)
+    def test_nan_weight(self, query, nan_phi):
+        kind, message = self.both(acceptance.section3_timeline(), query)
         assert kind is ZeroWeightBranch
         assert "weight nan" in message
 
-    def test_nan_discrepancy(self):
-        timeline = acceptance.section3_timeline()
-        last = timeline[-1]
-        timeline = [*timeline][:-1] + [NetworkState(
-            last.n, last.t, last.u, np.full_like(last.psi, np.nan))]
-        kind, message = self.both(timeline, {"kind": "entanglement",
-                                             "qubits": [1, 2]})
+    def test_nan_discrepancy(self, nan_phi):
+        kind, message = self.both(acceptance.section3_timeline(),
+                                  {"kind": "entanglement", "qubits": [1, 2]})
         assert kind is ToleranceViolation
         assert message == "entanglement discrepancy of qubits 1 and 2 is nan"
 
@@ -473,8 +474,7 @@ class TestCertificateFallback:
         last = timeline[-1]
         tol = last.tol.override(general=1e-8)
         return [*timeline][:-1] + [NetworkState(last.n, last.t,
-                                             (1 + size) * last.u, last.psi,
-                                             tol)]
+                                             (1 + size) * last.u, tol)]
 
     @pytest.mark.parametrize("query", QUERIES, ids=["rz", "cnot", "foliate"])
     def test_dense_norm_above_the_commute_bound(self, norms, query):
@@ -501,7 +501,7 @@ class TestCertificateFallback:
         cert = network.algebra_certificate(last)
         for bound in (cert * 2, cert / 2):
             tol = DEFAULT_TOL.override(**{name: bound})
-            state = NetworkState(last.n, last.t, last.u, last.psi, tol)
+            state = NetworkState(last.n, last.t, last.u, tol)
             if bound > cert:
                 assert network.certify(state) == cert
             else:

@@ -1,5 +1,6 @@
 """Tests for descriptor networks: gates, conjugation, sharpness, entanglement."""
 
+import dataclasses
 import gc
 import itertools
 import tracemalloc
@@ -27,7 +28,8 @@ CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
 def dense_expectation(state, observable):
     """<Psi| A |Psi> of a 2^n x 2^n matrix, computed here as the reference."""
-    return np.vdot(state.psi, observable @ state.psi)
+    psi = linalg.identity(state.dim)[0]  # Psi = e_0
+    return np.vdot(psi, observable @ psi)
 
 
 def measurement_timeline():
@@ -61,7 +63,20 @@ class TestInitNetwork:
 
     def test_heisenberg_state_is_first_basis_vector(self):
         state = init_network(2)
-        assert np.allclose(state.psi, [1, 0, 0, 0])
+        assert np.allclose(state.phi, [1, 0, 0, 0])
+
+    def test_a_state_is_its_unitary(self):
+        # No fixed-state field: phi is U's first column, bitwise, at every
+        # kept step of random runs.
+        assert [f.name for f in dataclasses.fields(network.NetworkState)] \
+            == ["n", "t", "u", "tol", "_cache"]
+        rng = np.random.default_rng(21)
+        for n in range(1, 7):
+            timeline = run_gates(init_network(n),
+                                 list(random_circuit(rng, n, 20)))
+            for state in timeline:
+                assert state.phi.tobytes() == state.u[:, 0].tobytes(), \
+                    (n, state.t)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
@@ -379,7 +394,7 @@ class TestPermutationGather:
     def test_gather_equals_the_local_product(self, n):
         rng = np.random.default_rng(40 + n)
         u = random_unitary(rng, 2 ** n)
-        state = network.NetworkState(n, 0, u, init_network(n).psi)
+        state = network.NetworkState(n, 0, u)
         for gate in permutation_gates(n):
             product = network._apply_local(network.local_matrix(gate),
                                            gate.operands, u)
@@ -401,16 +416,15 @@ class TestPermutationGather:
         params = {"RZ": (0.9,), "F": (0.5, 0.5, 0.5, -0.5)}.get(kind, ())
         gate = Gate(kind, operands, params)
         g = network.local_matrix(gate)
-        psi = init_network(n).psi
         real = rng.normal(size=(16, 16))
         for u in (np.asfortranarray(random_unitary(rng, 16)), real,
                   np.asfortranarray(real)):
-            got = apply_gate(network.NetworkState(n, 0, u, psi), gate).u
+            got = apply_gate(network.NetworkState(n, 0, u), gate).u
             assert got.dtype == complex and got.flags.c_contiguous
             assert max_abs(got - tensordot_apply(g, operands,
                                                  np.ascontiguousarray(u))
                            ) <= 1e-15
-        same = network.NetworkState(n, 0, real, psi)
+        same = network.NetworkState(n, 0, real)
         assert apply_gate(same, Gate("I")).u is real
 
 
@@ -452,9 +466,11 @@ class TestIsSharp:
 
     def test_nan_is_a_tolerance_violation(self):
         # NaN is no evidence either way: it must not read as "not sharp".
+        # It is injected at phi, U's first column.
         final = measurement_timeline()[-1]
-        broken = network.NetworkState(2, final.t, final.u,
-                                      np.full_like(final.psi, np.nan))
+        u = final.u.copy()
+        u[:, 0] = np.nan
+        broken = network.NetworkState(2, final.t, u)
         with pytest.raises(ToleranceViolation,
                            match="sharpness defect is nan") as caught:
             is_sharp(broken, broken.ket(1, "z"))
@@ -496,7 +512,7 @@ class TestEntanglement:
         final = measurement_timeline()[-1]
         u = final.u.copy()
         u[0, 0] = np.nan
-        broken = network.NetworkState(2, final.t, u, final.psi)
+        broken = network.NetworkState(2, final.t, u)
         with pytest.raises(ToleranceViolation,
                            match="qubits 1 and 2 is nan") as caught:
             are_entangled(broken, 1, 2)
@@ -511,26 +527,38 @@ def random_complex(rng, dim):
 class TestCorrelation:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_expectation_of_the_product(self, n):
-        # A Hermitian A and a non-Hermitian B against a random normalized
-        # fixed state, passed as their kets A Psi and B Psi (U = 1).
+        # A Hermitian A and a non-Hermitian B under a random unitary U,
+        # passed as their kets U A Psi and U B Psi: the real part of <AB>.
         rng = np.random.default_rng(50 + n)
         dim = 2 ** n
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        state = network.NetworkState(n, 0, linalg.identity(dim),
-                                     psi / np.linalg.norm(psi))
+        state = network.NetworkState(n, 0, random_unitary(rng, dim))
+        psi = linalg.identity(dim)[0]  # Psi = e_0
         for _ in range(10):
             a, b = random_complex(rng, dim), random_complex(rng, dim)
             a = a + a.conj().T
             want = dense_expectation(state, a @ b)
-            got = correlation(state, a @ state.psi, b @ state.psi)
-            assert isinstance(got, complex)
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            got = correlation(state, state.u @ a @ psi, state.u @ b @ psi)
+            assert isinstance(got, float)
+            assert abs(got - want.real) <= 1e-12 * max(1.0, abs(want))
 
     def test_real_when_the_product_is_hermitian(self):
         final = measurement_timeline()[-1]
         value = correlation(final, final.ket(1, "z"), final.ket(2, "z"))
         assert isinstance(value, float)
         assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_real_part_when_the_product_is_not_hermitian(self):
+        # <q_1x (q_1y + q_2z)> = i <q_1z> + <q_1x q_2z>: the answer is its
+        # real part, a float, however large the imaginary part.
+        state = random_circuit_state(np.random.default_rng(58), 3, 20)
+        a = state.component(1, "x")
+        b = state.component(1, "y") + state.component(2, "z")
+        want = dense_expectation(state, a @ b)
+        assert abs(want.real) > 0.1 and abs(want.imag) > 0.1
+        got = correlation(state, state.ket(1, "x"),
+                          state.ket(1, "y") + state.ket(2, "z"))
+        assert isinstance(got, float)
+        assert abs(got - want.real) <= 1e-12
 
     @pytest.mark.parametrize("shapes", [((2, 2), (4, 4)), ((4, 4), (2, 2))])
     def test_dim_mismatch(self, shapes):
@@ -616,8 +644,7 @@ class TestMatrixFreeAnswers:
 class TestAlgebraResidual:
     def test_nan_descriptor_gives_nan(self):
         state = init_network(2)
-        broken = network.NetworkState(2, 1, np.full((4, 4), np.nan, complex),
-                                      state.psi)
+        broken = network.NetworkState(2, 1, np.full((4, 4), np.nan, complex))
         assert np.isnan(network.algebra_residual(triples(broken)))
 
     def test_unit_replaces_identity(self):
@@ -640,7 +667,7 @@ def perturbed(state, eps, rng):
     """The state with complex Gaussian noise of size eps added to U."""
     noise = rng.standard_normal((2, state.dim, state.dim))
     u = state.u + eps * (noise[0] + 1j * noise[1]) / np.sqrt(2)
-    return network.NetworkState(state.n, state.t, u, state.psi)
+    return network.NetworkState(state.n, state.t, u)
 
 
 class TestAlgebraCertificate:
@@ -688,7 +715,7 @@ class TestAlgebraCertificate:
         state = init_network(2)
         u = state.u.copy()
         u[1, 2] = np.nan
-        broken = network.NetworkState(2, 1, u, state.psi)
+        broken = network.NetworkState(2, 1, u)
         assert np.isnan(network.algebra_certificate(broken))
 
 

@@ -24,7 +24,7 @@ def per_step_reference(run, timeline):
     per_step = []
     for psi, state in zip(run.states, timeline):
         residuals = []
-        phi = state.u @ state.psi
+        phi = state.u @ run.states[0]
         for a in range(1, n + 1):
             rows = phi.reshape(2 ** (a - 1), 2, -1)
             up, down = rows[:, 0], rows[:, 1]
@@ -207,7 +207,7 @@ class TestGateMatrix:
             assert np.isnan(unitarity_defect(gate, n))
             with pytest.raises(NonUnitary, match=r"^step 0: .*"
                                r"unitarity defect nan > "):
-                evolve(init_network(n).psi, [gate], n)
+                evolve(init_network(n).phi, [gate], n)
 
     @pytest.mark.parametrize("kind", GATE_KINDS)
     def test_one_allocation_per_build(self, kind):
@@ -229,7 +229,7 @@ class TestGateMatrix:
         gates = list(every_gate(4))
         assert {gate.kind for gate in gates} == set(GATE_KINDS)
         timeline = run_gates(init_network(4), gates)
-        psi = timeline[0].psi
+        psi = timeline[0].phi
         for name in ("_apply_local", "_row_blocks", "local_matrix",
                      "_characteristic", "apply_gate", "build_gate_unitary",
                      "apply_pauli", "_multiply_rows", "_gather"):
@@ -333,7 +333,7 @@ class TestParts:
         # beyond 1e-13; the second distinct one fails at the earlier step.
         late = Gate.f(1, 2, 1.000000000001, 0.0, 0.0, 0.0)
         early = Gate.f(2, 1, -1.000000000002, 0.0, 0.0, 0.0)
-        psi = init_network(2).psi
+        psi = init_network(2).phi
         tight = Tolerances(unitary=1e-13)
         for gates, step, operands in (
                 ([Gate.h(1), late, Gate.h(2), early, late], 1, r"\(1, 2\)"),
@@ -347,32 +347,32 @@ class TestParts:
 
 class TestEvolve:
     def test_empty_gate_list(self):
-        psi = init_network(2).psi
+        psi = init_network(2).phi
         run = evolve(psi, [], 2)
         assert len(run.states) == 1
         assert max_abs(run.states[0] - psi) == 0
 
     def test_not_flips_basis_vector(self):
-        run = evolve(init_network(2).psi, [Gate.not_(1)], 2)
+        run = evolve(init_network(2).phi, [Gate.not_(1)], 2)
         expected = np.zeros(4, dtype=complex)
         expected[2] = 1.0
         assert max_abs(run.states[-1] - expected) <= 1e-12
 
     def test_measurement_circuit_gives_bell(self):
-        run = evolve(init_network(2).psi, [Gate.h(1), Gate.cnot(1, 2)], 2)
+        run = evolve(init_network(2).phi, [Gate.h(1), Gate.cnot(1, 2)], 2)
         final = run.states[-1]
         overlap = np.vdot(bell_vector(), final)
         assert abs(overlap) == pytest.approx(1.0, abs=1e-10)
 
     def test_norm_preserved(self):
-        run = evolve(init_network(2).psi,
+        run = evolve(init_network(2).phi,
                      [Gate.h(1), Gate.rz(2, 1.1), Gate.cnot(1, 2)], 2)
         for psi in run.states:
             assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
 
     def test_unnormalized_initial_rejected(self):
         with pytest.raises(NonUnitary):
-            evolve(2 * init_network(1).psi, [], 1)
+            evolve(2 * init_network(1).phi, [], 1)
 
     def test_each_distinct_gate_is_checked_once_per_call(self, monkeypatch):
         checked = []
@@ -382,7 +382,7 @@ class TestEvolve:
             defects(*parts))[1])
         gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(1), Gate.rz(2, 0.3),
                  Gate.cnot(1, 2), Gate.rz(2, 0.9), Gate.h(1), Gate.rz(2, 0.3)]
-        psi = init_network(2).psi
+        psi = init_network(2).phi
         run = evolve(psi, gates, 2)
         # One pass over the distinct gates, in the order of their first step.
         distinct = [Gate.h(1), Gate.cnot(1, 2), Gate.rz(2, 0.3),
@@ -415,7 +415,7 @@ class TestEvolve:
         nearly = Gate.f(1, 2, 1.000000000001, 0.0, 0.0, 0.0)
         gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(2), nearly,
                  Gate.h(1), Gate.h(2), Gate.cnot(2, 1), nearly]
-        psi = init_network(2).psi
+        psi = init_network(2).phi
         assert len(evolve(psi, gates, 2).states) == 9
         with pytest.raises(NonUnitary, match=r"^step 3: F on \(1, 2\): "
                            r"unitarity defect"):
@@ -426,14 +426,14 @@ class TestCrossValidate:
     def test_identity_circuit(self):
         gates = [Gate("I"), Gate("I")]
         timeline = run_gates(init_network(2), gates)
-        run = evolve(timeline[0].psi, gates, 2)
+        run = evolve(timeline[0].phi, gates, 2)
         report = cross_validate(run, timeline)
         assert report.max_residual <= 1e-12
 
     def test_measurement_circuit(self):
         gates = [Gate.h(1), Gate.cnot(1, 2)]
         timeline = run_gates(init_network(2), gates)
-        run = evolve(timeline[0].psi, gates, 2)
+        run = evolve(timeline[0].phi, gates, 2)
         report = cross_validate(run, timeline)
         assert len(report.per_step) == 3
         assert report.max_residual <= 1e-9
@@ -452,20 +452,20 @@ class TestCrossValidate:
                               Gate.ccnot(qubits[0], qubits[1], qubits[2])
                               )[kind])
             timeline = run_gates(init_network(n), gates)
-            run = evolve(timeline[0].psi, gates, n)
+            run = evolve(timeline[0].phi, gates, n)
             assert cross_validate(run, timeline).max_residual <= 1e-9
 
     def test_length_mismatch(self):
         gates = [Gate.h(1)]
         timeline = run_gates(init_network(2), gates)
-        run = evolve(timeline[0].psi, [], 2)
+        run = evolve(timeline[0].phi, [], 2)
         with pytest.raises(CircuitMismatch):
             cross_validate(run, timeline)
 
     def test_qubit_count_mismatch(self):
         gates = [Gate.h(1)]
         timeline = run_gates(init_network(2), gates)
-        run = evolve(init_network(3).psi, gates, 3)
+        run = evolve(init_network(3).phi, gates, 3)
         with pytest.raises(CircuitMismatch,
                            match=r"oracle table \(9, 2\) vs network \(6, 2\)"):
             cross_validate(run, timeline)
@@ -476,7 +476,7 @@ class TestCrossValidate:
         for _ in range(4):
             gates = random_circuit(rng, n, 30)
             timeline = run_gates(init_network(n), gates)
-            run = evolve(timeline[0].psi, gates, n)
+            run = evolve(timeline[0].phi, gates, n)
             report = cross_validate(run, timeline)
             want = per_step_reference(run, timeline)
             assert report.per_step == pytest.approx(want, abs=1e-14)
@@ -484,7 +484,7 @@ class TestCrossValidate:
             assert report.max_residual <= 1e-9
             # The oracle of another circuit: residuals of order 1, which
             # both must compute alike.
-            other = evolve(timeline[0].psi, random_circuit(rng, n, 30), n)
+            other = evolve(timeline[0].phi, random_circuit(rng, n, 30), n)
             report = cross_validate(other, timeline)
             want = per_step_reference(other, timeline)
             assert max(want) > 0.1
@@ -498,7 +498,7 @@ class TestCrossValidate:
         gates = [Gate("I"), Gate("I"), Gate("I"), Gate.h(1)]
         timeline = run_gates(init_network(n), gates)
         skipped = gates[:3] + [Gate("I")]
-        run = evolve(timeline[0].psi, skipped, n)
+        run = evolve(timeline[0].phi, skipped, n)
         report = cross_validate(run, timeline)
         assert report.per_step == pytest.approx(
             per_step_reference(run, timeline), abs=1e-14)
@@ -518,7 +518,7 @@ class TestCrossValidate:
         monkeypatch.setattr(oracle, "_expectations", nan_y)
         gates = [Gate.h(1)]
         timeline = run_gates(init_network(2), gates)
-        run = evolve(timeline[0].psi, gates, 2)
+        run = evolve(timeline[0].phi, gates, 2)
         report = cross_validate(run, timeline)
         assert all(np.isnan(r) for r in report.per_step)
         assert np.isnan(report.max_residual)
@@ -527,7 +527,7 @@ class TestCrossValidate:
         gates = [Gate.h(1), Gate.cnot(1, 2)]
         timeline = run_gates(init_network(2), gates)
         final = timeline[-1]
-        run = evolve(timeline[0].psi, gates, 2)
+        run = evolve(timeline[0].phi, gates, 2)
         frames = relative.record_pvm(final, Record(final, 1, "z"))
         fixed_z = linalg.embed(SIGMA_Z, 1, 2)
         for frame in frames:

@@ -1,5 +1,7 @@
 """Tests for branch machinery: frames, relative descriptors, autonomy."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,6 @@ def measured():
     """Network after H(1) and CNOT(1 -> 2); the z-records of both qubits,
     taken at step 2, are its z descriptors."""
     return run_gates(init_network(2), [Gate.h(1), Gate.cnot(1, 2)])[-1]
-
-
-def nan_state(state):
-    """The same descriptors over a NaN fixed state: every weight is NaN."""
-    return NetworkState(state.n, state.t, state.u,
-                        np.full_like(state.psi, np.nan), state.tol)
 
 
 def z_record_pvm(state, qubit):
@@ -52,7 +48,7 @@ class TestMakePvm:
         timeline = run_gates(init_network(2),
                              [Gate.h(1), Gate.cnot(1, 2), Gate.h(2)])
         s = timeline[2]
-        scaled = NetworkState(s.n, s.t, (1 + 1e-9) * s.u, s.psi, s.tol)
+        scaled = NetworkState(s.n, s.t, (1 + 1e-9) * s.u, s.tol)
         with pytest.raises(ToleranceViolation, match=(
                 r"^algebra residual \S+ > 1\.000e-10$")):
             record_pvm(timeline[-1], Record(scaled, 1, "z"))
@@ -99,8 +95,7 @@ class TestRelativeDescriptor:
     def test_nan_projector_rejected(self, measured):
         # A NaN commutator norm must not pass the commute check: here the
         # descriptors of the holder are NaN.
-        broken = NetworkState(2, 2, np.full((4, 4), np.nan, dtype=complex),
-                              measured.psi)
+        broken = NetworkState(2, 2, np.full((4, 4), np.nan, dtype=complex))
         with pytest.raises(NonCommuting, match="commutator norm nan"):
             relative_descriptors(broken, 2, Record(measured, 1, "z"))
 
@@ -143,10 +138,21 @@ class TestRelativeExpectation:
             relative_expectation(fresh, fresh.ket(2, "z"), minus)
 
     def test_nan_weight_raises(self, measured):
+        # The ket and the state are finite: the rule reads the frame's weight.
         plus, _ = z_record_pvm(measured, 1)
         with pytest.raises(ZeroWeightBranch, match="weight nan"):
-            relative_expectation(nan_state(measured), measured.ket(2, "z"),
-                                 plus)
+            relative_expectation(measured, measured.ket(2, "z"),
+                                 replace(plus, weight=np.nan))
+
+    def test_divides_by_the_frames_own_weight(self, measured):
+        # <A P> is read from the kets, <P> is the frame's weight as given.
+        mz = measured.ket(2, "z")
+        plus, _ = z_record_pvm(measured, 1)
+        value = relative_expectation(measured, mz, plus)
+        assert relative_expectation(measured, mz, replace(
+            plus, weight=2 * plus.weight)) == value / 2
+        with pytest.raises(ZeroWeightBranch, match="weight 0.000e"):
+            relative_expectation(measured, mz, replace(plus, weight=0.0))
 
 
 class TestAutonomy:
@@ -239,7 +245,7 @@ class TestFoliate:
             linalg.SIGMA_X, 2, 2)
         tilt = (np.cos(-0.5e-11) * linalg.identity(4)
                 - 1j * np.sin(-0.5e-11) * generator)
-        tilted = NetworkState(2, 2, tilt @ measured.u, measured.psi)
+        tilted = NetworkState(2, 2, tilt @ measured.u)
         record = tilted.component(1, "z")
         assert max_abs(record - (np.cos(1e-11) * z1
                                  + np.sin(1e-11) * x1 @ d2[0])) <= 1e-15
@@ -345,7 +351,7 @@ class TestChecksOncePerRecord:
 class TestMatrixFreeAnswers:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_relative_expectation_matches_dense(self, n):
-        # <A P> / <P> through the dense product A P, computed here, over
+        # Re <A P> / <P> through the dense product A P, computed here, over
         # every live frame of every z-record and every component of every
         # qubit.
         rng = np.random.default_rng(80 + n)
@@ -365,8 +371,9 @@ class TestMatrixFreeAnswers:
                             got = relative_expectation(
                                 state, state.ket(qubit, c), frame)
                             product = state.component(qubit, c) @ proj
-                            want = np.vdot(state.psi, product @ state.psi
-                                           ) / frame.weight
-                            assert abs(got - want) <= 1e-12
+                            psi = linalg.identity(state.dim)[0]  # e_0
+                            want = np.vdot(psi, product @ psi) / frame.weight
+                            assert isinstance(got, float)
+                            assert abs(got - want.real) <= 1e-12
                             checked += 1
         assert checked > 0

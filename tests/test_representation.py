@@ -156,7 +156,7 @@ def circuits(draw):
 def test_picture_equivalence_property(circuit):
     n, gates = circuit
     timeline = run_gates(init_network(n), gates)
-    run = oracle.evolve(timeline[0].psi, gates, n)
+    run = oracle.evolve(timeline[0].phi, gates, n)
     assert oracle.cross_validate(run, timeline).max_residual <= 1e-9
     # The on-demand descriptors of the final state, which queries read.
     final, psi = timeline[-1], run.states[-1]
