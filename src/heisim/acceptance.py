@@ -233,7 +233,7 @@ def criterion_7(seed: int) -> dict:
                                              abs(schr_weight - frame.weight)))
     passed = worst <= 1e-9 and worst_weight <= 1e-9
     return {"name": "picture-equivalence", "passed": passed,
-            "detail": f"expectation residual {worst:.3e}, "
+            "detail": f"state residual {worst:.3e}, "
                       f"weight residual {worst_weight:.3e} (bounds 1e-09)"}
 
 

@@ -14,8 +14,8 @@ U_t = g U_{t-1}: a row gather of U_{t-1} when g is a 0/1 permutation (NOT,
 CNOT, CCNOT), a local product over the operands' rows otherwise.
 Descriptors are computed from U when something reads them. A run
 (``run_gates``) keeps U_t only at the steps whose records it reads and at
-the final step; every other step leaves only phi_t, and the <sigma_ac>_t
-table is folded from the phi_t stack.
+the final step; every other step leaves only phi_t, in the stack that the
+oracle cross-check compares with its own states.
 
 The fixed state Psi is the constant e_0, so a state is its U alone, and
 phi = U Psi is U's first column. A run answers from phi and the local
@@ -617,7 +617,7 @@ def record_commutator(state: NetworkState, record: Record, a: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Timeline:
-    """A run's states at its kept steps, and <sigma_ac>_t at every step.
+    """A run's states at its kept steps, and phi_t at every step.
 
     ``timeline[s]`` is the state of step s; a negative s counts from the end,
     so ``timeline[-1]`` is the final state, which is always kept. A step that
@@ -625,12 +625,11 @@ class Timeline:
     """
 
     states: dict[int, NetworkState]
-    # 3n x (T+1), real: row (a, c) in (qubit, component) order, column t
-    # holds <phi_t|sigma_ac phi_t> = <Psi|q_ac(t)|Psi>.
-    expectations: np.ndarray
+    # (T+1) x 2^n: row t is phi_t = U_t Psi, U_t's first column.
+    phis: np.ndarray
 
     def __len__(self) -> int:
-        return self.expectations.shape[1]
+        return len(self.phis)
 
     def __getitem__(self, step: int) -> NetworkState:
         return self.states[step + len(self) if step < 0 else step]
@@ -643,35 +642,23 @@ def run_gates(state: NetworkState, gates: Sequence[Gate],
               keep: Optional[Collection[int]] = None) -> Timeline:
     """Apply a gate sequence in one pass, from ``state`` at step 0.
 
-    phi_t, U_t's first column (``NetworkState.phi``), is stacked
-    until the end, which tabulates ``Timeline.expectations`` from it in one
-    pass per qubit a. With phi0 and phi1 the rows of the stack where a's bit
-    is 0 and 1, <x_a> + i <y_a> = 2 sum conj(phi0) phi1 and <z_a> =
-    sum |phi0|^2 - sum |phi1|^2, over each column; the table needs the
-    stack, one |phi|^2 stack and one half stack. The state of step s, which
-    holds the 2^n x 2^n U_s, is kept only when s is in ``keep`` or is the
-    final step; with no ``keep`` every step's is. A record of q_ac taken at
-    step s is ``Record(timeline[s], a, c)``.
+    phi_t, U_t's first column (``NetworkState.phi``), is stacked at every
+    step as ``Timeline.phis``. The state of step s, which holds the
+    2^n x 2^n U_s, is kept only when s is in ``keep`` or is the final step;
+    with no ``keep`` every step's is. A record of q_ac taken at step s is
+    ``Record(timeline[s], a, c)``.
     """
-    steps = len(gates) + 1
-    phis = np.empty((state.dim, steps), dtype=complex)
-    phis[:, 0] = state.u[:, 0]
+    phis = np.empty((len(gates) + 1, state.dim), dtype=complex)
+    phis[0] = state.u[:, 0]
     states = {}
+    # ``state`` stays bound until the run returns. Dropping U_0 at the first
+    # step let glibc trim the heap under the queries' U-sized temporaries:
+    # 4.6x the page faults per n=8 branch-queries report (2-vCPU x86 VM).
+    current = state
     for step, gate in enumerate(gates):
         if keep is None or step in keep:
-            states[step] = state
-        state = apply_gate(state, gate)
-        phis[:, step + 1] = state.u[:, 0]
-    states[len(gates)] = state
-    weights = phis.real ** 2
-    weights += phis.imag ** 2
-    bras = np.empty((state.dim // 2, steps), dtype=complex)
-    table = np.empty((state.n, len(COMPONENTS), steps))
-    for a in range(1, state.n + 1):
-        halves = phis.reshape(2 ** (a - 1), 2, -1, steps)
-        conj0 = np.conjugate(halves[:, 0],
-                             out=bras.reshape(2 ** (a - 1), -1, steps))
-        xy = 2 * np.einsum("jkt,jkt->t", conj0, halves[:, 1])
-        z = weights.reshape(halves.shape).sum(axis=(0, 2))
-        table[a - 1] = xy.real, xy.imag, z[0] - z[1]
-    return Timeline(states, table.reshape(-1, steps))
+            states[step] = current
+        current = apply_gate(current, gate)
+        phis[step + 1] = current.u[:, 0]
+    states[len(gates)] = current
+    return Timeline(states, phis)

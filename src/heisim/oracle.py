@@ -10,10 +10,10 @@ Every built-in gate is U = D0 + X_t D1: two diagonals made from sigma_z's
 parts of all its distinct gates at once, one vectorised pass per gate kind
 from one n x 2^n table of those patterns, and reads all their unitarity
 defects in one O(2^n)-per-gate pass. A step applies U to the vector from its
-parts, d0 psi + X_t (d1 psi), with X_t one gather. The parts are dropped
-before the run's <sigma_ac>_t table, which applies the fixed Paulis from the
-same bit code. ``gate_matrix`` scatters one gate's parts, from the same
-builder, into the dense 2^n x 2^n matrix.
+parts, d0 psi + X_t (d1 psi), with X_t one gather. The cross-check
+compares each psi_t with the network's phi_t = U_t Psi, entry by entry.
+``gate_matrix`` scatters one gate's parts, from the same builder, into the
+dense 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .linalg import DEFAULT_TOL, Tolerances
 from .network import Gate
 
 
-# The size of one temporary of the unitarity-defect pass, which takes as
-# many gates at a time as fit in it, whatever n.
+# The size of one temporary of the unitarity-defect pass and of the
+# cross-check, which take as many rows at a time as fit in it, whatever n.
 _CHUNK_BYTES = 2 ** 20
 
 
@@ -135,39 +135,28 @@ def _unitarity_defects(d0: np.ndarray, d1: np.ndarray, targets: np.ndarray
 @dataclass(frozen=True)
 class SchrodingerRun:
     """Forward state-vector evolution: row t of ``states``, a (T+1) x 2^n
-    array, is the vector at step t; ``expectations`` holds its <sigma_ac>,
-    kept complex, in the rows and columns of ``Timeline.expectations``."""
+    array, is the vector at step t."""
 
     states: np.ndarray
-    expectations: np.ndarray
 
 
 def evolve(initial: np.ndarray, gates: Sequence[Gate], n: int,
            tol: Tolerances = DEFAULT_TOL) -> SchrodingerRun:
     """Apply each gate to the state vector from its parts, keeping every
-    state: O(2^n) per step. Then tabulate <sigma_ac> of every state.
+    state: O(2^n) per step, d0 psi + X_t (d1 psi) with X_t one gather.
 
     The distinct gates are built in one pass per kind and checked for
     unitarity in one pass, once per call; a failure names the first step
     that fails. The initial state's norm is checked against the same
-    tol.unitary. The parts are dropped before the table is made.
+    tol.unitary.
     """
     psi = np.asarray(initial, dtype=complex)
     if linalg.exceeds(abs(np.linalg.norm(psi) - 1.0), tol.unitary):
         raise NonUnitary(f"initial state norm {np.linalg.norm(psi):.12f} != 1")
-    z = _sigma_z(n)
-    states = _states(psi, gates, z, tol)
-    return SchrodingerRun(states, _expectations(states, z))
-
-
-def _states(psi: np.ndarray, gates: Sequence[Gate], z: np.ndarray,
-            tol: Tolerances) -> np.ndarray:
-    """The (T+1) x 2^n stack of states: each step is d0 psi + X_t (d1 psi)
-    from its gate's parts, X_t one gather."""
     first: dict[Gate, int] = {}  # distinct gate -> its row, by first step
     rows = [first.setdefault(gate, len(first)) for gate in gates]
     distinct = list(first)
-    d0, d1, targets = _parts(distinct, z)
+    d0, d1, targets = _parts(distinct, _sigma_z(n))
     defects = _unitarity_defects(d0, d1, targets)
     failed = np.flatnonzero(~(defects <= tol.unitary))  # NaN fails too
     if failed.size:
@@ -186,27 +175,7 @@ def _states(psi: np.ndarray, gates: Sequence[Gate], z: np.ndarray,
         np.multiply(a, before, out=out)
         if flip is not None:
             out += (b * before).take(flip)
-    return states
-
-
-def _expectations(states: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """<psi|sigma_ac psi> of every row of ``states``, in the rows of
-    ``Timeline.expectations``, from the bit code of the gates: sigma_x = X_a,
-    sigma_y = X_a D(i z_a) = D(-i z_a) X_a, sigma_z = D(z_a). x and y read
-    one flipped stack, y in place; z reuses it."""
-    bras = states.conj()
-    sigma = np.empty_like(states)
-    j = np.arange(states.shape[1])
-    table = []
-    for a, za in enumerate(z, start=1):
-        # "clip" writes straight into ``out``; "raise" would buffer a copy.
-        np.take(states, j ^ (len(j) >> a), axis=1, out=sigma, mode="clip")
-        table.append(np.einsum("tj,tj->t", bras, sigma))
-        sigma *= -1j * za
-        table.append(np.einsum("tj,tj->t", bras, sigma))
-        np.multiply(states, za, out=sigma)
-        table.append(np.einsum("tj,tj->t", bras, sigma))
-    return np.array(table)
+    return SchrodingerRun(states)
 
 
 @dataclass(frozen=True)
@@ -217,18 +186,22 @@ class CrossValidationReport:
 
 def cross_validate(run: SchrodingerRun, timeline: network.Timeline
                    ) -> CrossValidationReport:
-    """Compare both pictures step by step.
+    """Compare both pictures step by step: the largest entry of
+    |phi_t - psi_t|, phi_t = U_t Psi from the network (``Timeline.phis``)
+    and psi_t from the oracle.
 
-    For every step t and every descriptor component, the Heisenberg
-    expectation <Psi|U_t† sigma U_t|Psi> of the evolved operator must equal
-    the Schrodinger expectation of the fixed operator in the evolved state.
-    Each picture tabulates its own (``Timeline.expectations``,
-    ``SchrodingerRun.expectations``); this only compares the two tables.
+    Equal vectors give equal expectations of every observable, local or
+    not. The difference is taken in blocks of rows of about
+    ``_CHUNK_BYTES``, never a whole stack; NaN fails its own step.
     """
-    heis, schr = timeline.expectations, run.expectations
+    heis, schr = timeline.phis, run.states
     if heis.shape != schr.shape:
         raise CircuitMismatch(
-            f"oracle table {schr.shape} vs network {heis.shape}")
-    # The worst of the 3n comparisons per step; NaN propagates.
-    per_step = tuple(np.max(np.abs(heis - schr), axis=0).tolist())
-    return CrossValidationReport(linalg.worst(per_step), per_step)
+            f"oracle states {schr.shape} vs network {heis.shape}")
+    chunk = max(1, _CHUNK_BYTES // (16 * heis.shape[1]))
+    per_step = np.empty(len(heis))
+    for start in range(0, len(heis), chunk):
+        rows = slice(start, start + chunk)
+        per_step[rows] = np.max(np.abs(heis[rows] - schr[rows]), axis=1)
+    return CrossValidationReport(linalg.worst(per_step),
+                                 tuple(per_step.tolist()))

@@ -117,14 +117,14 @@ def execute(circuit: CircuitFile, tol: Tolerances = DEFAULT_TOL) -> dict:
     before any query is answered; physics errors from individual queries
     propagate unchanged.
     """
-    state0 = network.init_network(circuit.qubits, tol)
     # U is kept only where a record reads it, and at the final step.
-    timeline = network.run_gates(state0, circuit.gates,
+    timeline = network.run_gates(network.init_network(circuit.qubits, tol),
+                                 circuit.gates,
                                  {r.step for r in circuit.records})
 
     # Unnamed, the oracle's states are freed before any query runs.
     cross = oracle.cross_validate(oracle.evolve(
-        state0.phi, circuit.gates, circuit.qubits, tol), timeline)
+        timeline.phis[0], circuit.gates, circuit.qubits, tol), timeline)
     # Both bounds are checked before the queries, so a run whose pictures
     # disagree names its residual, not a query precondition of a wrong
     # state; the certificate is the one every record check of the final

@@ -725,37 +725,24 @@ class TestRecordsAndTimeline:
         assert len(timeline) == 3
         assert [s.t for s in timeline] == [0, 1, 2]
         assert sorted(timeline.states) == [0, 1, 2]
-        assert timeline.expectations.shape == (6, 3)
-        # Each row against <phi_t| sigma_ac phi_t> with sigma_ac the
-        # embedded 2^n x 2^n Pauli, on random circuits of every kind. The
-        # circuit opens with y of the first and the last qubit at sin(1)
-        # and sin(-2), so a slip in y's sign or in the bit order fails.
+        assert timeline.phis.shape == (3, 4)
+        # Row t is U_t's first column, on random circuits of every kind.
         rng = np.random.default_rng(31)
         for n in range(1, 6):
-            gates = [Gate.h(1), Gate.rz(1, 1.0), Gate.h(n), Gate.rz(n, -2.0)
-                     ][:2 if n == 1 else 4]
-            gates += random_circuit(rng, n, 40)
+            gates = list(random_circuit(rng, n, 40))
             assert {g.kind for g in gates} >= (
                 {"I", "NOT", "H", "RZ"} | ({"CNOT", "F"} if n >= 2 else set())
                 | ({"CCNOT"} if n >= 3 else set()))
             timeline = run_gates(init_network(n), gates)
-            rows = [(a, c) for a in range(1, n + 1) for c in COMPONENTS]
-            assert timeline.expectations.shape == (3 * n, len(gates) + 1)
-            opened = timeline.expectations[:, len(gates) - 40]
-            assert opened[1] == pytest.approx(np.sin(1.0))
-            assert opened[-2] == pytest.approx(np.sin(1.0 if n == 1
-                                                      else -2.0))
+            assert timeline.phis.shape == (len(gates) + 1, 2 ** n)
             for step, state in enumerate(timeline):
-                want = [np.vdot(state.phi, linalg.embed(linalg.PAULIS[c], a, n)
-                                @ state.phi).real for a, c in rows]
-                assert max_abs(timeline.expectations[:, step] - want) \
-                    <= 4 * np.finfo(float).eps, (n, step)
+                assert np.array_equal(timeline.phis[step], state.phi), \
+                    (n, step)
 
-    def test_table_takes_at_most_two_and_a_half_stacks(self):
+    def test_run_gates_takes_below_one_and_a_half_stacks_and_one_u(self):
         # n=8, T=2000: a stack of phi_t is 16 (T+1) 2^n bytes, 7.8 MiB. The
-        # run holds that stack, and at the end the table needs the |phi|^2
-        # stack and a half stack for conj(phi0), 1 stack more, with the
-        # final U. A second run reads the caches the first one filled.
+        # run holds that stack and the current U; a step holds the next U
+        # too. A second run reads the caches the first one filled.
         n, depth = 8, 2000
         gates = list(random_circuit(np.random.default_rng(8), n, depth))
         run_gates(init_network(n), gates, keep=())
@@ -767,7 +754,7 @@ class TestRecordsAndTimeline:
         finally:
             tracemalloc.stop()
         stack = 16 * (depth + 1) * 2 ** n
-        assert peak < 2.5 * stack + 16 * 4 ** n, peak / stack
+        assert peak < 1.5 * stack + 16 * 4 ** n, peak / stack
 
     def test_kept_steps_and_the_final_one_hold_a_state(self):
         gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(2)]
@@ -778,7 +765,7 @@ class TestRecordsAndTimeline:
         assert timeline[-1] is timeline[3]
         with pytest.raises(KeyError):
             timeline[2]
-        assert np.array_equal(timeline.expectations, every.expectations)
+        assert np.array_equal(timeline.phis, every.phis)
         for step in (1, 3):
             assert np.array_equal(timeline[step].u, every[step].u)
 

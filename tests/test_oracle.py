@@ -9,33 +9,16 @@ import pytest
 
 from heisim import linalg, network, oracle, registers, relative
 from heisim.errors import CircuitMismatch, NonUnitary
-from heisim.linalg import (COMPONENTS, SIGMA_X, SIGMA_Z, Tolerances,
-                           max_abs)
+from heisim.linalg import SIGMA_X, SIGMA_Z, Tolerances, max_abs
 from heisim.network import GATE_KINDS, Gate, Record, init_network, run_gates
 from heisim.oracle import cross_validate, evolve, gate_matrix
 
 
 def per_step_reference(run, timeline):
-    """The per-step loop cross_validate replaces: 3n vdot comparisons per
-    step against dense embedded Paulis."""
-    n = run.states.shape[1].bit_length() - 1
-    fixed = {(a, c): linalg.embed(linalg.PAULIS[c], a, n)
-             for a in range(1, n + 1) for c in COMPONENTS}
-    per_step = []
-    for psi, state in zip(run.states, timeline):
-        residuals = []
-        phi = state.u @ run.states[0]
-        for a in range(1, n + 1):
-            rows = phi.reshape(2 ** (a - 1), 2, -1)
-            up, down = rows[:, 0], rows[:, 1]
-            xy = 2 * np.vdot(up, down)
-            heis = {"x": xy.real, "y": xy.imag,
-                    "z": np.vdot(up, up).real - np.vdot(down, down).real}
-            for c in COMPONENTS:
-                schr = np.vdot(psi, fixed[(a, c)] @ psi)
-                residuals.append(abs(heis[c] - schr))
-        per_step.append(linalg.worst(residuals))
-    return per_step
+    """The per-step loop cross_validate replaces: each step's largest entry
+    of |U_t psi_0 - psi_t|, U_t read from a state of every step."""
+    return [max_abs(state.u @ run.states[0] - psi)
+            for psi, state in zip(run.states, timeline)]
 
 
 def f_gate(a, b, signs):
@@ -144,21 +127,9 @@ def flip(m, target):
     return m.reshape(m.shape[:-1] + (2 ** (target - 1), 2, -1))[..., ::-1, :]
 
 
-def sigma(m, a, c, z):
-    """sigma_ac m on the last axis: sigma_x = X_a, sigma_z = D(z_a),
-    sigma_y = D(-i z_a) X_a, each a new array."""
-    if c == "z":
-        return m * z[a - 1]
-    flipped = flip(m, a).copy().reshape(m.shape)
-    if c == "y":
-        flipped *= -1j * z[a - 1]
-    return flipped
-
-
 def reference_evolve(psi, gates, n):
     """The per-step loop evolve replaces: each step from its own gate's
-    parts, built afresh, as d0 psi + X_t (d1 psi) through a view; then one
-    sigma stack per (a, c) for the table."""
+    parts, built afresh, as d0 psi + X_t (d1 psi) through a view."""
     z = oracle._sigma_z(n)
     states = np.empty((len(gates) + 1, 2 ** n), dtype=complex)
     states[0] = psi
@@ -169,10 +140,7 @@ def reference_evolve(psi, gates, n):
             flipped = flip(d1 * states[step], target)
             halves = states[step + 1].reshape(flipped.shape)
             halves += flipped
-    bras = states.conj()
-    return states, np.array([
-        np.einsum("tj,tj->t", bras, sigma(states, a, c, z))
-        for a in range(1, n + 1) for c in COMPONENTS])
+    return states
 
 
 class TestGateMatrix:
@@ -249,21 +217,6 @@ class TestGateMatrix:
         for gate in every_gate(n):
             step = evolve(psi, [gate], n).states[1]
             assert max_abs(step - gate_matrix(gate, n) @ psi) <= 1e-15, gate
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_sigma_equals_the_embedded_pauli(self, n):
-        # sigma as the table applies it, read through <psi|sigma_ac psi>.
-        rng = np.random.default_rng(20 + n)
-        stack = rng.normal(size=(7, 2 ** n)) + 1j * rng.normal(size=(7, 2 ** n))
-        before = stack.copy()
-        table = oracle._expectations(stack, oracle._sigma_z(n))
-        want = [np.einsum("tj,tj->t", stack.conj(),
-                          (linalg.embed(linalg.PAULIS[c], a, n) @ stack.T).T)
-                for a in range(1, n + 1) for c in COMPONENTS]
-        assert table.shape == (3 * n, 7)
-        assert max_abs(table - np.array(want)) <= 1e-12
-        # The sigma stack is scratch: the states it reads stay as they were.
-        assert np.array_equal(stack, before)
 
     def test_not_matrix(self):
         assert np.allclose(gate_matrix(Gate.not_(2), 2),
@@ -392,8 +345,8 @@ class TestEvolve:
             assert got.tobytes() == want.tobytes()
         # The states are those of an unmemoised run: each step from parts
         # built afresh.
-        states, _ = reference_evolve(psi, gates, 2)
-        assert run.states.tobytes() == states.tobytes()
+        assert run.states.tobytes() == reference_evolve(psi, gates,
+                                                        2).tobytes()
         # The verdicts belong to one call: a second run checks again.
         evolve(psi, gates, 2)
         assert len(checked) == 2
@@ -406,9 +359,8 @@ class TestEvolve:
         for gates in (list(every_gate(n)), random_circuit(rng, n, 80),
                       random_circuit(rng, n, 80)[:5] * 9):
             run = evolve(psi, gates, n)
-            states, table = reference_evolve(psi, gates, n)
-            assert run.states.tobytes() == states.tobytes()
-            assert run.expectations.tobytes() == table.tobytes()
+            assert (run.states.tobytes()
+                    == reference_evolve(psi, gates, n).tobytes())
 
     def test_first_failing_step_is_named(self):
         # Within the fixed 1e-10 that Gate takes for F, beyond 1e-13.
@@ -467,7 +419,8 @@ class TestCrossValidate:
         timeline = run_gates(init_network(2), gates)
         run = evolve(init_network(3).phi, gates, 3)
         with pytest.raises(CircuitMismatch,
-                           match=r"oracle table \(9, 2\) vs network \(6, 2\)"):
+                           match=r"oracle states \(2, 8\) vs network "
+                           r"\(2, 4\)"):
             cross_validate(run, timeline)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -493,8 +446,8 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_skipped_gate_is_caught(self, n):
-        # The oracle leaves out the Hadamard at step 3: from then on q_1x
-        # reads 1 in the network and 0 in the oracle.
+        # The oracle leaves out the Hadamard at step 3: from then on the
+        # network's phi has 1/sqrt(2) where the oracle's psi has 0.
         gates = [Gate("I"), Gate("I"), Gate("I"), Gate.h(1)]
         timeline = run_gates(init_network(n), gates)
         skipped = gates[:3] + [Gate("I")]
@@ -503,25 +456,53 @@ class TestCrossValidate:
         assert report.per_step == pytest.approx(
             per_step_reference(run, timeline), abs=1e-14)
         assert report.per_step[:4] == pytest.approx([0.0] * 4, abs=1e-14)
-        assert report.per_step[4] == pytest.approx(1.0, abs=1e-12)
-        assert report.max_residual == pytest.approx(1.0, abs=1e-12)
+        assert report.per_step[4] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert report.max_residual == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
-    def test_one_nan_comparison_fails_its_step(self, monkeypatch):
-        # Only the y comparisons read NaN; the x and z ones agree.
-        table = oracle._expectations
-
-        def nan_y(states, z):
-            rows = table(states, z)
-            rows[1::3] = np.nan
-            return rows
-
-        monkeypatch.setattr(oracle, "_expectations", nan_y)
-        gates = [Gate.h(1)]
+    def test_one_nan_comparison_fails_its_step(self):
+        # One entry of one oracle state reads NaN; every other agrees.
+        gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(2)]
         timeline = run_gates(init_network(2), gates)
         run = evolve(timeline[0].phi, gates, 2)
+        run.states[2, 3] = np.nan
         report = cross_validate(run, timeline)
-        assert all(np.isnan(r) for r in report.per_step)
+        assert [np.isnan(r) for r in report.per_step] == [False, False,
+                                                          True, False]
         assert np.isnan(report.max_residual)
+
+    def test_compares_a_block_of_rows_at_a_time(self):
+        # At n=8 a block is 256 rows of 4 KiB: three full blocks and a
+        # short one, never a 4 MiB difference of the whole stacks.
+        rng = np.random.default_rng(7)
+        shape = (1001, 2 ** 8)
+        phis = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        states = phis + 1e-3 * rng.normal(size=shape)
+        want = np.max(np.abs(phis - states), axis=1)
+        timeline = network.Timeline({}, phis)
+        run = oracle.SchrodingerRun(states)
+        tracemalloc.start()
+        try:
+            report = cross_validate(run, timeline)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.per_step == tuple(want.tolist())
+        assert report.max_residual == want.max()
+        assert peak < 2 * oracle._CHUNK_BYTES, peak
+
+    def test_a_locally_hidden_phase_is_caught(self):
+        # RZ on one half of a Bell pair changes no <sigma_ac>: x and y of
+        # each qubit stay 0 and z stays 0. The states differ by
+        # |e^(-0.45i) - e^(-0.3i)| / sqrt(2) = sqrt(2) sin(0.075) at step 3.
+        timeline = run_gates(init_network(2), [Gate.h(1), Gate.cnot(1, 2),
+                                               Gate.rz(2, 0.9)])
+        run = evolve(timeline[0].phi, [Gate.h(1), Gate.cnot(1, 2),
+                                       Gate.rz(2, 0.6)], 2)
+        report = cross_validate(run, timeline)
+        assert report.per_step[:3] == pytest.approx([0.0] * 3, abs=1e-15)
+        assert report.per_step[3] == pytest.approx(
+            np.sqrt(2) * np.sin(0.075), abs=1e-12)
+        assert report.per_step[3] > 0.1
 
     def test_branch_weight_agreement(self):
         gates = [Gate.h(1), Gate.cnot(1, 2)]
