@@ -50,6 +50,21 @@ def _triples(state) -> list:
             for a in range(1, state.n + 1)]
 
 
+def _branch_copies(state, qubit: int, record: Record) -> tuple:
+    """Both branch copies of one qubit under a record's frames (P+, 1 - P+),
+    P+ = 1/2(1 + q_r): the (x P, y P, z P, P) of each, dense.
+
+    ``relative.foliate`` first certifies the record's state and raises
+    NonCommuting unless P+ commutes with the qubit's descriptors, without
+    which the products are not Hermitian.
+    """
+    relative.foliate(state, record, [qubit])
+    one = linalg.identity(state.dim)
+    plus = 0.5 * (one + record.state.component(record.qubit, record.name))
+    mats = [state.component(qubit, c) for c in COMPONENTS]
+    return tuple((*(m @ p for m in mats), p) for p in (plus, one - plus))
+
+
 def section3_timeline():
     """The two-qubit measurement fixture: H on qubit 1, then CNOT 1 -> 2.
 
@@ -119,14 +134,13 @@ def criterion_4(seed: int) -> dict:
     worst_alg = 0.0
     worst_sum = 0.0
     for holder, record_qubit in ((2, 1), (1, 2)):
-        rds = relative.relative_descriptors(final, holder,
-                                            Record(final, record_qubit, "z"))
-        for rd in rds:
-            residual = network.algebra_residual([(rd.x, rd.y, rd.z)],
-                                                unit=rd.unit)
+        copies = _branch_copies(final, holder,
+                                Record(final, record_qubit, "z"))
+        for *triple, unit in copies:
+            residual = network.algebra_residual([triple], unit=unit)
             worst_alg = linalg.worst((worst_alg, residual))
-        for c in COMPONENTS:
-            total = sum(rd.component(c) for rd in rds)
+        for i, c in enumerate(COMPONENTS):
+            total = sum(copy[i] for copy in copies)
             absolute = final.component(holder, c)
             worst_sum = linalg.worst((worst_sum, max_abs(total - absolute)))
     passed = worst_alg <= 1e-9 and worst_sum <= 1e-10
@@ -180,19 +194,24 @@ def criterion_6(seed: int) -> dict:
     records = [Record(final, 1, "z"), Record(final, 2, "z")]
     worst_path = 0.0
     ok = True
+    copies = _branch_copies(final, 1, records[1])
     for _ in range(20):
-        gate = Gate.f(2, 1, *_random_f_params(rng))
+        alpha, beta, gamma, delta = _random_f_params(rng)
+        gate = Gate.f(2, 1, alpha, beta, gamma, delta)
         result = relative.autonomy_check(final, gate, records)
         ok = ok and result.preserving
         # Two evaluation routes per branch: evolve absolutely then project,
         # or conjugate the relative copy with the branch factor.
         evolved = apply_gate(final, gate)
-        rds = relative.relative_descriptors(final, 1, records[1])
-        for sign, rd in zip((1.0, -1.0), rds):
-            factor = relative.branch_evolution_factor(final, gate, sign)
-            for c in COMPONENTS:
-                path_a = evolved.component(1, c) @ rd.unit
-                path_b = factor.conj().T @ rd.component(c) @ factor
+        for sign, (*triple, unit) in zip((1.0, -1.0), copies):
+            # On the branch P = 1/2(1 + s q_2z) of F's first operand, F is
+            # (alpha + s beta) P + (gamma + s delta) q_1z P; q_1z P is the
+            # copy's z.
+            factor = ((alpha + sign * beta) * unit
+                      + (gamma + sign * delta) * triple[2])
+            for c, mat in zip(COMPONENTS, triple):
+                path_a = evolved.component(1, c) @ unit
+                path_b = factor.conj().T @ mat @ factor
                 worst_path = linalg.worst((worst_path,
                                            max_abs(path_a - path_b)))
     second_cnot = relative.autonomy_check(final, Gate.cnot(1, 2), records)
@@ -306,7 +325,7 @@ def criterion_9(seed: int) -> dict:
     record = Record(fresh, 1, "z")
     _, minus = relative.record_pvm(fresh, record)
     try:
-        relative.relative_descriptors(fresh, 1, record)
+        relative.foliate(fresh, record, [1])
         sharp_guard = False
     except NonCommuting:
         sharp_guard = True

@@ -60,10 +60,6 @@ class ZeroWeightBranch(PhysicsError):
     """Conditioning on a branch of (numerically) zero amplitude."""
 
 
-class WrongGateKind(ValidationError):
-    pass
-
-
 class BadSubset(ValidationError):
     pass
 

@@ -194,16 +194,6 @@ class NetworkState:
             ket.flags.writeable = False
         return ket
 
-    def projector(self, qubit: int, name: str) -> np.ndarray:
-        """P+ = 1/2(1 + q_{qubit,name}), the +1 eigenprojector of a record,
-        after ``certify``: the certificate bounds ||q^2 - 1||.
-
-        Rebuilt on each call, O(4^n): keeping it would hold one more
-        2^n x 2^n matrix per record.
-        """
-        certify(self)
-        return 0.5 * (linalg.identity(self.dim) + self.component(qubit, name))
-
 
 def transport(ket: np.ndarray, source: NetworkState,
               target: NetworkState) -> np.ndarray:
@@ -490,11 +480,10 @@ def algebra_residual(triples, unit: Optional[np.ndarray] = None) -> float:
     """Max residual of the Pauli relations over (x, y, z) matrix triples.
 
     Checks q_i q_j = delta_ij unit + i eps_ijk q_k per triple; the triples
-    are a network's descriptor components or a relative descriptor's
-    branch copies. ``unit`` defaults to
-    the identity; any other unit (a branch projector) must also absorb into
-    each component from either side. Components of distinct triples must
-    commute. NaN anywhere gives NaN.
+    are a network's descriptor components or a qubit's branch copies.
+    ``unit`` defaults to the identity; any other unit (a branch projector)
+    must also absorb into each component from either side. Components of
+    distinct triples must commute. NaN anywhere gives NaN.
 
     Dense, O(n^2 8^n): ``selftest`` takes it, and a run reports
     ``algebra_certificate``, which bounds it.

@@ -1,12 +1,11 @@
-"""Everett-branch machinery: relative frames, descriptors, and autonomy.
+"""Everett-branch machinery: relative frames, branch values and autonomy.
 
 A measurement record defines a PVM of projectors; multiplying a qubit's
 descriptors by a commuting projector yields the branch ("relative") copy of
 that qubit, a fully-fledged qubit whose unit element is the projector itself.
 A frame holds its projector P as the ket U P Psi, the final state phi
-projected onto the branch (see ``network``); the dense copies of
-``relative_descriptors`` and ``branch_evolution_factor`` build P themselves
-from a record.
+projected onto the branch (see ``network``), and every branch value is read
+from kets; ``heisim selftest`` builds the dense copies itself.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg, network
-from .errors import NonCommuting, WrongGateKind, ZeroWeightBranch
+from .errors import NonCommuting, ZeroWeightBranch
 from .linalg import COMPONENTS, Tolerances
 from .network import Gate, NetworkState, Record
 
@@ -35,24 +34,10 @@ class RelativeFrame:
 
 
 @dataclass(frozen=True)
-class RelativeDescriptor:
-    """One branch instance of a qubit: components q_i * P with unit P."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    unit: np.ndarray
-
-    def component(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
-
-@dataclass(frozen=True)
 class FoliationReport:
     frames: tuple[RelativeFrame, ...]
     completeness_residual: float
     max_commutator: float
-    valid: bool
 
 
 @dataclass(frozen=True)
@@ -138,28 +123,6 @@ def _max_commutator(state: NetworkState, record: Record,
     return linalg.worst(norms)
 
 
-def _record_projectors(record: Record) -> tuple[np.ndarray, np.ndarray]:
-    """The dense (P+, 1 - P+) of a record, P+ = 1/2(1 + q)."""
-    plus = record.state.projector(record.qubit, record.name)
-    return plus, linalg.identity(record.state.dim) - plus
-
-
-def relative_descriptors(state: NetworkState, qubit: int, record: Record
-                         ) -> tuple[RelativeDescriptor, RelativeDescriptor]:
-    """Both branch copies of one qubit under a record's PVM (P+, 1 - P+):
-    descriptor components times each projector, dense.
-
-    The projectors must commute with every component, otherwise the products
-    are not Hermitian and the foliation attempt is physically meaningless.
-    [1 - P, q] = -[P, q], so the norms against P+ serve both frames.
-    """
-    plus, minus = _record_projectors(record)
-    _max_commutator(state, record, qubit)
-    mats = [state.component(qubit, name) for name in COMPONENTS]
-    return tuple(RelativeDescriptor(*(m @ p for m in mats), p)
-                 for p in (plus, minus))
-
-
 def relative_expectation(state: NetworkState, observable: np.ndarray,
                          frame: RelativeFrame) -> float:
     """Branch-conditional expectation Re <A P> / <P>, from the kets of A and
@@ -198,41 +161,21 @@ def autonomy_check(state: NetworkState, gate: Gate,
     return AutonomyResult(True, None, worst)
 
 
-def branch_evolution_factor(state: NetworkState, gate: Gate,
-                            sign: float) -> np.ndarray:
-    """Branch-restricted unitary of a diagonal two-qubit F gate, dense.
-
-    The branch is the ``sign`` frame of the z-record of the gate's first
-    operand a, with projector P = 1/2(1 + s q_az); for s = +-1 the factor is
-    (alpha + s*beta) * P + (gamma + s*delta) * q_bz P, acting on the
-    relative copy of the second operand b.
-    """
-    if gate.kind != "F":
-        raise WrongGateKind(f"branch factor defined for F gates, got {gate.kind}")
-    alpha, beta, gamma, delta = gate.params
-    s = 1.0 if sign > 0 else -1.0
-    a, b = gate.operands
-    plus, minus = _record_projectors(Record(state, a, "z"))
-    proj = plus if s > 0 else minus
-    qbz = state.component(b, "z")
-    return (alpha + s * beta) * proj + (gamma + s * delta) * (qbz @ proj)
-
-
 def foliate(state: NetworkState, record: Record,
             qubits: Sequence[int]) -> FoliationReport:
     """Decompose the listed qubits into relative states of a record's
     two-frame PVM (``record_pvm``).
 
-    Both projectors must commute with the listed qubits' descriptors;
-    ``relative_descriptors`` builds the branch copies themselves. The
-    completeness residual ||P+ P-|| is a quarter of the record's involution
-    defect ||1 - q^2||, reported as a quarter of the certificate that
-    bounds it.
+    Both projectors must commute with the listed qubits' descriptors, or
+    the branch copies q P are not Hermitian: NonCommuting names the first
+    component that does not. The completeness residual ||P+ P-|| is a
+    quarter of the record's involution defect ||1 - q^2||, reported as a
+    quarter of the certificate that bounds it; that certificate has passed
+    ``certify``, so the residual is within tol.general.
     """
     frames = record_pvm(state, record)
     # [1 - P, q] = -[P, q]: both frames have the commutator norms of P+.
     max_comm = linalg.worst(_max_commutator(state, record, q)
                             for q in qubits)
-    completeness = 0.25 * network.certify(record.state)
-    return FoliationReport(frames, completeness, max_comm,
-                           completeness <= state.tol.general)
+    return FoliationReport(frames, 0.25 * network.certify(record.state),
+                           max_comm)

@@ -89,7 +89,8 @@ def _answer_query(timeline: network.Timeline, query: dict) -> dict:
                            for f in report.frames],
                 "completeness_residual": report.completeness_residual,
                 "max_commutator": report.max_commutator,
-                "valid": report.valid,
+                # Always true, foliate raises first; the format keeps the key.
+                "valid": True,
                 "relative_expectations": rel_exp}
     if kind == "autonomy":
         snapshots = [_record(timeline, r) for r in query["records"]]

@@ -736,10 +736,10 @@ def test_a_record_before_the_final_step_reads_no_matrix(capsys, tmp_path,
                                                         monkeypatch):
     """The framed expectation of ``deep_circuit`` reads its record of step
     20 as the ket U_T U_20† sigma phi_20, after the certificate of U_20: no
-    descriptor matrix, no record projector and no eigh."""
+    descriptor matrix and no eigh."""
     path = tmp_path / "deep.yaml"
     path.write_text(deep_circuit(4, 40, 20), encoding="utf-8")
-    counts = {"component": 0, "projector": 0, "eigh": 0}
+    counts = {"component": 0, "eigh": 0}
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -750,12 +750,11 @@ def test_a_record_before_the_final_step_reads_no_matrix(capsys, tmp_path,
         monkeypatch.setattr(owner, name, call)
 
     counted(network.NetworkState, "component")
-    counted(network.NetworkState, "projector")
     counted(np.linalg, "eigh")
     status, out, err = run_cli(capsys, "run", str(path))
     assert status == 0, err
     assert json.loads(out)["queries"][0]["kind"] == "expectation"
-    assert counts == {"component": 0, "projector": 0, "eigh": 0}
+    assert counts == {"component": 0, "eigh": 0}
 
 
 def test_the_initial_state_is_freed_before_the_cross_check(monkeypatch):

@@ -511,13 +511,13 @@ class TestCertificateFallback:
 
 
 class TestOneAnswerPath:
-    """Answers read kets of the final frame: no descriptor matrix, no record
-    projector and no eigh."""
+    """Answers read kets of the final frame: no descriptor matrix and no
+    eigh."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """(name, state) of every NetworkState.component and
-        NetworkState.projector call, and (name, None) of every eigh call."""
+        """(name, state) of every NetworkState.component call, and
+        (name, None) of every eigh call."""
         calls = []
 
         def counted(owner, name):
@@ -530,7 +530,6 @@ class TestOneAnswerPath:
             monkeypatch.setattr(owner, name, call)
 
         counted(NetworkState, "component")
-        counted(NetworkState, "projector")
         counted(np.linalg, "eigh")
         return calls
 

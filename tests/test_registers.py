@@ -74,7 +74,8 @@ class TestRegisterDescriptor:
         for gate in (Gate.h(1), Gate.cnot(1, 2)):
             state = apply_gate(state, gate)
         qubits = (1, 2)
-        dense = sum(2 ** k * (linalg.identity(4) - state.projector(q, "z"))
+        dense = sum(2 ** k * 0.5 * (linalg.identity(4)
+                                     - state.component(q, "z"))
                     for k, q in enumerate(qubits))
         values = register_descriptor(state, qubits)
         u = state.u
