@@ -52,16 +52,18 @@ _ARITY = {"I": 0, "NOT": 1, "H": 1, "CNOT": 2, "RZ": 1, "F": 2, "CCNOT": 3}
 _NPARAMS = {"I": 0, "NOT": 0, "H": 0, "CNOT": 0, "RZ": 1, "F": 4, "CCNOT": 0}
 
 
-def f_unitarity_defect(params: tuple[float, ...]) -> float:
-    """Max deviation of |a +- b +- c +- d| from 1 over the four sign choices.
-
-    These are the eigenvalues of the diagonal two-qubit gate
-    a*1 + b*q_az + c*q_bz + d*q_az*q_bz, so the gate is unitary iff all four
-    have unit modulus.
-    """
+def _f_eigenvalues(params: tuple[float, ...]) -> tuple[float, ...]:
+    """a +- b +- c +- d, the eigenvalues of the diagonal two-qubit gate
+    a*1 + b*q_az + c*q_bz + d*q_az*q_bz. The map is its own inverse up to a
+    factor 4, so it also takes four eigenvalues back to the params."""
     a, b, c, d = params
-    combos = (a + b + c + d, a + b - c - d, a - b + c - d, a - b - c + d)
-    return max(abs(abs(v) - 1.0) for v in combos)
+    return (a + b + c + d, a + b - c - d, a - b + c - d, a - b - c + d)
+
+
+def f_unitarity_defect(params: tuple[float, ...]) -> float:
+    """Max deviation of the four eigenvalues' modulus from 1: the gate is
+    unitary iff all four have unit modulus."""
+    return max(abs(abs(v) - 1.0) for v in _f_eigenvalues(params))
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,9 @@ class Gate:
 
     For multi-operand kinds, controls precede the target. Building a Gate
     checks all but the operand range, which ``validate(n)`` checks; F
-    unitarity is bounded by the fixed DEFAULT_TOL.unitary, not a run's.
+    unitarity is bounded by the fixed DEFAULT_TOL.unitary, not a run's, and
+    F's params are then re-derived from its eigenvalues' signs, so an F
+    that passes is exactly unitary.
     """
 
     kind: str
@@ -98,6 +102,12 @@ class Gate:
             if linalg.exceeds(defect, DEFAULT_TOL.unitary):
                 raise ValidationError(
                     f"F coefficients not unitary: defect {defect:.3e}")
+            # Real and unitary, each eigenvalue is +1 or -1: store the signs,
+            # whose params are exact multiples of 1/2.
+            signs = [math.copysign(1.0, v)
+                     for v in _f_eigenvalues(self.params)]
+            object.__setattr__(self, "params",
+                               tuple(v / 4 for v in _f_eigenvalues(signs)))
 
     def validate(self, n: int) -> None:
         """Operands in 1..n: the one check that needs the qubit count."""

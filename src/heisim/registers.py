@@ -4,7 +4,11 @@ A register over a qubit subset is the Hermitian observable
 sum_k 2^k * P_{-1}(q_{kz}), whose eigenvalues enumerate the classical memory
 states of the subset (z-value -1 marks bit value 1, so a fresh network encodes
 the all-zeros register). Entangling the register with a reference register
-foliates it into an ensemble of classical computers, one per reference value.
+foliates it into an ensemble of classical computers, one per reference value:
+each branch is its weight and the register's moments on it
+(``classical_branches``). A step whose gates act on the register alone
+(``couples`` says whether they do) leaves the reference's descriptors, and so
+its branches, as they were (Deutsch-Hayden, quant-ph/9906007).
 
 In U's frame a register U R U† is diagonal, holding each basis state's
 register value, so every register moment is a sum of |phi_x|^2 grouped by
@@ -14,15 +18,14 @@ the register bits: no register matrix and no eigh.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import linalg, network, relative
+from . import linalg
 from .errors import (BadSubset, BranchNotSharp, NotReversible,
-                     PreconditionFailed, SynthesisError)
+                     PreconditionFailed, SynthesisError, ZeroWeightBranch)
 from .network import Gate, NetworkState
-from .relative import RelativeFrame
 
 
 def _register_qubits(state: NetworkState,
@@ -133,26 +136,13 @@ def compile_classical(func: ClassicalFunction,
 
 @dataclass(frozen=True)
 class BranchRegister:
-    frame: RelativeFrame
-    value: int
-    variance: float
+    """One classical computer of the ensemble: the reference value
+    ``label``, its weight, and the register's value and variance on it."""
 
-
-@dataclass(frozen=True)
-class BranchStep:
     label: float
     weight: float
-    value_before: int
-    value_after: int
-    expected: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ClassicalStepReport:
-    branches: tuple[BranchStep, ...]
-    interaction_flagged: bool
-    ok: bool
+    value: int
+    variance: float
 
 
 def _moments(weights: np.ndarray, values: np.ndarray,
@@ -161,23 +151,6 @@ def _moments(weights: np.ndarray, values: np.ndarray,
     ``total``."""
     mean = weights @ values / total
     return mean, weights @ values ** 2 / total - mean * mean
-
-
-def _sharp_value(state: NetworkState, frame: RelativeFrame, ket: np.ndarray,
-                 values: np.ndarray) -> tuple[int, float]:
-    """The register value and variance of a branch, from the |ket|^2
-    marginals of the register ``values`` over the branch weight.
-
-    Raises BranchNotSharp when the variance, or the distance of the mean from
-    the nearest integer, exceeds tol.sharp (NaN exceeds it).
-    """
-    mean, variance = _moments(np.abs(ket) ** 2, values, frame.weight)
-    defect = linalg.worst((abs(variance), abs(mean - np.round(mean))))
-    if linalg.exceeds(defect, state.tol.sharp):
-        raise BranchNotSharp(
-            f"branch {frame.label:g}: register value {mean:.6g} "
-            f"(variance {variance:.3e}) is not sharp")
-    return int(round(mean)), variance
 
 
 def register_descriptor(state: NetworkState,
@@ -193,15 +166,18 @@ def register_descriptor(state: NetworkState,
 def classical_branches(state: NetworkState, m_qubits: Sequence[int],
                        s_qubits: Sequence[int]
                        ) -> tuple[list[BranchRegister], float]:
-    """Foliate register M by the eigenvalue PVM of reference register S, and
-    the product sharpness residual |<(M S)^2> - <M S>^2|.
+    """Foliate register M by the values of reference register S, and the
+    product sharpness residual |<(M S)^2> - <M S>^2|.
 
-    Preconditions: both registers non-sharp (a sharp reference means the
-    registers are not entangled the way a measurement record requires), and
-    every nonzero-weight branch register sharp with respect to its relative
-    state. The product-sharpness residual is reported, not enforced: it is
-    nonzero even for a perfectly correlated pair. S's spectrum is the
-    integers 0..2^k - 1, one frame each, holding its ket: phi on its branch.
+    Branch j holds |phi|^2 on the basis states where S reads j: its weight,
+    and M's mean and variance over it. Preconditions: both registers
+    non-sharp (a sharp reference means the registers are not entangled the
+    way a measurement record requires), and M sharp on every branch whose
+    weight exceeds tol.weight. A NaN weight raises ZeroWeightBranch before
+    any branch is read; a branch whose variance, or whose mean's distance
+    from the nearest integer, exceeds tol.sharp (NaN exceeds it) raises
+    BranchNotSharp. The product-sharpness residual is reported, not
+    enforced: it is nonzero even for a perfectly correlated pair.
     """
     prob = np.abs(state.phi) ** 2
     m = register_descriptor(state, m_qubits)
@@ -211,47 +187,30 @@ def classical_branches(state: NetworkState, m_qubits: Sequence[int],
             raise PreconditionFailed(
                 f"register {name} is sharp; foliation requires a non-sharp "
                 f"entangled register")
-    frames = [RelativeFrame(np.where(s == j, state.phi, 0), float(j),
-                            "reference register", float(prob @ (s == j)))
-              for j in range(2 ** len(s_qubits))]
+    weights = [(float(j), float(prob @ (s == j)))
+               for j in range(2 ** len(s_qubits))]
+    for label, weight in weights:
+        if np.isnan(weight):
+            raise ZeroWeightBranch(
+                f"branch {label:g} of 'reference register' has weight nan")
     branches = []
-    for frame in relative.live_frames(frames, state.tol):
-        value, variance = _sharp_value(state, frame, frame.ket, m)
-        branches.append(BranchRegister(frame, value, variance))
+    for label, weight in weights:
+        if weight > state.tol.weight:
+            mean, variance = _moments(np.where(s == label, prob, 0), m,
+                                      weight)
+            defect = linalg.worst((abs(variance), abs(mean - np.round(mean))))
+            if linalg.exceeds(defect, state.tol.sharp):
+                raise BranchNotSharp(
+                    f"branch {label:g}: register value {mean:.6g} "
+                    f"(variance {variance:.3e}) is not sharp")
+            branches.append(BranchRegister(label, weight, int(round(mean)),
+                                           variance))
     return branches, abs(_moments(prob, m * s)[1])
 
 
-def verify_classical_step(before: NetworkState, after: NetworkState,
-                          m_qubits: Sequence[int], func: ClassicalFunction,
-                          frames: Sequence[RelativeFrame],
-                          step_gates: Optional[Sequence[Gate]] = None
-                          ) -> ClassicalStepReport:
-    """Check that each branch register evolved as value -> func(value).
-
-    ``frames`` are fixed snapshots, the reference-register PVM at the record
-    time, as kets of ``before`` (``classical_branches(before, ...)``). The
-    value after the step is read from each ket moved to ``after``
-    (``network.transport``). When ``step_gates`` is given, any gate coupling
-    register qubits to the outside flags the step as an interaction with the
-    reference side.
-    """
-    m_set = set(m_qubits)
-    interaction = False
-    if step_gates is not None:
-        for g in step_gates:
-            ops = set(g.operands)
-            if ops & m_set and ops - m_set:
-                interaction = True
-    values = register_descriptor(before, m_qubits)
-    rows = []
-    all_ok = True
-    for frame in relative.live_frames(frames, before.tol):
-        vb, _ = _sharp_value(before, frame, frame.ket, values)
-        va, _ = _sharp_value(after, frame, network.transport(
-            frame.ket, before, after), values)
-        expected = func(vb)
-        ok = va == expected
-        all_ok = all_ok and ok
-        rows.append(BranchStep(frame.label, frame.weight, vb, va, expected, ok))
-    return ClassicalStepReport(tuple(rows), interaction,
-                               all_ok and not interaction)
+def couples(gates: Sequence[Gate], qubits: Sequence[int]) -> bool:
+    """Whether some gate acts both on the register ``qubits`` and outside
+    it: a step that couples the register to the reference side."""
+    inside = set(qubits)
+    return any(inside & set(g.operands) and set(g.operands) - inside
+               for g in gates)

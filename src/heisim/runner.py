@@ -102,8 +102,8 @@ def _answer_query(timeline: network.Timeline, query: dict) -> dict:
         branches, residual = registers.classical_branches(
             state, query["register"], query["reference"])
         return {"kind": kind,
-                "branches": [{"label": b.frame.label,
-                              "weight": b.frame.weight,
+                "branches": [{"label": b.label,
+                              "weight": b.weight,
                               "value": b.value,
                               "variance": b.variance}
                              for b in branches],

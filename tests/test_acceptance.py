@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from heisim import acceptance, registers
+from heisim.network import Gate
 
 
 @pytest.mark.parametrize("criterion", acceptance.CRITERIA,
@@ -30,16 +31,48 @@ def test_selftest_deterministic():
 
 def test_criterion_8_does_not_pass_on_a_bug(monkeypatch):
     """An error inside the interaction check is a bug, not a detection."""
-    verify = registers.verify_classical_step
+    def broken(gates, qubits):
+        raise TypeError("broken interaction check")
 
-    def broken(*args, step_gates=None, **kwargs):
-        if step_gates is not None:
-            raise TypeError("broken interaction check")
-        return verify(*args, **kwargs)
-
-    monkeypatch.setattr(registers, "verify_classical_step", broken)
+    monkeypatch.setattr(registers, "couples", broken)
     try:
         result = acceptance.criterion_8(seed=0)
     except TypeError:
         return
+    assert not result["passed"], result["detail"]
+
+
+def test_criterion_8_fails_on_another_functions_gates(monkeypatch):
+    """Gates that compute the identity where NOT is asked for leave every
+    branch value where the classical twin no longer is."""
+    compile_classical = registers.compile_classical
+
+    def wrong(func, register):
+        if func == registers.ClassicalFunction.bitwise_not(func.bits):
+            func = registers.ClassicalFunction.identity(func.bits)
+        return compile_classical(func, register)
+
+    monkeypatch.setattr(registers, "compile_classical", wrong)
+    result = acceptance.criterion_8(seed=0)
+    assert not result["passed"], result["detail"]
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["cnot", "cnot-pair"])
+def test_criterion_8_fails_on_a_step_that_reads_the_reference(monkeypatch,
+                                                              pair):
+    """A CNOT from reference qubit 4 to register qubit 1, appended to every
+    step of the two-bit scenario, couples the register to the reference. A
+    pair of them cancels, so only the interaction check can see it. (In the
+    one-bit scenario, one such CNOT would leave the register sharp, which
+    raises before any branch is read.)"""
+    compile_classical = registers.compile_classical
+
+    def coupled(func, register):
+        gates = compile_classical(func, register)
+        if tuple(register) == (1, 2):
+            gates += [Gate.cnot(4, 1)] * (2 if pair else 1)
+        return gates
+
+    monkeypatch.setattr(registers, "compile_classical", coupled)
+    result = acceptance.criterion_8(seed=0)
     assert not result["passed"], result["detail"]

@@ -96,7 +96,7 @@ NON_FINITE_GATES = {
                     + "0" * 400 + "]}"),
 }
 # An F gate with unitarity defect 1e-12: inside the fixed bound a Gate is
-# built against, outside a run's --tol unitary=1e-13.
+# built against, and stored as the exact signs of its eigenvalues.
 NEARLY_UNITARY_F = """
 format_version: 1
 qubits: 2
@@ -540,18 +540,25 @@ class TestExitStatuses:
 
     def test_tol_unitary_bounds_the_oracle_not_the_document(self, capsys,
                                                               tmp_path):
-        path = tmp_path / "nearly_unitary_f.yaml"
-        path.write_text(NEARLY_UNITARY_F, encoding="utf-8")
+        measurement = str(CIRCUITS / "measurement.yaml")
         for command in ("validate", "run"):
-            status, _, err = run_cli(capsys, command, str(path))
+            status, _, err = run_cli(capsys, command, measurement)
             assert status == 0, (command, err)
-        status, out, err = run_cli(capsys, "run", str(path),
-                                   "--tol", "unitary=1e-13")
+        status, out, err = run_cli(capsys, "run", measurement,
+                                   "--tol", "unitary=1e-16")
         assert status == 2
         assert out == ""
-        assert "error:" in err
-        # The oracle names the gate: its step, kind and operands.
-        assert "step 0: F on (1, 2): unitarity defect" in err
+        # The oracle names the gate: its step, kind and operands. H's
+        # 1/sqrt(2) rounds to a defect of one ulp of 1.
+        assert err == ("error: step 0: H on (1): unitarity defect "
+                       "2.220e-16 > 1.000e-16\n")
+        # A nearly unitary F is valid, and stored exact: no bound of the
+        # run sees its defect.
+        path = tmp_path / "nearly_unitary_f.yaml"
+        path.write_text(NEARLY_UNITARY_F, encoding="utf-8")
+        for args in (("validate",), ("run",), ("run", "--tol", "unitary=0")):
+            status, _, err = run_cli(capsys, *args, str(path))
+            assert status == 0, (args, err)
 
     @pytest.mark.parametrize("name", sorted(INVALID_DOCUMENTS))
     def test_validate_and_run_both_reject(self, capsys, tmp_path, name):

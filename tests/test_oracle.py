@@ -28,6 +28,14 @@ def f_gate(a, b, signs):
                   (s0 - s1 + s2 - s3) / 4, (s0 - s1 - s2 + s3) / 4)
 
 
+def planted_f(a, b, alpha):
+    """F on (a, b) with params (alpha, 0, 0, 0), planted past the sign
+    rounding of ``Gate``: its unitarity defect is ||alpha| - 1|."""
+    gate = Gate.f(a, b, 1.0, 0.0, 0.0, 0.0)
+    object.__setattr__(gate, "params", (alpha, 0.0, 0.0, 0.0))
+    return gate
+
+
 def random_circuit(rng, n, depth):
     gates = []
     for _ in range(depth):
@@ -282,10 +290,10 @@ class TestParts:
                 assert defect <= 1e-15, gates[row]
 
     def test_the_earliest_of_two_failing_steps_is_named(self):
-        # Both F gates are within the fixed 1e-10 that Gate takes for F and
-        # beyond 1e-13; the second distinct one fails at the earlier step.
-        late = Gate.f(1, 2, 1.000000000001, 0.0, 0.0, 0.0)
-        early = Gate.f(2, 1, -1.000000000002, 0.0, 0.0, 0.0)
+        # Both F gates are beyond 1e-13; the second distinct one fails at
+        # the earlier step.
+        late = planted_f(1, 2, 1.000000000001)
+        early = planted_f(2, 1, -1.000000000002)
         psi = init_network(2).phi
         tight = Tolerances(unitary=1e-13)
         for gates, step, operands in (
@@ -364,7 +372,7 @@ class TestEvolve:
 
     def test_first_failing_step_is_named(self):
         # Within the fixed 1e-10 that Gate takes for F, beyond 1e-13.
-        nearly = Gate.f(1, 2, 1.000000000001, 0.0, 0.0, 0.0)
+        nearly = planted_f(1, 2, 1.000000000001)
         gates = [Gate.h(1), Gate.cnot(1, 2), Gate.h(2), nearly,
                  Gate.h(1), Gate.h(2), Gate.cnot(2, 1), nearly]
         psi = init_network(2).phi
@@ -372,6 +380,12 @@ class TestEvolve:
         with pytest.raises(NonUnitary, match=r"^step 3: F on \(1, 2\): "
                            r"unitarity defect"):
             evolve(psi, gates, 2, Tolerances(unitary=1e-13))
+        # Built by Gate, the same F is stored as its eigenvalues' signs.
+        built = Gate.f(1, 2, 1.000000000001, 0.0, 0.0, 0.0)
+        assert built.params == (1.0, 0.0, 0.0, 0.0)
+        exact = [built if gate is nearly else gate for gate in gates]
+        run = evolve(psi, exact, 2, Tolerances(unitary=1e-13))
+        assert len(run.states) == 9
 
 
 class TestCrossValidate:

@@ -14,6 +14,7 @@ import copy
 import io
 from unittest import mock
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from heisim import circuit as circuit_module
 from heisim import cli
 from heisim.errors import HeisimError
+from heisim.linalg import DEFAULT_TOL
+from heisim.network import f_unitarity_defect
 
 COMPONENTS = ("x", "y", "z")
 ARITY = {"I": 0, "NOT": 1, "H": 1, "RZ": 1, "CNOT": 2, "F": 2, "CCNOT": 3}
@@ -195,3 +198,35 @@ def test_framed_sharpness_is_rejected_by_both():
     doc["queries"][0]["frame"] = {**doc["records"][0], "label": 1}
     text = yaml.safe_dump(doc)
     assert _status("validate", text) == _status("run", text) == 1
+
+
+def _f_document(n, operands, params):
+    """H on qubit 1, then F with these params: a run reads F's defect in
+    the oracle's unitarity check and in the algebra certificate."""
+    return yaml.safe_dump({"format_version": 1, "qubits": n, "gates": [
+        {"step": 0, "kind": "H", "operands": [1]},
+        {"step": 1, "kind": "F", "operands": list(operands),
+         "params": list(params)}]})
+
+
+@pytest.mark.parametrize("eps", [5e-11, 4e-11, 2e-11])
+def test_an_f_within_the_parse_bound_runs(eps):
+    # Before F was stored as its eigenvalues' signs, each of these ran into
+    # exit 2: on a unitarity defect of 1.000e-10, then on algebra residuals
+    # of 4.800e-10 and 2.400e-10.
+    text = _f_document(2, (1, 2), (1 + eps, 0.0, 0.0, 0.0))
+    assert _status("validate", text) == _status("run", text) == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 3), operands=st.permutations([1, 2, 3]),
+       params=st.sampled_from(F_PARAMS),
+       shifts=st.lists(st.floats(-5e-11, 5e-11), min_size=4, max_size=4))
+def test_validate_and_run_agree_on_f(n, operands, params, shifts):
+    """An F near a unitary one: both commands accept it exactly when its
+    defect is within the parse bound, and then the run exits 0."""
+    operands = [q for q in operands if q <= n][:2]
+    params = [p + shift for p, shift in zip(params, shifts)]
+    text = _f_document(n, operands, params)
+    status = 0 if f_unitarity_defect(params) <= DEFAULT_TOL.unitary else 1
+    assert _status("validate", text) == _status("run", text) == status

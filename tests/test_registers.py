@@ -1,20 +1,16 @@
 """Tests for register observables, reversible synthesis, branchwise computation."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from heisim import linalg, network, oracle
+from heisim import linalg, oracle, registers
 from heisim.errors import (BadSubset, BranchNotSharp, NotReversible,
                            PreconditionFailed, SynthesisError,
                            ZeroWeightBranch)
 from heisim.linalg import max_abs
 from heisim.network import Gate, NetworkState, apply_gate, init_network
-from heisim.registers import (ClassicalFunction, _sharp_value,
-                              classical_branches, compile_classical,
-                              register_descriptor, verify_classical_step)
-from heisim.relative import RelativeFrame
+from heisim.registers import (ClassicalFunction, classical_branches,
+                              compile_classical, couples, register_descriptor)
 
 
 def basis_register_value(index: int, n: int, qubits) -> int:
@@ -185,10 +181,10 @@ class TestClassicalBranches:
     def test_one_bit_branches(self):
         state = entangled_pair()
         branches, _ = classical_branches(state, (1,), (2,))
-        values = {round(b.frame.label): b.value for b in branches}
+        values = {round(b.label): b.value for b in branches}
         assert values == {0: 0, 1: 1}
         for b in branches:
-            assert b.frame.weight == pytest.approx(0.5, abs=1e-10)
+            assert b.weight == pytest.approx(0.5, abs=1e-10)
             assert abs(b.variance) <= 1e-9
 
     def test_four_equal_branches(self):
@@ -196,8 +192,8 @@ class TestClassicalBranches:
         branches, _ = classical_branches(state, (1, 2), (3, 4))
         assert len(branches) == 4
         for b in branches:
-            assert b.frame.weight == pytest.approx(0.25, abs=1e-10)
-            assert b.value == round(b.frame.label)
+            assert b.weight == pytest.approx(0.25, abs=1e-10)
+            assert b.value == round(b.label)
 
     def test_unentangled_precondition(self):
         state = init_network(2)
@@ -215,99 +211,74 @@ class TestClassicalBranches:
         with pytest.raises(ZeroWeightBranch, match="weight nan"):
             classical_branches(nan_state, (1,), (2,))
 
-    def test_nan_register_value_not_sharp(self):
+    def test_nan_register_value_not_sharp(self, monkeypatch):
         # A NaN register on a live branch gives a NaN value, which must not
-        # pass the sharpness test.
+        # pass the sharpness test; the reference register reads as before.
         state = entangled_pair()
-        frame = classical_branches(state, (1,), (2,))[0][0].frame
-        nan_register = np.full(4, np.nan)
-        with pytest.raises(BranchNotSharp, match="register value nan"):
-            _sharp_value(state, frame, frame.ket, nan_register)
+        read = register_descriptor
+
+        def nan_register(state, qubits):
+            values = read(state, qubits)
+            return np.full(len(values), np.nan) if qubits == (1,) else values
+        monkeypatch.setattr(registers, "register_descriptor", nan_register)
+        with pytest.raises(BranchNotSharp,
+                           match=r"^branch 0: register value nan"):
+            classical_branches(state, (1,), (2,))
 
 
 class TestVerifyClassicalStep:
-    def frames_for(self, state, s_qubits, m_qubits):
-        branches, _ = classical_branches(state, m_qubits, s_qubits)
-        return [b.frame for b in branches]
+    """A classical step compiled onto register M acts on M alone, so it
+    leaves the reference's branches as they were: read again after the
+    step, each has the same label and weight, and M's value moved by the
+    step's function."""
 
-    def run_step(self, state, func, m_qubits):
+    def check_step(self, state, func, m_qubits, s_qubits):
+        """The state after one step of ``func``, and the branches before and
+        after it, checked to keep their labels and weights."""
+        before, _ = classical_branches(state, m_qubits, s_qubits)
         gates = compile_classical(func, m_qubits)
+        assert not couples(gates, m_qubits)
         after = state
         for gate in gates:
             after = apply_gate(after, gate)
-        return after, gates
+        branches, _ = classical_branches(after, m_qubits, s_qubits)
+        assert [b.label for b in branches] == [b.label for b in before]
+        for was, now in zip(before, branches):
+            assert abs(now.weight - was.weight) <= 1e-12
+        return after, before, branches
 
     def test_identity_step(self):
-        state = entangled_pair()
-        frames = self.frames_for(state, (2,), (1,))
-        func = ClassicalFunction.identity(1)
-        after, gates = self.run_step(state, func, (1,))
-        report = verify_classical_step(state, after, (1,), func, frames,
-                                       step_gates=gates)
-        assert report.ok and not report.interaction_flagged
-        for row in report.branches:
-            assert row.value_after == row.value_before
+        _, before, after = self.check_step(entangled_pair(),
+                                           ClassicalFunction.identity(1),
+                                           (1,), (2,))
+        assert [b.value for b in after] == [b.value for b in before]
 
     def test_not_step_swaps_branch_values(self):
-        state = entangled_pair()
-        frames = self.frames_for(state, (2,), (1,))
-        func = ClassicalFunction.bitwise_not(1)
-        after, gates = self.run_step(state, func, (1,))
-        report = verify_classical_step(state, after, (1,), func, frames,
-                                       step_gates=gates)
-        assert report.ok
-        observed = {row.value_before: row.value_after
-                    for row in report.branches}
+        _, before, after = self.check_step(entangled_pair(),
+                                           ClassicalFunction.bitwise_not(1),
+                                           (1,), (2,))
+        observed = {was.value: now.value for was, now in zip(before, after)}
         assert observed == {0: 1, 1: 0}
 
     def test_increment_sequence_matches_classical_twin(self):
         state = entangled_two_bit()
-        frames = self.frames_for(state, (3, 4), (1, 2))
         func = ClassicalFunction.increment(2)
-        expected = {round(f.label): round(f.label) for f in frames}
+        branches, _ = classical_branches(state, (1, 2), (3, 4))
+        expected = {round(b.label): round(b.label) for b in branches}
         for _ in range(4):
-            after, gates = self.run_step(state, func, (1, 2))
-            report = verify_classical_step(state, after, (1, 2), func, frames,
-                                           step_gates=gates)
-            assert report.ok
-            for row in report.branches:
-                expected[round(row.label)] = func(expected[round(row.label)])
-                assert row.value_after == expected[round(row.label)]
-            # The frames are kets of the state before each step.
-            frames = [replace(f, ket=network.transport(f.ket, state, after))
-                      for f in frames]
-            state = after
+            state, _, branches = self.check_step(state, func, (1, 2), (3, 4))
+            for b in branches:
+                expected[round(b.label)] = func(expected[round(b.label)])
+                assert b.value == expected[round(b.label)]
 
     def test_cross_boundary_interaction_flagged(self):
-        state = entangled_pair()
-        frames = self.frames_for(state, (2,), (1,))
-        boundary = Gate.cnot(2, 1)
-        after = apply_gate(state, boundary)
-        report = verify_classical_step(state, after, (1,),
-                                       ClassicalFunction.identity(1), frames,
-                                       step_gates=[boundary])
-        assert report.interaction_flagged
-        assert not report.ok
-
-    def test_nan_frame_not_sharp(self):
-        # A NaN ket gives the branch a NaN register value, which is not
-        # sharp.
-        state = entangled_pair()
-        frame = RelativeFrame(np.full(4, np.nan, dtype=complex), 1.0,
-                              "nan", 0.5)
-        with pytest.raises(BranchNotSharp, match="register value nan"):
-            verify_classical_step(state, state, (1,),
-                                  ClassicalFunction.identity(1), [frame])
-
-    def test_nan_frame_weight_raises(self):
-        # A finite projector with a NaN weight is neither skipped nor taken
-        # as a live branch.
-        state = entangled_pair()
-        good = self.frames_for(state, (2,), (1,))[0]
-        frame = replace(good, weight=float("nan"))
-        with pytest.raises(ZeroWeightBranch, match="weight nan"):
-            verify_classical_step(state, state, (1,),
-                                  ClassicalFunction.identity(1), [frame])
+        assert couples([Gate.cnot(2, 1)], (1,))
+        assert couples([Gate.not_(1), Gate.ccnot(1, 3, 2)], (1, 2))
+        assert not couples([Gate.cnot(2, 1), Gate.h(3)], (1, 2))
+        for func in (ClassicalFunction.identity(2),
+                     ClassicalFunction.bitwise_not(2),
+                     ClassicalFunction.increment(2)):
+            assert not couples(compile_classical(func, (3, 1)), (3, 1))
 
     def test_register_hides_full_state(self):
         # Two networks differing by a z-rotation of a register qubit give
@@ -317,8 +288,7 @@ class TestVerifyClassicalStep:
         tables = []
         for state in (base, rotated):
             branches, _ = classical_branches(state, (1,), (2,))
-            tables.append({round(b.frame.label):
-                           (b.value, round(b.frame.weight, 9))
+            tables.append({round(b.label): (b.value, round(b.weight, 9))
                            for b in branches})
         assert tables[0] == tables[1]
         distance = max_abs(base.component(1, "x") - rotated.component(1, "x"))
