@@ -7,6 +7,8 @@ a fixed seed gives byte-identical selftest output.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from . import linalg, network, oracle, registers, relative
@@ -330,5 +332,6 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9)
 
 
-def run_all(seed: int = 0) -> list[dict]:
-    return [fn(seed) for fn in CRITERIA]
+def run_all(seed: int = 0) -> Iterator[dict]:
+    """Each criterion's result, as that criterion finishes."""
+    return (fn(seed) for fn in CRITERIA)

@@ -67,13 +67,16 @@ def main(argv=None) -> int:
         # selftest
         if args.seed < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        results = acceptance.run_all(args.seed)
-        failed = 0
-        for result in results:
+        # Each line is printed as its criterion finishes, so an error in a
+        # later one keeps the lines before it.
+        total = failed = 0
+        for result in acceptance.run_all(args.seed):
             status = "PASS" if result["passed"] else "FAIL"
-            print(f"{status} {result['name']}: {result['detail']}")
+            print(f"{status} {result['name']}: {result['detail']}",
+                  flush=True)
+            total += 1
             failed += 0 if result["passed"] else 1
-        print(f"{len(results) - failed}/{len(results)} criteria passed "
+        print(f"{total - failed}/{total} criteria passed "
               f"(seed={args.seed})")
         return 0 if failed == 0 else 2
     except HeisimError as exc:

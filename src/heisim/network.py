@@ -27,7 +27,9 @@ a descriptor, ``NetworkState.ket``); a descriptor matrix is
 one number, the algebra certificate of a state (``certify``): it must lie
 within tol.general and tol.commute, and it then bounds a record's
 involution defect and decides its commutators on the operands' block
-(``record_commutator``).
+(``record_commutator``). A run keeps its gate list, from which a sweep
+gives an operator's backward light cone (``light_cone``): a final-step
+record's block commutator reads only the columns of U on that cone.
 """
 
 from __future__ import annotations
@@ -581,9 +583,48 @@ def certify(state: NetworkState) -> float:
     return cert
 
 
+@cache
+def _mask(qubits: tuple[int, ...], n: int) -> int:
+    """The qubits as a bitmask of an n-qubit row index: qubit q is bit
+    n - q, so qubit 1 is the most significant (``_row_blocks``)."""
+    mask = 0
+    for q in qubits:
+        mask |= 1 << (n - q)
+    return mask
+
+
+def light_cone(gates: Sequence[Gate], qubits: tuple[int, ...],
+               n: int) -> int:
+    """The backward light cone K of ``qubits`` through ``gates``, as a
+    bitmask (``_mask``): O(len(gates)).
+
+    Swept from the last gate back, a gate that meets K joins it. With
+    U = g_T ... g_1, an operator b on ``qubits`` has U† b U = M_K (x) 1,
+    the identity on every qubit outside K: a gate whose operands miss K
+    commutes with what it conjugates and cancels (Deutsch-Hayden,
+    quant-ph/9906007).
+    """
+    cone = _mask(qubits, n)
+    for gate in reversed(gates):
+        operands = _mask(gate.operands, n)
+        if cone & operands:
+            cone |= operands
+    return cone
+
+
+@cache
+def _cone_columns(cone: int, n: int) -> np.ndarray:
+    """The 2^|K| indices whose bits outside the cone mask K are 0."""
+    index = np.arange(2 ** n)
+    columns = index[(index & ~cone) == 0]
+    columns.flags.writeable = False
+    return columns
+
+
 def record_commutator(state: NetworkState, record: Record, a: np.ndarray,
                       operands: tuple[int, ...],
-                      dense: Callable[[], np.ndarray]) -> float:
+                      dense: Callable[[], np.ndarray],
+                      gates: Optional[Sequence[Gate]] = None) -> float:
     """||[U_T† a U_T, q_r]||_max of a local ``a`` on ``operands`` (a gate or
     half a Pauli, so ||a||_2 <= 1) and a record q_r, read by ``state`` (U_T).
 
@@ -595,6 +636,12 @@ def record_commutator(state: NetworkState, record: Record, a: np.ndarray,
     ||U_T† [a, sigma_r] U_T||_max (one local product and one GEMM over the
     rows where [a, sigma_r] has an entry: half of them for [CNOT, z_target],
     a quarter for [CCNOT, z_target]).
+
+    ``gates`` are those whose product is U_T, when the caller has them.
+    Then U_T† [a, sigma_r] U_T = M_K (x) 1 on the operands' light cone K
+    (``light_cone``), and the GEMM reads only the 2^|K| columns of U_T whose
+    bits outside K are 0: its 2^|K| x 2^|K| product is M_K. With no gates
+    every column is read.
     """
     if record.state is not state:
         return linalg.commutator_norm(
@@ -611,6 +658,10 @@ def record_commutator(state: NetworkState, record: Record, a: np.ndarray,
     _, rows = _row_blocks(operands, state.n)
     rows = np.concatenate([rows[r] for r in live])
     u = state.u
+    if gates is not None:
+        cone = light_cone(gates, operands, state.n)
+        if cone != state.dim - 1:
+            u = u[:, _cone_columns(cone, state.n)]
     return max_abs(u[rows].conj().T @ _apply_local(block, operands, u)[rows])
 
 
@@ -626,6 +677,9 @@ class Timeline:
     states: dict[int, NetworkState]
     # (T+1) x 2^n: row t is phi_t = U_t Psi, U_t's first column.
     phis: np.ndarray
+    # The gates whose product is U_T, for ``record_commutator``'s light
+    # cones; None when the run did not start from U_0 = 1.
+    gates: Optional[tuple[Gate, ...]] = None
 
     def __len__(self) -> int:
         return len(self.phis)
@@ -645,7 +699,8 @@ def run_gates(state: NetworkState, gates: Sequence[Gate],
     step as ``Timeline.phis``. The state of step s, which holds the
     2^n x 2^n U_s, is kept only when s is in ``keep`` or is the final step;
     with no ``keep`` every step's is. A record of q_ac taken at step s is
-    ``Record(timeline[s], a, c)``.
+    ``Record(timeline[s], a, c)``. A run from a state at t = 0, whose U_0
+    is the identity, keeps its gates as ``Timeline.gates``.
     """
     phis = np.empty((len(gates) + 1, state.dim), dtype=complex)
     phis[0] = state.u[:, 0]
@@ -660,4 +715,4 @@ def run_gates(state: NetworkState, gates: Sequence[Gate],
         current = apply_gate(current, gate)
         phis[step + 1] = current.u[:, 0]
     states[len(gates)] = current
-    return Timeline(states, phis)
+    return Timeline(states, phis, tuple(gates) if state.t == 0 else None)

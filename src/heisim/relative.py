@@ -100,11 +100,12 @@ def live_frames(frames: Sequence[RelativeFrame], tol: Tolerances
     return [f for f in frames if f.weight > tol.weight]
 
 
-def _max_commutator(state: NetworkState, record: Record,
-                    qubit: int) -> float:
+def _max_commutator(state: NetworkState, record: Record, qubit: int,
+                    gates: Optional[Sequence[Gate]]) -> float:
     """The largest ||[P+, q_ac]|| = ||[U_T† (1/2 sigma_ac) U_T, q_r]|| over
     the qubit's components (``network.record_commutator``; a record of an
-    earlier step reads U_T† (1/2 sigma_ac) U_T = 1/2 q_ac).
+    earlier step reads U_T† (1/2 sigma_ac) U_T = 1/2 q_ac; one of the final
+    step reads the qubit's light cone through ``gates``).
 
     Raises NonCommuting at the first component whose norm exceeds
     tol.commute; a NaN norm counts as not commuting.
@@ -113,7 +114,7 @@ def _max_commutator(state: NetworkState, record: Record,
     for name in COMPONENTS:
         cnorm = network.record_commutator(
             state, record, 0.5 * linalg.PAULIS[name], (qubit,),
-            lambda: 0.5 * state.component(qubit, name))
+            lambda: 0.5 * state.component(qubit, name), gates)
         if linalg.exceeds(cnorm, state.tol.commute):
             raise NonCommuting(
                 f"frame projector does not commute with q_{qubit}{name}: "
@@ -137,7 +138,8 @@ def relative_expectation(state: NetworkState, observable: np.ndarray,
 
 
 def autonomy_check(state: NetworkState, gate: Gate,
-                   records: Sequence[Record]) -> AutonomyResult:
+                   records: Sequence[Record],
+                   gates: Optional[Sequence[Gate]] = None) -> AutonomyResult:
     """Classify a gate against the current foliation's records.
 
     PRESERVING iff the gate unitary (evaluated on current descriptors)
@@ -145,24 +147,26 @@ def autonomy_check(state: NetworkState, gate: Gate,
     record and the commutator norm.
 
     Each norm is ``network.record_commutator`` of the gate's local matrix;
-    a record of an earlier step reads U_T† g U_T, built once.
+    a record of an earlier step reads U_T† g U_T, built once, and one of the
+    final step the light cone of the gate's operands through ``gates``,
+    the run's gate list when the caller has it. A NaN norm is violated.
     """
     gate.validate(state.n)
     # I has no operands, so no block to build.
     local = network.local_matrix(gate) if gate.operands else None
     unitary = cache(partial(network.build_gate_unitary, state, gate))
-    worst = 0.0
+    norms = []
     for idx, record in enumerate(records):
         cnorm = network.record_commutator(state, record, local,
-                                          gate.operands, unitary)
-        worst = linalg.worst((worst, cnorm))
+                                          gate.operands, unitary, gates)
         if linalg.exceeds(cnorm, state.tol.commute):
             return AutonomyResult(False, idx, cnorm)
-    return AutonomyResult(True, None, worst)
+        norms.append(cnorm)
+    return AutonomyResult(True, None, linalg.worst(norms))
 
 
-def foliate(state: NetworkState, record: Record,
-            qubits: Sequence[int]) -> FoliationReport:
+def foliate(state: NetworkState, record: Record, qubits: Sequence[int],
+            gates: Optional[Sequence[Gate]] = None) -> FoliationReport:
     """Decompose the listed qubits into relative states of a record's
     two-frame PVM (``record_pvm``).
 
@@ -171,11 +175,12 @@ def foliate(state: NetworkState, record: Record,
     component that does not. The completeness residual ||P+ P-|| is a
     quarter of the record's involution defect ||1 - q^2||, reported as a
     quarter of the certificate that bounds it; that certificate has passed
-    ``certify``, so the residual is within tol.general.
+    ``certify``, so the residual is within tol.general. ``gates`` is the
+    run's gate list, as for ``autonomy_check``.
     """
     frames = record_pvm(state, record)
     # [1 - P, q] = -[P, q]: both frames have the commutator norms of P+.
-    max_comm = linalg.worst(_max_commutator(state, record, q)
+    max_comm = linalg.worst(_max_commutator(state, record, q, gates)
                             for q in qubits)
     return FoliationReport(frames, 0.25 * network.certify(record.state),
                            max_comm)

@@ -77,7 +77,7 @@ def _answer_query(timeline: network.Timeline, query: dict) -> dict:
                 "discrepancy": witness.discrepancy}
     if kind == "foliate":
         report = relative.foliate(state, _record(timeline, query["record"]),
-                                  query["qubits"])
+                                  query["qubits"], timeline.gates)
         live = relative.live_frames(report.frames, state.tol)
         rel_exp = {
             str(q): {f"{frame.label:g}": [
@@ -94,7 +94,8 @@ def _answer_query(timeline: network.Timeline, query: dict) -> dict:
                 "relative_expectations": rel_exp}
     if kind == "autonomy":
         snapshots = [_record(timeline, r) for r in query["records"]]
-        result = relative.autonomy_check(state, query["gate"], snapshots)
+        result = relative.autonomy_check(state, query["gate"], snapshots,
+                                         timeline.gates)
         return {"kind": kind, "classification": result.classification,
                 "violated_index": result.violated_index,
                 "commutator_norm": result.commutator_norm}

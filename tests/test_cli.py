@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 import yaml
 
-from heisim import linalg, network, oracle, relative, runner
+from heisim import acceptance, linalg, network, oracle, relative, runner
 from heisim.circuit import load_circuit, parse_circuit
 from heisim.cli import main
+from heisim.errors import PreconditionFailed
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 # Reference reports of circuits/*.yaml, one <stem>.json each.
@@ -611,6 +612,31 @@ class TestExitStatuses:
         assert out == ""
         assert "--seed" in err
 
+    def test_selftest_prints_each_criterion_as_it_finishes(self, capsys,
+                                                            monkeypatch):
+        """An error in one criterion keeps the lines of those before it,
+        and exits with the error's status; the criteria after it do not
+        run."""
+        ran = []
+
+        def criterion(name, passed):
+            def check(seed):
+                ran.append(name)
+                return {"name": name, "passed": passed,
+                        "detail": f"seed {seed}"}
+            return check
+
+        def raises(seed):
+            raise PreconditionFailed("register M is sharp")
+        monkeypatch.setattr(acceptance, "CRITERIA", (
+            criterion("first", True), criterion("second", False), raises,
+            criterion("after", True)))
+        status, out, err = run_cli(capsys, "selftest", "--seed", "3")
+        assert status == PreconditionFailed.exit_status == 3
+        assert out == "PASS first: seed 3\nFAIL second: seed 3\n"
+        assert err == "error: register M is sharp\n"
+        assert ran == ["first", "second"]
+
     @pytest.mark.parametrize("name", ["bogus", "hermitian", "norm",
                                       "eigengap"])
     def test_bad_tol_name_is_1(self, capsys, name):
@@ -677,6 +703,7 @@ class TestExitStatuses:
 PEAK_RSS_WRAPPER = """
 import resource, sys
 from heisim.cli import main
+from heisim.errors import PreconditionFailed
 status = main(sys.argv[1:])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
 sys.exit(status)

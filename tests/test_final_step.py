@@ -8,18 +8,23 @@ reads the certificate of the record's state: one above min(general,
 commute) raises ToleranceViolation, with no dense fallback.
 """
 
+import dataclasses
 import itertools
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heisim import acceptance, linalg, network, oracle, relative, runner
+from heisim.circuit import load_circuit
 from heisim.errors import (BranchNotSharp, NonCommuting, PreconditionFailed,
                            ToleranceViolation, ZeroWeightBranch)
 from heisim.linalg import COMPONENTS, DEFAULT_TOL
 from heisim.network import Gate, NetworkState, init_network, run_gates
+
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
 
 def certify(timeline):
@@ -29,11 +34,18 @@ def certify(timeline):
     return timeline
 
 
+def with_final(timeline, state):
+    """The same run, gate list included, with ``state`` as its final
+    state."""
+    return dataclasses.replace(
+        timeline, states={**timeline.states, len(timeline) - 1: state})
+
+
 def fresh_final(timeline):
     """The same run with a fresh final state, whose certificate is not
     taken: its record checks take it themselves."""
     last = timeline[-1]
-    return [*timeline][:-1] + [NetworkState(last.n, last.t, last.u, last.tol)]
+    return with_final(timeline, NetworkState(last.n, last.t, last.u, last.tol))
 
 
 def random_gate(rng, n):
@@ -473,8 +485,8 @@ class TestCertificateFallback:
         timeline = acceptance.section3_timeline()
         last = timeline[-1]
         tol = last.tol.override(general=1e-8)
-        return [*timeline][:-1] + [NetworkState(last.n, last.t,
-                                             (1 + size) * last.u, tol)]
+        return with_final(timeline, NetworkState(last.n, last.t,
+                                                 (1 + size) * last.u, tol))
 
     @pytest.mark.parametrize("query", QUERIES, ids=["rz", "cnot", "foliate"])
     def test_dense_norm_above_the_commute_bound(self, norms, query):
@@ -732,3 +744,124 @@ class TestLocalHelpers:
         dense = dense_weight(final, 1, "z")
         assert [dense, 1 - dense] == pytest.approx(
             [plus.weight, minus.weight], abs=1e-15)
+
+
+def cone_qubits(cone, n):
+    """The qubits of a ``network.light_cone`` mask: qubit q is bit n - q."""
+    return [q for q in range(1, n + 1) if cone >> (n - q) & 1]
+
+
+class TestLightCone:
+    """A final-step record's block commutator reads only the columns of U_T
+    on the light cone of its operands. The cone must hold the support of
+    U_T† [a, sigma_r] U_T, and the norm read on it must be the norm read on
+    every column."""
+
+    GATES = [Gate.cnot(1, 2), Gate.h(3), Gate.cnot(2, 3), Gate("I"),
+             Gate.cnot(4, 1)]
+
+    def test_the_sweep_runs_backward_over_every_gate(self):
+        """CNOT(4, 1), the last gate, joins only the cones that hold qubit 1
+        or 4; CNOT(1, 2), the first, joins those that reach qubit 1 or 2 by
+        then; I joins none."""
+        cones = {q: cone_qubits(network.light_cone(self.GATES, (q,), 4), 4)
+                 for q in range(1, 5)}
+        assert cones == {1: [1, 2, 4], 2: [1, 2, 3], 3: [1, 2, 3],
+                         4: [1, 2, 4]}
+        assert network.light_cone(self.GATES, (3,), 4) == 0b1110
+        assert network.light_cone([], (2, 4), 4) == 0b0101
+        assert network.light_cone([Gate("I")], (1,), 4) == 0b1000
+
+    def test_a_run_from_t0_keeps_its_gates(self):
+        timeline = run_gates(init_network(4), self.GATES)
+        assert timeline.gates == tuple(self.GATES)
+        later = network.apply_gate(init_network(4), Gate.h(1))
+        assert run_gates(later, self.GATES).gates is None
+
+    @staticmethod
+    def every_kind(rng, n):
+        """``random_gate`` with I as well, so every kind comes up."""
+        if rng.random() < 0.1:
+            return Gate("I")
+        return random_gate(rng, n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_the_cone_holds_the_support(self, n):
+        """On random circuits of every kind, U_T† [a, sigma_r] U_T commutes
+        with sigma_x and sigma_z of each qubit outside the cone, so it is
+        the identity there, and the norm read on the cone's columns is the
+        one read on all of them."""
+        rng = np.random.default_rng(40 + n)
+        outside = 0
+        for _ in range(12):
+            gates = [self.every_kind(rng, n) for _ in range(n)]
+            timeline = run_gates(init_network(n), gates)
+            final = timeline[-1]
+            gate = random_gate(rng, n)
+            r = gate.operands[int(rng.integers(len(gate.operands)))]
+            c = COMPONENTS[int(rng.integers(3))]
+            a = network.local_matrix(gate)
+            sigma = linalg.embed(linalg.PAULIS[c],
+                                 gate.operands.index(r) + 1,
+                                 len(gate.operands))
+            block = network._apply_local(a @ sigma - sigma @ a,
+                                         gate.operands,
+                                         linalg.identity(final.dim))
+            m = final.u.conj().T @ block @ final.u
+            cone = cone_qubits(
+                network.light_cone(timeline.gates, gate.operands, n), n)
+            for q in sorted(set(range(1, n + 1)) - set(cone)):
+                outside += 1
+                for p in ("x", "z"):
+                    pauli = linalg.embed(linalg.PAULIS[p], q, n)
+                    assert linalg.commutator_norm(m, pauli) <= 1e-13, (
+                        gates, gate, q)
+            record = network.Record(final, r, c)
+            args = (final, record, a, gate.operands, None)
+            assert network.record_commutator(
+                *args, timeline.gates) == pytest.approx(
+                    network.record_commutator(*args), rel=1e-13, abs=1e-13)
+        assert outside, n
+
+    def test_a_narrow_cone_reads_its_columns(self, monkeypatch):
+        """[CNOT(1, 2), z_2] has the cone {1, 2} after gates that never
+        link qubits 1 and 2 to the rest: the product reads 2^2 columns of
+        U_T with the run's gates and 2^6 with none, and both norms agree."""
+        timeline = certify(run_gates(init_network(6), [
+            Gate.h(1), Gate.cnot(1, 2), Gate.h(4), Gate.cnot(4, 5),
+            Gate.cnot(5, 6), Gate.h(3), Gate.rz(2, 0.4)]))
+        final = timeline[-1]
+        gate = Gate.cnot(1, 2)
+        args = (final, network.Record(final, 2, "z"),
+                network.local_matrix(gate), gate.operands, None)
+        apply_local, shapes = network._apply_local, []
+
+        def recorded(g, operands, m):
+            shapes.append(m.shape)
+            return apply_local(g, operands, m)
+        monkeypatch.setattr(network, "_apply_local", recorded)
+        narrow = network.record_commutator(*args, timeline.gates)
+        full = network.record_commutator(*args)
+        assert shapes == [(64, 4), (64, 64)]
+        assert narrow == pytest.approx(full, rel=1e-15)
+        assert narrow > final.tol.commute
+
+    def test_a_run_reads_each_violated_record_on_its_cone(self, monkeypatch):
+        """light_cones.yaml: the violated records of its CNOT, H and CCNOT
+        autonomy queries read the 2^3, 2^2 and 2^4 columns of their cones;
+        the CNOT at the end of its chain reads all 2^10 (``u`` itself)."""
+        doc = load_circuit(CIRCUITS / "light_cones.yaml")
+        apply_local, columns = network._apply_local, []
+
+        def recorded(g, operands, m):
+            if m.ndim == 2 and m.shape[1] < m.shape[0]:
+                columns.append(m.shape[1])
+            return apply_local(g, operands, m)
+        monkeypatch.setattr(network, "_apply_local", recorded)
+        report = runner.execute(doc)
+        assert columns == [8, 4, 16]
+        verdicts = [(q["classification"], q["violated_index"])
+                    for q in report["queries"] if q["kind"] == "autonomy"]
+        assert verdicts == [("DESTROYING", 1), ("DESTROYING", 1),
+                            ("PRESERVING", None), ("DESTROYING", 2),
+                            ("PRESERVING", None), ("DESTROYING", 1)]

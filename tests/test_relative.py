@@ -192,6 +192,41 @@ class TestAutonomy:
         assert result.violated_index is not None
         assert result.commutator_norm > 1e-9
 
+    def three(self, state):
+        return [*self.snapshots(state), Record(state, 1, "x")]
+
+    @pytest.fixture
+    def norms(self, monkeypatch):
+        """record_commutator reads the given norms in turn; the lists
+        ``linalg.worst`` is called with are kept."""
+        given, worst_calls = [], []
+        monkeypatch.setattr(network, "record_commutator",
+                            lambda *args: given.pop(0))
+        inner = linalg.worst
+
+        def recorded(values):
+            worst_calls.append(list(values))
+            return inner(worst_calls[-1])
+        monkeypatch.setattr(linalg, "worst", recorded)
+        return given, worst_calls
+
+    def test_preserving_takes_the_worst_norm_once(self, measured, norms):
+        given, worst_calls = norms
+        given.extend([3e-15, 7e-15, 1e-15])
+        result = autonomy_check(measured, Gate.cnot(1, 2),
+                                self.three(measured))
+        assert (result.preserving, result.commutator_norm) == (True, 7e-15)
+        assert worst_calls == [[3e-15, 7e-15, 1e-15]]
+
+    def test_nan_norm_is_violated_at_its_index(self, measured, norms):
+        given, worst_calls = norms
+        given.extend([1e-15, np.nan, 1e-15])
+        result = autonomy_check(measured, Gate.cnot(1, 2),
+                                self.three(measured))
+        assert result.classification == "DESTROYING"
+        assert result.violated_index == 1 and np.isnan(result.commutator_norm)
+        assert given == [1e-15] and worst_calls == []
+
 
 class TestBranchEvolutionFactor:
     def test_identity_f_gives_unit(self, measured):
